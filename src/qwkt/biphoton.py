@@ -213,15 +213,28 @@ def envelope_peak_normalized(omega: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-(omega**2) / (8.0 * sigma**2))
 
 
+def _fringe_rows(
+    taus: np.ndarray, weights: np.ndarray, phi: float, omega: np.ndarray
+) -> np.ndarray:
+    """Weighted fringes ``sum_i a_i cos(omega tau_i + phi)``, one row per candidate.
+
+    ``taus`` and ``weights`` have shape (B, k), ``omega`` shape (n,); the
+    result has shape (B, n). Layers are summed in column order, so a single
+    row reproduces ``fringe_factor`` bit for bit.
+    """
+    out = np.zeros((taus.shape[0], omega.size))
+    for tau, weight in zip(taus.T, weights.T):
+        out += weight[:, None] * np.cos(omega * tau[:, None] + phi)
+    return out
+
+
 def fringe_factor(
     profile: DelayProfile, cfg: ForwardModelConfig, omega: np.ndarray
 ) -> np.ndarray:
     """Weighted interference term ``sum_i a_i cos(omega tau_i + phi)``."""
     omega = np.asarray(omega, dtype=float)
-    out = np.zeros_like(omega)
-    for tau, weight in profile.layers:
-        out = out + weight * np.cos(omega * tau + cfg.phi)
-    return out
+    rows = _fringe_rows(profile.delays[None], profile.weights[None], cfg.phi, omega.ravel())
+    return rows.reshape(omega.shape)
 
 
 def joint_spectral_intensity(

@@ -213,6 +213,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
+    if args.variant == "trinomial" and args.trials is None:
+        # the column total is not the per-bin trial count a trinomial needs
+        raise ConfigurationError("--variant trinomial needs --trials, the per-bin trial count")
     source = _source_from_args(args)
     in_path = Path(args.input)
     pattern = read_spectrum(in_path, center_wavelength=args.center_nm * 1e-9)
@@ -477,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mle", action="store_true", help="refine with a maximum-likelihood fit")
     p.add_argument("--layers", type=int, default=1, help="layer count for the MLE")
     p.add_argument("--trials", type=_trials, default=None,
-                   help="trials behind the counts; per-bin for trinomial fits "
-                        "(default: column total)")
+                   help="trials behind the counts: the per-bin count, required "
+                        "for --variant trinomial; two-port default: column total")
     p.add_argument("--phi", type=float, default=0.0, help="fringe phase, rad")
     p.add_argument("--out", default="estimate.json", help="output JSON path")
 

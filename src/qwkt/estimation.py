@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +22,8 @@ from .biphoton import (
     BiphotonSource,
     DelayProfile,
     ForwardModelConfig,
+    _fringe_rows,
     envelope_density,
-    envelope_peak_normalized,
 )
 from .errors import (
     ConfigurationError,
@@ -34,7 +32,7 @@ from .errors import (
     MalformedSpectrumError,
     QuadratureError,
 )
-from .hom import DetectionModel, OutcomeTable, binned_envelope
+from .hom import DetectionModel, OutcomeTable, _category_probabilities, _variant_envelope
 from .transform import FrequencyGrid, SpectralPattern, TemporalGrid, inverse_qwkt
 
 _MAX_LAYERS = 4
@@ -42,6 +40,10 @@ _MAX_AXIS_POINTS = 256
 _COARSE_POINTS = 21
 _COARSE_SPAN_STEPS = 10.0
 _QUAD_RTOL = 1e-8
+# Likelihood rows are evaluated in chunks of at most this many (row, bin)
+# cells, so a 9,261-row coarse scan never holds more than ~0.1 MB per
+# temporary array.
+_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,10 @@ def extract_delays(
 
 
 def _softmax_weights(logits: np.ndarray) -> np.ndarray:
-    """Map k-1 free logits to k positive weights summing to one."""
-    z = np.concatenate([logits, [0.0]])
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
+    """Map rows of k-1 free logits to rows of k positive weights summing to one."""
+    z = np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _initial_layers(
@@ -216,12 +217,27 @@ def _initial_layers(
     return [(t, a / total) for t, a in layers]
 
 
+def _log(p):
+    """Logarithm floored at 1e-300, so empty categories stay finite."""
+    return np.log(np.maximum(p, 1e-300))
+
+
+def _row_dot(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``rows @ counts``, each row summed as a 1-D dot product sums it, so a
+    batch gives the same bits as the rows evaluated one at a time."""
+    return np.matmul(rows[:, None, :], counts[:, None])[:, 0, 0]
+
+
 class _Likelihood:
     """Multinomial log-likelihood of an outcome table under candidate layers.
 
+    Candidates come in rows; the outcome probabilities of every row come
+    from the forward model shared with ``outcome_probabilities``.
     Categories absent from the table (a spectrum file carries anti-bunch
     counts only) are handled by conditioning on the observed categories:
-    their probabilities are renormalized by the observed total mass.
+    their probabilities are renormalized by the observed total mass. A
+    trinomial table with pair counts only is fitted by the per-bin binomial
+    marginal with known trials.
     """
 
     def __init__(
@@ -238,93 +254,62 @@ class _Likelihood:
         self.model = model
         self.cfg = cfg
         self.omega = model.grid.values
-        self.survive = (1.0 - model.gamma) ** 2
-        self.alpha = model.alpha
-        self.sign = cfg.fringe_sign
-        self.phi = cfg.phi
-        self.n_anti = np.asarray(counts.counts_coincidence, dtype=float)
-        self.variant = counts.variant
-        if self.variant == "two-port":
-            self.env = binned_envelope(model.grid, source.sigma_spectral)
-            self.n_bunch = (
-                None
-                if counts.counts_bunching is None
-                else np.asarray(counts.counts_bunching, dtype=float)
-            )
-            self.n_single = counts.counts_single
-            self.n_none = counts.counts_none
-            self.complete = (
-                self.n_bunch is not None
-                and self.n_single is not None
-                and self.n_none is not None
-            )
-            self.observed = float(np.sum(self.n_anti))
-            if self.n_bunch is not None:
-                self.observed += float(np.sum(self.n_bunch))
-            if self.n_single is not None:
-                self.observed += float(self.n_single)
-            if self.n_none is not None:
-                self.observed += float(self.n_none)
-        else:
-            self.env = envelope_peak_normalized(self.omega, source.sigma_spectral)
-            self.n_single = (
-                None
-                if counts.counts_single is None
-                else np.asarray(counts.counts_single, dtype=float)
-            )
-            self.n_none = (
-                None
-                if counts.counts_none is None
-                else np.asarray(counts.counts_none, dtype=float)
-            )
-            self.complete = self.n_single is not None and self.n_none is not None
-
-    def _fringe(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        x = np.zeros_like(self.omega)
-        for tau, weight in zip(taus, weights):
-            x += weight * np.cos(self.omega * tau + self.phi)
-        return x
-
-    def log_likelihood(self, taus: np.ndarray, weights: np.ndarray) -> float:
-        x = self._fringe(taus, weights)
-        mod = self.sign * self.alpha * x
-        if self.variant == "two-port":
-            p_anti = self.survive * self.env * np.maximum(1.0 - mod, 0.0) / 2.0
-            out = float(self.n_anti @ np.log(np.maximum(p_anti, 1e-300)))
-            if self.n_bunch is not None:
-                p_bunch = self.survive * self.env * np.maximum(1.0 + mod, 0.0) / 2.0
-                out += float(self.n_bunch @ np.log(np.maximum(p_bunch, 1e-300)))
-            gamma = self.model.gamma
-            if self.n_single is not None:
-                out += float(self.n_single) * math.log(max(2.0 * gamma * (1.0 - gamma), 1e-300))
-            if self.n_none is not None:
-                out += float(self.n_none) * math.log(max(gamma**2, 1e-300))
-            if not self.complete:
-                mass = float(np.sum(p_anti))
-                if self.n_bunch is not None:
-                    mass += float(np.sum(p_bunch))
-                if self.n_single is not None:
-                    mass += 2.0 * gamma * (1.0 - gamma)
-                if self.n_none is not None:
-                    mass += gamma**2
-                out -= self.observed * math.log(max(mass, 1e-300))
-            return out
-        # trinomial: independent per-bin outcomes
-        p_pair = (self.survive / 2.0) * self.env * np.maximum(1.0 + mod, 0.0)
-        n_trials = self.model.n_trials
-        if self.complete:
-            p_single = np.maximum((1.0 - self.model.gamma**2) - p_pair, 1e-300)
-            out = float(self.n_anti @ np.log(np.maximum(p_pair, 1e-300)))
-            out += float(self.n_single @ np.log(p_single))
-            p_none = max(self.model.gamma**2, 1e-300)
-            out += float(np.sum(self.n_none)) * math.log(p_none)
-            return out
-        # pair counts only: per-bin binomial marginal with known trials
-        out = float(self.n_anti @ np.log(np.maximum(p_pair, 1e-300)))
-        out += float(
-            (n_trials - self.n_anti) @ np.log(np.maximum(1.0 - p_pair, 1e-300))
+        self.env = _variant_envelope(model, source.sigma_spectral)
+        two_port = model.variant == "two-port"
+        blocks = (
+            counts.counts_coincidence,
+            counts.counts_bunching if two_port else None,
+            counts.counts_single,
+            counts.counts_none,
         )
+        # (coincidence, bunching, single, none), the layout of the model's
+        # category probabilities; None where the table carries no counts
+        self.counts = tuple(None if b is None else np.asarray(b, dtype=float) for b in blocks)
+        self.complete = all(c is not None for c in self.counts[1 if two_port else 2 :])
+        self.totals = tuple(None if c is None else float(np.sum(c)) for c in self.counts)
+        self.observed = sum(t for t in self.totals if t is not None)
+        self.rows_per_chunk = max(1, _CHUNK_CELLS // self.omega.size)
+
+    def log_likelihood(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Log-likelihood of each row of (B, k) delays and weights, shape (B,)."""
+        out = np.empty(taus.shape[0])
+        step = self.rows_per_chunk
+        for i in range(0, taus.shape[0], step):
+            out[i : i + step] = self._rows(taus[i : i + step], weights[i : i + step])
         return out
+
+    def _rows(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        x = _fringe_rows(taus, weights, self.cfg.phi, self.omega)
+        probs = _category_probabilities(self.model, self.env, x, self.cfg.fringe_sign)
+        n_anti = self.counts[0]
+        if self.model.variant == "trinomial" and not self.complete:
+            pair = probs[0]
+            return _row_dot(_log(pair), n_anti) + _row_dot(
+                _log(1.0 - pair), self.model.n_trials - n_anti
+            )
+        observed = [(p, n, t) for p, n, t in zip(probs, self.counts, self.totals) if n is not None]
+        out = 0.0
+        for p, n, total in observed:
+            if isinstance(p, np.ndarray):
+                out = out + _row_dot(_log(p), n)
+            else:
+                out = out + total * math.log(max(p, 1e-300))
+        if not self.complete:
+            mass = sum(p.sum(axis=1) if isinstance(p, np.ndarray) else p for p, _, _ in observed)
+            out = out - self.observed * _log(mass)
+        return out
+
+
+def _scan(
+    objective, candidates: np.ndarray, best_theta: np.ndarray, best_val: float
+) -> tuple[np.ndarray, float]:
+    """Evaluate a batch of candidate rows; keep the first strict minimum
+    below ``best_val``, else the incumbent."""
+    values = objective(candidates)
+    i = int(np.argmin(values))
+    if values[i] < best_val:
+        return candidates[i].copy(), float(values[i])
+    return best_theta, best_val
 
 
 def mle_fit(
@@ -341,12 +326,18 @@ def mle_fit(
     Free parameters are the k delays (optimized in units of the temporal
     width 1/delta) and k-1 weight logits; weights always sum to one. The
     search is a coarse scan around the initializer (21 points per parameter
-    spanning +/-10 temporal grid steps for delays; a full Cartesian scan
-    for up to three free parameters, coordinate sweeps beyond that)
-    followed by Nelder-Mead descent to a delay tolerance of 1e-4/delta.
-    Standard errors come from the finite-difference observed information
-    at the optimum. Asking for more layers than the data shows is allowed;
-    surplus layers converge to near-zero weights.
+    spanning +/-10 temporal grid steps for delays and +/-2 for logits; a
+    full Cartesian scan for up to three free parameters, two passes of
+    coordinate sweeps beyond that) followed by Nelder-Mead descent to a
+    delay tolerance of 1e-4/delta. The scan evaluates each Cartesian
+    product, or each axis of a sweep, as one batch of candidate rows and
+    keeps the first strict minimum. Standard errors come from the
+    finite-difference observed information at the optimum.
+
+    The fit uses exactly ``k_layers`` layers; choosing k is the caller's
+    job. Surplus layers are not pruned: on one-layer data a two-layer fit
+    can split the layer into two at the same delay, with a log-likelihood
+    equal to the one-layer fit's and standard errors that mean nothing.
     """
     if not 1 <= k_layers <= _MAX_LAYERS:
         raise ConfigurationError(f"k_layers must lie in [1, {_MAX_LAYERS}]")
@@ -361,23 +352,17 @@ def mle_fit(
     taus0 = np.array([t for t, _ in layers0])
     weights0 = np.array([a for _, a in layers0])
 
-    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        taus = theta[:k] / delta
-        if k == 1:
-            return taus, np.array([1.0])
-        return taus, _softmax_weights(theta[k:])
+    def unpack(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return thetas[:, :k] / delta, _softmax_weights(thetas[:, k:])
 
-    def neg_log_likelihood(theta: np.ndarray) -> float:
-        taus, weights = unpack(theta)
-        return -like.log_likelihood(taus, weights)
+    def neg_log_likelihood(thetas: np.ndarray) -> np.ndarray:
+        return -like.log_likelihood(*unpack(thetas))
+
+    def neg_log_likelihood_one(theta: np.ndarray) -> float:
+        return float(neg_log_likelihood(theta[None])[0])
 
     theta0 = np.concatenate(
-        [
-            taus0 * delta,
-            np.log(np.maximum(weights0[:-1], 1e-6) / max(weights0[-1], 1e-6))
-            if k > 1
-            else [],
-        ]
+        [taus0 * delta, np.log(np.maximum(weights0[:-1], 1e-6) / max(weights0[-1], 1e-6))]
     )
 
     # Coarse scan around the initializer.
@@ -391,26 +376,19 @@ def mle_fit(
         for i in range(len(theta0) - k)
     ]
     best_theta = np.array(theta0, dtype=float)
-    best_val = neg_log_likelihood(best_theta)
+    best_val = neg_log_likelihood_one(best_theta)
     if len(axes) <= 3:
-        for combo in itertools.product(*axes):
-            val = neg_log_likelihood(np.array(combo))
-            if val < best_val:
-                best_val = val
-                best_theta = np.array(combo)
+        product = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        best_theta, best_val = _scan(neg_log_likelihood, product, best_theta, best_val)
     else:
         for _ in range(2):
             for i, axis in enumerate(axes):
-                trial = np.array(best_theta)
-                for v in axis:
-                    trial[i] = v
-                    val = neg_log_likelihood(trial)
-                    if val < best_val:
-                        best_val = val
-                        best_theta = np.array(trial)
+                trial = np.tile(best_theta, (axis.size, 1))
+                trial[:, i] = axis
+                best_theta, best_val = _scan(neg_log_likelihood, trial, best_theta, best_val)
 
     result = minimize(
-        neg_log_likelihood,
+        neg_log_likelihood_one,
         best_theta,
         method="Nelder-Mead",
         options={
@@ -420,7 +398,7 @@ def mle_fit(
         },
     )
     theta_hat = result.x if result.fun <= best_val else best_theta
-    taus_hat, weights_hat = unpack(theta_hat)
+    taus_hat, weights_hat = (rows[0] for rows in unpack(theta_hat[None]))
 
     stderr_tau, stderr_weight = _observed_information_errors(
         like, taus_hat, weights_hat, source.sigma_spectral
@@ -444,41 +422,42 @@ def _observed_information_errors(
 
     Natural coordinates: the k delays plus the first k-1 weights (the last
     weight is one minus the rest; its error follows by error propagation).
+    All 2d^2 + 1 stencil points are evaluated as one batch; points whose
+    weights leave the simplex count as infinitely unlikely.
     """
     k = taus.size
-    total = like.n_anti.sum()
-    if like.variant == "two-port" and like.n_bunch is not None:
-        total += like.n_bunch.sum()
-    total = max(float(total), 1.0)
+    total = max(sum(t for t in like.totals[:2] if t is not None), 1.0)
     h_tau = 0.5 / (2.0 * sigma * math.sqrt(total))
     h_wt = min(0.5 / math.sqrt(total), 0.05)
     d = k + (k - 1)
 
-    def f(vec: np.ndarray) -> float:
-        t = vec[:k]
-        if k == 1:
-            w = np.array([1.0])
-        else:
-            head = vec[k:]
-            w = np.concatenate([head, [1.0 - np.sum(head)]])
-            if np.any(w <= 0.0):
-                return math.inf
-        return -like.log_likelihood(t, w)
-
-    x0 = np.concatenate([taus, weights[:-1]]) if k > 1 else np.array(taus)
+    x0 = np.concatenate([taus, weights[:-1]])
     steps = np.concatenate([np.full(k, h_tau), np.full(k - 1, h_wt)])
-    hessian = np.empty((d, d))
-    f0 = f(x0)
+    unit = np.diag(steps)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    points = [x0]
     for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = steps[i]
-        hessian[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / steps[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = steps[j]
-            hessian[i, j] = hessian[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
+        points += [x0 + unit[i], x0 - unit[i]]
+    for i, j in pairs:
+        points += [
+            x0 + unit[i] + unit[j],
+            x0 + unit[i] - unit[j],
+            x0 - unit[i] + unit[j],
+            x0 - unit[i] - unit[j],
+        ]
+    points = np.array(points)
+    head = points[:, k:]
+    w = np.concatenate([head, 1.0 - np.sum(head, axis=1, keepdims=True)], axis=1)
+    valid = np.all(w > 0.0, axis=1)
+    values = np.full(len(points), math.inf)
+    values[valid] = -like.log_likelihood(points[valid, :k], w[valid])
+
+    f0 = values[0]
+    hessian = np.empty((d, d))
+    for i in range(d):
+        hessian[i, i] = (values[1 + 2 * i] - 2.0 * f0 + values[2 + 2 * i]) / steps[i] ** 2
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, values[1 + 2 * d :].reshape(-1, 4)):
+        hessian[i, j] = hessian[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
     if not np.all(np.isfinite(hessian)):
         return np.full(k, math.nan), np.full(k, math.nan)
     try:
@@ -629,20 +608,6 @@ class SweepResult:
     monotonicity: dict
 
 
-def _worker_count(max_workers: int | None) -> int:
-    if max_workers is not None:
-        value = max_workers
-    else:
-        raw = os.environ.get("QWKT_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"QWKT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigurationError("worker count must be at least 1")
-    return value
-
-
 def sweep(
     sigma_values,
     tau_values,
@@ -651,15 +616,12 @@ def sweep(
     variant: str = "two-port",
     n_trials: int = 1,
     span_sd: float = 6.0,
-    max_workers: int | None = None,
 ) -> SweepResult:
     """Fisher information over a Cartesian parameter grid.
 
     Evaluates every (sigma, tau, gamma, alpha) combination; numerical
-    failures are recorded per cell instead of aborting the sweep. Worker
-    thread count comes from ``max_workers`` or the QWKT_THREADS environment
-    variable (cells are independent, results keep deterministic order).
-    The ``monotonicity`` map labels the Fisher information trend along each
+    failures are recorded per cell instead of aborting the sweep. The
+    ``monotonicity`` map labels the Fisher information trend along each
     axis as increasing / decreasing / constant / mixed, or unavailable when
     errors prevent the comparison.
     """
@@ -676,9 +638,6 @@ def sweep(
             raise ConfigurationError(
                 f"{name} axis has {values.size} points, limit is {_MAX_AXIS_POINTS}"
             )
-    combos = list(
-        itertools.product(axes["sigma"], axes["tau"], axes["gamma"], axes["alpha"])
-    )
 
     def evaluate(combo) -> SweepCell:
         sigma, tau, gamma, alpha = (float(v) for v in combo)
@@ -699,12 +658,8 @@ def sweep(
                 g_omega=None, crb=None, error=str(exc),
             )
 
-    workers = _worker_count(max_workers)
-    if workers == 1 or len(combos) <= 1:
-        rows = tuple(evaluate(c) for c in combos)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(evaluate, combos))
+    combos = itertools.product(axes["sigma"], axes["tau"], axes["gamma"], axes["alpha"])
+    rows = tuple(evaluate(c) for c in combos)
     shape = tuple(axes[name].size for name in ("sigma", "tau", "gamma", "alpha"))
     return SweepResult(rows=rows, monotonicity=_monotonicity(rows, shape))
 

@@ -228,6 +228,37 @@ def binned_envelope(grid: FrequencyGrid, sigma: float) -> np.ndarray:
     return mass / np.sum(mass)
 
 
+def _variant_envelope(model: DetectionModel, sigma: float) -> np.ndarray:
+    """Per-bin envelope of the variant: binned mass (two-port) or the
+    peak-normalized shape at bin centers (trinomial)."""
+    if model.variant == "two-port":
+        return binned_envelope(model.grid, sigma)
+    return envelope_peak_normalized(model.grid.values, sigma)
+
+
+def _category_probabilities(
+    model: DetectionModel, env: np.ndarray, fringe: np.ndarray, fringe_sign: int
+) -> tuple:
+    """Outcome probabilities for rows of the weighted fringe.
+
+    Returns ``(coincidence, bunching, single_click, no_click)`` in the
+    ``OutcomeTable`` layout. The per-bin blocks have the shape of
+    ``fringe`` (one row per candidate); ``bunching`` is None for the
+    trinomial variant and the categories that do not depend on the fringe
+    are scalars. The fringe brackets are clipped at zero.
+    """
+    gamma = model.gamma
+    survive = (1.0 - gamma) ** 2
+    mod = fringe_sign * model.alpha * fringe
+    if model.variant == "two-port":
+        scaled = survive * env
+        anti = scaled * np.maximum(1.0 - mod, 0.0) / 2.0
+        bunch = scaled * np.maximum(1.0 + mod, 0.0) / 2.0
+        return anti, bunch, 2.0 * gamma * (1.0 - gamma), gamma**2
+    pair = (survive / 2.0) * env * np.maximum(1.0 + mod, 0.0)
+    return pair, None, (1.0 - gamma**2) - pair, gamma**2
+
+
 def outcome_probabilities(
     model: DetectionModel,
     source: BiphotonSource,
@@ -246,31 +277,18 @@ def outcome_probabilities(
     (1 + s alpha x)`` with the peak-normalized envelope, single click
     ``(1-gamma^2) - pair``, no click ``gamma^2``; each bin normalizes to 1.
     """
-    omega = model.grid.values
-    x = fringe_factor(profile, cfg, omega)
-    survive = (1.0 - model.gamma) ** 2
-    if model.variant == "two-port":
-        env_bin = binned_envelope(model.grid, source.sigma_spectral)
-        anti = np.maximum(1.0 - cfg.fringe_sign * model.alpha * x, 0.0)
-        bunch = np.maximum(1.0 + cfg.fringe_sign * model.alpha * x, 0.0)
-        return OutcomeTable(
-            variant=model.variant,
-            grid=model.grid,
-            coincidence=survive * env_bin * anti / 2.0,
-            bunching=survive * env_bin * bunch / 2.0,
-            single_click=2.0 * model.gamma * (1.0 - model.gamma),
-            no_click=model.gamma**2,
-        )
-    env_norm = envelope_peak_normalized(omega, source.sigma_spectral)
-    pair = (survive / 2.0) * env_norm * np.maximum(1.0 + cfg.fringe_sign * model.alpha * x, 0.0)
-    single = (1.0 - model.gamma**2) - pair
+    env = _variant_envelope(model, source.sigma_spectral)
+    x = fringe_factor(profile, cfg, model.grid.values)
+    coincidence, bunching, single, none = _category_probabilities(
+        model, env, x, cfg.fringe_sign
+    )
     return OutcomeTable(
         variant=model.variant,
         grid=model.grid,
-        coincidence=pair,
-        bunching=None,
+        coincidence=coincidence,
+        bunching=bunching,
         single_click=single,
-        no_click=model.gamma**2,
+        no_click=none,
     )
 
 

@@ -1,10 +1,12 @@
 """Estimator tests: peak extraction, likelihood fits, information bounds."""
 
 import math
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from qwkt import (
     BiphotonSource,
@@ -12,10 +14,12 @@ from qwkt import (
     DelayProfile,
     DetectionModel,
     EstimationError,
+    ForwardModelConfig,
     FrequencyGrid,
     MalformedSpectrumError,
     OutcomeTable,
     SpectralPattern,
+    TemporalGrid,
     extract_delays,
     fisher_information,
     joint_spectral_intensity,
@@ -25,6 +29,7 @@ from qwkt import (
     sample_counts,
     sweep,
 )
+from qwkt.estimation import _Likelihood
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
 SIGMA = SRC.sigma_spectral
@@ -191,6 +196,76 @@ def test_mle_validates_inputs():
         mle_fit(counts, other, SRC, k_layers=1)
 
 
+# -------------------------------------------------- shared forward model
+
+_PROPERTY_TRIALS = 10_000
+
+
+@st.composite
+def _model_cases(draw):
+    """A detection model, a 1-4 layer profile inside the grid's Nyquist
+    range, a fringe convention, and counts sampled from that model."""
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=draw(st.sampled_from([64, 4096])))
+    t_max = TemporalGrid.conjugate_of(grid).t_max
+    steps = draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(steps), max_size=len(steps)))
+    profile = DelayProfile.normalized([(i * t_max / 1000.0, w) for i, w in zip(steps, raw)])
+    model = DetectionModel(
+        grid,
+        gamma=draw(st.floats(0.0, 0.9)),
+        alpha=draw(st.floats(0.0, 1.0)),
+        n_trials=_PROPERTY_TRIALS,
+        variant=draw(st.sampled_from(["two-port", "trinomial"])),
+    )
+    cfg = ForwardModelConfig(
+        phi=draw(st.floats(-math.pi, math.pi)), fringe_sign=draw(st.sampled_from([1, -1]))
+    )
+    table = outcome_probabilities(model, SRC, profile, cfg)
+    counts = sample_counts(table, _PROPERTY_TRIALS, seed=draw(st.integers(0, 2**32 - 1)))
+    return model, profile, cfg, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_model_cases())
+def test_likelihood_row_is_outcome_table_log_probability(case):
+    model, profile, cfg, counts = case
+    like = _Likelihood(counts, model, SRC, cfg)
+    got = like.log_likelihood(profile.delays[None], profile.weights[None])
+    blocks = (
+        (counts.counts_coincidence, counts.coincidence),
+        (counts.counts_bunching, counts.bunching),
+        (counts.counts_single, counts.single_click),
+        (counts.counts_none, counts.no_click),
+    )
+    expected = sum(float(np.sum(xlogy(n, p))) for n, p in blocks if n is not None)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_model_cases(),
+    complete=st.booleans(),
+    n_rows=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_likelihood_batch_equals_single_rows(case, complete, n_rows, seed):
+    model, profile, cfg, counts = case
+    if not complete:
+        # anti-bunch counts only: the conditioned or pair-only likelihood
+        counts = OutcomeTable(
+            variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
+        )
+    like = _Likelihood(counts, model, SRC, cfg)
+    rng = np.random.default_rng(seed)
+    k = len(profile.layers)
+    taus = rng.uniform(0.0, TemporalGrid.conjugate_of(counts.grid).t_max, (n_rows, k))
+    weights = rng.dirichlet(np.ones(k), n_rows)
+    batch = like.log_likelihood(taus, weights)
+    singles = [like.log_likelihood(taus[i : i + 1], weights[i : i + 1])[0] for i in range(n_rows)]
+    assert batch == pytest.approx(singles, rel=1e-12)
+
+
 # ------------------------------------------------------------------- fisher
 
 
@@ -335,12 +410,3 @@ def test_sweep_captures_cell_errors():
     bad = [row for row in res.rows if row.error is not None]
     assert len(good) == 1 and len(bad) == 1
     assert bad[0].g_omega is None
-
-
-def test_sweep_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("QWKT_THREADS", "1")
-    res = sweep([SIGMA, 2 * SIGMA], [5e-13], [0.0], [1.0])
-    assert len(res.rows) == 2
-    monkeypatch.setenv("QWKT_THREADS", "not-a-number")
-    with pytest.raises(ConfigurationError):
-        sweep([SIGMA], [5e-13], [0.0], [1.0])

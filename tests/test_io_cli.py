@@ -230,6 +230,27 @@ def test_cli_simulate_counts_then_mle(tmp_path):
     assert abs(taus[1] - 0.20e-12) < 5e-16
 
 
+def test_cli_trinomial_estimate_requires_trials(tmp_path, capsys):
+    # the column total of a trinomial spectrum is not its per-bin trial
+    # count; guessing it gave a confidently wrong delay with exit code 0
+    counts = tmp_path / "counts.csv"
+    code = _run(
+        ["simulate", "--sigma-nm", "10", "--variant", "trinomial", "--tau-ps", "0.2",
+         "--bins", "64", "--trials", "20000", "--seed", "3", "--out", counts]
+    )
+    assert code == 0
+    est = tmp_path / "fit.json"
+    fit = ["estimate", "--input", counts, "--sigma-nm", "10", "--variant", "trinomial",
+           "--mle", "--out", est]
+    capsys.readouterr()
+    assert _run(fit) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not est.exists()
+    assert _run([*fit, "--trials", "20000"]) == 0
+    layer = json.loads(est.read_text())["mle"]["layers"][0]
+    assert abs(layer["tau_s"] - 0.2e-12) <= 10.0 * layer["stderr_tau_s"]
+
+
 def test_cli_estimate_mle_requires_counts(tmp_path):
     out = tmp_path / "ideal.csv"
     assert _run(["simulate", "--tau-ps", "0.2", "--ideal", "--out", out]) == 0
