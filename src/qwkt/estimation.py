@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.signal import find_peaks
 
@@ -37,12 +36,17 @@ from .transform import FrequencyGrid, SpectralPattern, TemporalGrid, inverse_qwk
 
 _MAX_LAYERS = 4
 _MAX_AXIS_POINTS = 256
+_SWEEP_AXES = ("sigma", "tau", "gamma", "alpha")
 _COARSE_POINTS = 21
 _COARSE_SPAN_STEPS = 10.0
 _QUAD_RTOL = 1e-8
-# Likelihood rows are evaluated in chunks of at most this many (row, bin)
-# cells, so a 9,261-row coarse scan never holds more than ~0.1 MB per
-# temporary array.
+# Fisher information panel rule, as fisher_information describes it.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_MIN_PANELS = 64
+_MAX_PANELS = 2**22
+# Likelihood rows and Fisher panels are evaluated in chunks of at most this
+# many (row, bin) or node cells, so a 9,261-row coarse scan never holds more
+# than ~0.1 MB per temporary array.
 _CHUNK_CELLS = 2**14
 
 
@@ -93,6 +97,7 @@ class FisherReport:
     gamma: float
     alpha: float
     n_trials: int
+    error_estimate: float  # estimated absolute error of g_omega
 
 
 @dataclass(frozen=True)
@@ -252,6 +257,7 @@ class _Likelihood:
         if counts.total_counts() <= 0:
             raise InputDataError("outcome table has zero total counts; no likelihood mass")
         self.model = model
+        self.n_trials = model.n_trials if counts.n_trials is None else counts.n_trials
         self.cfg = cfg
         self.omega = model.grid.values
         self.env = _variant_envelope(model, source.sigma_spectral)
@@ -285,7 +291,7 @@ class _Likelihood:
         if self.model.variant == "trinomial" and not self.complete:
             pair = probs[0]
             return _row_dot(_log(pair), n_anti) + _row_dot(
-                _log(1.0 - pair), self.model.n_trials - n_anti
+                _log(1.0 - pair), self.n_trials - n_anti
             )
         observed = [(p, n, t) for p, n, t in zip(probs, self.counts, self.totals) if n is not None]
         out = 0.0
@@ -480,9 +486,18 @@ def _observed_information_errors(
     return stderr_tau, stderr_weight
 
 
-def _quad_limit(tau: float, span: float) -> int:
-    oscillations = abs(tau) * span / (2.0 * math.pi)
-    return int(max(200, 8 * math.ceil(oscillations)))
+def _panel_sum(integrand, hi: float, step: float) -> float:
+    """Gauss-Legendre sum of ``integrand`` over [0, hi], one panel between
+    consecutive multiples of ``step``, in chunks of ``_CHUNK_CELLS`` nodes."""
+    n_panels = math.ceil(hi / step)
+    per_chunk = _CHUNK_CELLS // _GL_NODES.size
+    total = 0.0
+    for first in range(0, n_panels, per_chunk):
+        edges = np.minimum(step * np.arange(first, min(first + per_chunk, n_panels) + 1), hi)
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+        total += float(half @ (integrand(nodes) @ _GL_WEIGHTS))
+    return total
 
 
 def fisher_information(
@@ -496,79 +511,73 @@ def fisher_information(
     integrand collapses to ``env omega^2`` at unit visibility, giving
     4 sigma^2 independent of tau).
 
-    trinomial: adaptive quadrature of the summed per-outcome terms
-    ``(dP)^2 / P`` in its canonical fringe convention, with the envelope
-    entering as a normal density (the sampling model peak-normalizes the
-    same shape to get per-bin probabilities; the two conventions are
-    deliberately kept as published); the no-click term carries no delay
-    dependence and is identically zero (kept explicit below for
-    completeness).
+    trinomial: the summed per-outcome terms ``(dP)^2 / P`` in its canonical
+    fringe convention, with the envelope entering as a normal density (the
+    sampling model peak-normalizes the same shape to get per-bin
+    probabilities; the two conventions are deliberately kept as published);
+    the no-click probability carries no delay dependence and adds nothing.
+
+    Both integrands are even: twice the integral over [0, omega_max] is
+    summed on 32-node Gauss-Legendre panels. Near-poles sit at omega |tau| =
+    m pi +/- i acosh(1/alpha), so panels are at most omega_max/64 wide and
+    cut each fringe half-period pi/|tau| into ceil(pi / (4 acosh(1/alpha))).
+    Panels are halved until two sums agree to 1e-8 relative (their difference
+    is ``error_estimate``), or past 2^22 panels QuadratureError is raised.
     """
     sigma = source.sigma_spectral
     gamma, alpha = model.gamma, model.alpha
     survive = (1.0 - gamma) ** 2
-    if survive == 0.0:
-        return FisherReport(
-            g_omega=0.0, crb=math.inf, variant=model.variant, sigma=sigma,
-            tau=tau, gamma=gamma, alpha=alpha, n_trials=model.n_trials,
-        )
-    lo, hi = model.grid.omega_min, model.grid.omega_max
-    limit = _quad_limit(tau, hi - lo)
+    if not math.isfinite(tau):
+        raise ConfigurationError("tau must be finite")
+    fringe = 0.0 if model.variant == "two-port" and alpha == 1.0 else abs(tau)
 
     if model.variant == "two-port":
         if alpha == 1.0:
-            def integrand(w: float) -> float:
+            def integrand(w: np.ndarray) -> np.ndarray:
                 return envelope_density(w, sigma) * w * w
         else:
-            def integrand(w: float) -> float:
-                s = math.sin(w * tau)
-                c = math.cos(w * tau)
+            def integrand(w: np.ndarray) -> np.ndarray:
+                s = np.sin(w * tau)
+                c = np.cos(w * tau)
                 return (
                     envelope_density(w, sigma)
                     * alpha**2 * w * w * s * s
                     / (1.0 - alpha**2 * c * c)
                 )
     else:
-        # Envelope enters as the printed normal density, not the per-bin
-        # peak-normalized shape the sampling model uses.
-        def integrand(w: float) -> float:
+        def integrand(w: np.ndarray) -> np.ndarray:
             env = envelope_density(w, sigma)
-            c = math.cos(w * tau)
-            s = math.sin(w * tau)
+            c = np.cos(w * tau)
+            s = np.sin(w * tau)
             p_pair = (survive / 2.0) * env * (1.0 + alpha * c)
             p_single = (1.0 - gamma**2) - p_pair
             dp = (survive / 2.0) * env * alpha * w * s
             if alpha == 1.0:
                 term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
-            elif p_pair > 0.0:
-                term_pair = dp * dp / p_pair
             else:
-                term_pair = 0.0
-            term_single = dp * dp / p_single if p_single > 1e-13 * (1.0 - gamma**2) else 0.0
-            term_none = 0.0  # no-click probability is delay-independent
-            return (term_pair + term_single + term_none) / survive
+                term_pair = np.divide(dp * dp, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
+            cut = p_single > 1e-13 * (1.0 - gamma**2)
+            term_single = np.divide(dp * dp, p_single, out=np.zeros_like(w), where=cut)
+            return (term_pair + term_single) / survive
 
-    value, error_estimate = quad(
-        integrand, lo, hi, limit=limit, epsabs=1e-16 * sigma**2, epsrel=1e-10
-    )
-    tolerance = max(_QUAD_RTOL * abs(value), 1e-15 * sigma**2)
-    if error_estimate > tolerance:
-        raise QuadratureError(
-            "Fisher information quadrature did not reach 1e-8 relative accuracy",
-            value=value,
-            error_estimate=error_estimate,
-        )
+    hi = model.grid.omega_max
+    per_half_period = math.ceil(math.pi / (4.0 * math.acosh(1.0 / alpha))) if 0 < alpha < 1 else 1
+    step = hi / max(_MIN_PANELS, hi * fringe * per_half_period / math.pi)
+    value, error = math.nan, math.inf
+    while not error <= max(_QUAD_RTOL * abs(value), 1e-15 * sigma**2):
+        if hi / step > _MAX_PANELS:
+            raise QuadratureError(
+                "Fisher information quadrature did not reach 1e-8 relative accuracy "
+                f"within {_MAX_PANELS} panels", value=value, error_estimate=error,
+            )
+        previous, value = value, 2.0 * _panel_sum(integrand, hi, step)
+        error = abs(value - previous) if math.isfinite(previous) else math.inf
+        step /= 2.0
     g_omega = survive * value
     crb = 1.0 / math.sqrt(model.n_trials * g_omega) if g_omega > 0.0 else math.inf
     return FisherReport(
-        g_omega=g_omega,
-        crb=crb,
-        variant=model.variant,
-        sigma=sigma,
-        tau=tau,
-        gamma=gamma,
-        alpha=alpha,
-        n_trials=model.n_trials,
+        g_omega=g_omega, crb=crb, variant=model.variant, sigma=sigma, tau=tau, gamma=gamma,
+        alpha=alpha, n_trials=model.n_trials, error_estimate=survive * error,
     )
 
 
@@ -625,13 +634,11 @@ def sweep(
     axis as increasing / decreasing / constant / mixed, or unavailable when
     errors prevent the comparison.
     """
-    axes = {
-        "sigma": np.atleast_1d(np.asarray(sigma_values, dtype=float)),
-        "tau": np.atleast_1d(np.asarray(tau_values, dtype=float)),
-        "gamma": np.atleast_1d(np.asarray(gamma_values, dtype=float)),
-        "alpha": np.atleast_1d(np.asarray(alpha_values, dtype=float)),
-    }
-    for name, values in axes.items():
+    axes = [
+        np.atleast_1d(np.asarray(values, dtype=float))
+        for values in (sigma_values, tau_values, gamma_values, alpha_values)
+    ]
+    for name, values in zip(_SWEEP_AXES, axes):
         if values.size == 0:
             raise ConfigurationError(f"{name} axis is empty")
         if values.size > _MAX_AXIS_POINTS:
@@ -641,33 +648,26 @@ def sweep(
 
     def evaluate(combo) -> SweepCell:
         sigma, tau, gamma, alpha = (float(v) for v in combo)
+        g_omega = crb = error = None
         try:
             source = BiphotonSource(sigma_spectral=sigma)
             grid = FrequencyGrid(omega_max=span_sd * 2.0 * sigma, n_bins=16)
-            model = DetectionModel(
-                grid=grid, gamma=gamma, alpha=alpha, n_trials=n_trials, variant=variant
-            )
+            model = DetectionModel(grid, gamma=gamma, alpha=alpha, n_trials=n_trials, variant=variant)
             report = fisher_information(source, tau, model)
-            return SweepCell(
-                sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
-                g_omega=report.g_omega, crb=report.crb, error=None,
-            )
+            g_omega, crb = report.g_omega, report.crb
         except (ConfigurationError, EstimationError, InputDataError) as exc:
-            return SweepCell(
-                sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
-                g_omega=None, crb=None, error=str(exc),
-            )
+            error = str(exc)
+        return SweepCell(
+            sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
+            g_omega=g_omega, crb=crb, error=error,
+        )
 
-    combos = itertools.product(axes["sigma"], axes["tau"], axes["gamma"], axes["alpha"])
-    rows = tuple(evaluate(c) for c in combos)
-    shape = tuple(axes[name].size for name in ("sigma", "tau", "gamma", "alpha"))
+    rows = tuple(evaluate(c) for c in itertools.product(*axes))
+    shape = tuple(values.size for values in axes)
     return SweepResult(rows=rows, monotonicity=_monotonicity(rows, shape))
 
 
 def _monotonicity(rows: tuple[SweepCell, ...], shape: tuple[int, ...]) -> dict:
-    names = ("sigma", "tau", "gamma", "alpha")
-    if any(s == 0 for s in shape):
-        return {}
     g = np.array(
         [row.g_omega if row.error is None else np.nan for row in rows], dtype=float
     ).reshape(shape)
@@ -675,7 +675,7 @@ def _monotonicity(rows: tuple[SweepCell, ...], shape: tuple[int, ...]) -> dict:
     scale = float(np.nanmax(np.abs(g))) if np.any(ok) else 0.0
     tol = 1e-12 * scale if scale > 0.0 else 0.0
     labels = {}
-    for axis, name in enumerate(names):
+    for axis, name in enumerate(_SWEEP_AXES):
         if shape[axis] < 2:
             # a single point has no trend to violate
             labels[name] = "constant"

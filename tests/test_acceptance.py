@@ -96,26 +96,25 @@ def test_ac03_interference_dip():
     agreement with the closed form at five delays."""
     exact_zero = coincidence_probability(SRC, 0.0) == 0.0
 
+    # |antibunch|^2 over the rotated (sum u, difference v) plane on a
+    # product of composite Gauss-Legendre rules; the rotation's Jacobian is 1/2
     amp = JointAmplitude(SRC)
     sp = amp.sum_bandwidth
     uc = amp.sum_center
+    x, w = np.polynomial.legendre.leggauss(16)
+
+    def rule(lo, hi, panels):
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        return (edges[:-1, None] + half + half * x).ravel(), (half * w).ravel()
+
+    u, wu = rule(uc - 8.0 * sp, uc + 8.0 * sp, 4)
+    v, wv = rule(-32.0 * SIGMA, 32.0 * SIGMA, 256)  # quarter-sigma panels resolve cos(v tau)
 
     def quadrature(tau):
-        def over_v(u):
-            def f(v):
-                ws = np.array([0.5 * (u + v)])
-                wi = np.array([0.5 * (u - v)])
-                return abs(antibunch_amplitude(amp, tau, ws, wi)[0]) ** 2
-
-            val, _ = integrate.quad(
-                f, -32.0 * SIGMA, 32.0 * SIGMA, limit=400, epsabs=0.0, epsrel=1e-10
-            )
-            return 0.5 * val
-
-        val, _ = integrate.quad(
-            over_v, uc - 8.0 * sp, uc + 8.0 * sp, limit=100, epsabs=0.0, epsrel=1e-9
-        )
-        return val
+        ws = 0.5 * (u[:, None] + v)
+        wi = 0.5 * (u[:, None] - v)
+        return 0.5 * wu @ np.abs(antibunch_amplitude(amp, tau, ws, wi)) ** 2 @ wv
 
     worst = 0.0
     for tau in (1e-14, 5e-14, 1e-13, 2e-13, 5e-13):

@@ -1,11 +1,13 @@
 """Estimator tests: peak extraction, likelihood fits, information bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import xlogy
 
 from qwkt import (
@@ -18,6 +20,7 @@ from qwkt import (
     FrequencyGrid,
     MalformedSpectrumError,
     OutcomeTable,
+    QuadratureError,
     SpectralPattern,
     TemporalGrid,
     extract_delays,
@@ -185,6 +188,26 @@ def test_mle_pair_only_trinomial_table():
     assert abs(fit.layers[0][0] - tau) <= 10.0 * fit.stderr_tau[0]
 
 
+def test_mle_pair_only_trial_count_comes_from_table():
+    # the pair-only binomial takes its trial count from the table, so the
+    # model's own n_trials cannot bias the fit
+    counts, _ = _counts_table(
+        DelayProfile.single(2e-13), 20_000, seed=4, gamma=0.1, variant="trinomial", n_bins=64
+    )
+    partial = OutcomeTable(
+        variant="trinomial",
+        grid=counts.grid,
+        counts_coincidence=counts.counts_coincidence,
+        n_trials=counts.n_trials,
+    )
+
+    def fitted_tau(model_trials):
+        model = DetectionModel(counts.grid, gamma=0.1, n_trials=model_trials, variant="trinomial")
+        return mle_fit(partial, model, SRC, k_layers=1).layers[0][0]
+
+    assert fitted_tau(1) == fitted_tau(20_000)
+
+
 def test_mle_validates_inputs():
     counts, model = _counts_table(DelayProfile.single(2e-13), 10_000, seed=0, n_bins=64)
     with pytest.raises(ConfigurationError):
@@ -319,6 +342,119 @@ def test_fisher_crb_reconstruction():
     rep = fisher_information(SRC, 3e-13, model)
     assert rep.crb == 1.0 / math.sqrt(10_000 * rep.g_omega)
     assert rep.n_trials == 10_000
+
+
+def _long_delay_limit(variant, gamma, alpha, span_sd=6.0):
+    """Fisher information past the envelope transient: the fringe average
+    of the two-port weight is 1 - sqrt(1 - alpha^2), times the envelope's
+    second moment truncated to the +/- span_sd standard deviation window;
+    the trinomial pair channel carries half of it."""
+    moment = FOUR_SIGMA_SQ * (
+        math.erf(span_sd / math.sqrt(2.0))
+        - math.sqrt(2.0 / math.pi) * span_sd * math.exp(-span_sd**2 / 2.0)
+    )
+    share = 1.0 if variant == "two-port" else 0.5
+    return share * (1.0 - gamma) ** 2 * (1.0 - math.sqrt(1.0 - alpha**2)) * moment
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95])
+def test_fisher_long_delay_limit(variant, gamma, alpha):
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    model = DetectionModel(grid, gamma=gamma, alpha=alpha, variant=variant)
+    rep = fisher_information(SRC, 1e-11, model)
+    assert rep.g_omega == pytest.approx(_long_delay_limit(variant, gamma, alpha), rel=1e-8)
+    assert 0.0 <= rep.error_estimate <= 1e-8 * rep.g_omega
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_fisher_fifty_picoseconds(variant):
+    # adaptive quadrature gave up here; the panel rule reaches the limit
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    rep = fisher_information(SRC, 5e-11, DetectionModel(grid, alpha=0.9, variant=variant))
+    assert rep.g_omega == pytest.approx(_long_delay_limit(variant, 0.0, 0.9), rel=1e-8)
+
+
+def _quad_oracle(variant, tau, gamma, alpha, omega_max):
+    """The Fisher integrand written out per point, integrated over the
+    whole window by adaptive quadrature."""
+    survive = (1.0 - gamma) ** 2
+
+    def f(w):
+        env = math.exp(-(w**2) / (8.0 * SIGMA**2)) / (math.sqrt(2.0 * math.pi) * 2.0 * SIGMA)
+        s, c = math.sin(w * tau), math.cos(w * tau)
+        if variant == "two-port":
+            return survive * env * alpha**2 * w * w * s * s / (1.0 - alpha**2 * c * c)
+        p_pair = survive / 2.0 * env * (1.0 + alpha * c)
+        dp = survive / 2.0 * env * alpha * w * s
+        return dp * dp / p_pair + dp * dp / (1.0 - gamma**2 - p_pair)
+
+    limit = int(max(800, 32 * math.ceil(tau * omega_max / math.pi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only a converged oracle counts
+        value, error = integrate.quad(
+            f, -omega_max, omega_max, limit=limit, epsabs=0.0, epsrel=1e-11
+        )
+    assert error <= 1e-10 * value
+    return value
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+@pytest.mark.parametrize(("alpha", "gamma"), [(0.9, 0.0), (0.8, 0.2)])
+@pytest.mark.parametrize("tau", [5e-14, 5e-13, 2e-12])
+def test_fisher_matches_quadrature_oracle(variant, alpha, gamma, tau):
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    model = DetectionModel(grid, gamma=gamma, alpha=alpha, variant=variant)
+    rep = fisher_information(SRC, tau, model)
+    assert rep.g_omega == pytest.approx(
+        _quad_oracle(variant, tau, gamma, alpha, grid.omega_max), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_fisher_high_visibility_short_delay(variant):
+    # alpha = 0.999 puts near-poles within 0.045 rad of every fringe
+    # extremum; adaptive quadrature failed this cell
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=16)
+    rep = fisher_information(SRC, 4e-13, DetectionModel(grid, alpha=0.999, variant=variant))
+    ideal = 1.0 if variant == "two-port" else 0.5
+    assert 0.9 * ideal * FOUR_SIGMA_SQ < rep.g_omega < ideal * FOUR_SIGMA_SQ
+    assert rep.error_estimate <= 1e-8 * rep.g_omega
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_fisher_edges(variant):
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+
+    def g(tau, **kw):
+        return fisher_information(SRC, tau, DetectionModel(grid, variant=variant, **kw))
+
+    # no visibility, or no delay, leaves no delay information
+    assert g(2e-12, alpha=0.0).g_omega == 0.0
+    assert g(2e-12, alpha=0.0).crb == math.inf
+    assert g(0.0, alpha=0.9).g_omega == 0.0
+    if variant == "trinomial":
+        assert g(0.0).g_omega == 0.0
+    # near-total loss scales the information by the surviving pair fraction
+    nearly_lost = g(2e-12, alpha=0.9, gamma=1.0 - 1e-6)
+    assert nearly_lost.g_omega == pytest.approx(1e-12 * g(2e-12, alpha=0.9).g_omega, rel=1e-8)
+    with pytest.raises(ConfigurationError):
+        g(math.nan)
+    # visibility one ulp below 1 would need more panels than the cap
+    with pytest.raises(QuadratureError) as caught:
+        g(1e-11, alpha=math.nextafter(1.0, 0.0))
+    assert math.isnan(caught.value.value) and caught.value.error_estimate == math.inf
+
+
+def test_sweep_fisher_cells_raise_no_warning():
+    # the delays at which adaptive quadrature warned or failed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ("two-port", "trinomial"):
+            taus = [4.85e-14, 5.15e-14, 9.7e-12, 1e-11, 1.03e-11]
+            res = sweep([SIGMA], taus, [0.0, 0.2], [0.9, 1.0], variant=variant)
+            assert all(row.error is None for row in res.rows)
 
 
 def test_fisher_reports_inputs():

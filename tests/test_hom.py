@@ -88,28 +88,30 @@ def test_coincidence_zero_delay_exact():
     assert coincidence_probability(SRC, 0.0) == 0.0
 
 
+def _gauss_legendre(lo, hi, panels, order=16):
+    """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half + half * x).ravel(), (half * w).ravel()
+
+
 def test_coincidence_closed_form_vs_quadrature():
-    # integrate |antibunch|^2 over the plane at five delays and compare
-    # with the closed form (1 - exp(-2 sigma^2 tau^2)) / 2
+    # integrate |antibunch|^2 over the rotated (sum u, difference v) plane
+    # at five delays and compare with the closed form
+    # (1 - exp(-2 sigma^2 tau^2)) / 2; the Jacobian of the rotation is 1/2
     amp = JointAmplitude(SRC)
     sig = SRC.sigma_spectral
     sp = amp.sum_bandwidth
     uc = amp.sum_center
+    u, wu = _gauss_legendre(uc - 8.0 * sp, uc + 8.0 * sp, panels=4)
+    # quarter-sigma panels resolve the cos(v tau) fringe at every delay below
+    v, wv = _gauss_legendre(-32.0 * sig, 32.0 * sig, panels=256)
 
     def oracle(tau):
-        def over_v(u):
-            def f(v):
-                ws = np.array([0.5 * (u + v)])
-                wi = np.array([0.5 * (u - v)])
-                return abs(antibunch_amplitude(amp, tau, ws, wi)[0]) ** 2
-
-            # the inner integral is tiny in absolute terms, so drive the
-            # tolerance relative; limit covers the cos(v tau) oscillation
-            val, _ = integrate.quad(f, -32.0 * sig, 32.0 * sig, limit=400, epsabs=0.0, epsrel=1e-10)
-            return 0.5 * val
-
-        val, _ = integrate.quad(over_v, uc - 8.0 * sp, uc + 8.0 * sp, limit=100, epsabs=0.0, epsrel=1e-9)
-        return val
+        ws = 0.5 * (u[:, None] + v)
+        wi = 0.5 * (u[:, None] - v)
+        return 0.5 * wu @ np.abs(antibunch_amplitude(amp, tau, ws, wi)) ** 2 @ wv
 
     for tau in (1e-14, 5e-14, 1e-13, 2e-13, 5e-13):
         closed = coincidence_probability(SRC, tau)
