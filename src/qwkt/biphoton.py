@@ -221,10 +221,20 @@ def _fringe_rows(
     ``taus`` and ``weights`` have shape (B, k), ``omega`` shape (n,); the
     result has shape (B, n). Layers are summed in column order, so a single
     row reproduces ``fringe_factor`` bit for bit.
+
+    Each distinct delay in a column has its cosine row computed once per
+    batch and gathered into every row that holds it; a Cartesian scan
+    repeats each delay many times. The gathered rows are the same bits as
+    rows computed one by one. A single row skips the lookup.
     """
     out = np.zeros((taus.shape[0], omega.size))
     for tau, weight in zip(taus.T, weights.T):
-        out += weight[:, None] * np.cos(omega * tau[:, None] + phi)
+        if tau.size > 1:
+            distinct, index = np.unique(tau, return_inverse=True)
+            cos = np.cos(omega * distinct[:, None] + phi)[index]
+        else:
+            cos = np.cos(omega * tau[:, None] + phi)
+        out += weight[:, None] * cos
     return out
 
 

@@ -286,7 +286,9 @@ class _Likelihood:
 
     def _rows(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
         x = _fringe_rows(taus, weights, self.cfg.phi, self.omega)
-        probs = _category_probabilities(self.model, self.env, x, self.cfg.fringe_sign)
+        probs = _category_probabilities(
+            self.model, self.env, x, self.cfg.fringe_sign, bunching=self.counts[1] is not None
+        )
         n_anti = self.counts[0]
         if self.model.variant == "trinomial" and not self.complete:
             pair = probs[0]
@@ -337,7 +339,9 @@ def mle_fit(
     coordinate sweeps beyond that) followed by Nelder-Mead descent to a
     delay tolerance of 1e-4/delta. The scan evaluates each Cartesian
     product, or each axis of a sweep, as one batch of candidate rows and
-    keeps the first strict minimum. Standard errors come from the
+    keeps the first strict minimum. Within a batch each distinct delay's
+    fringe is computed once and shared by every row that holds it, with the
+    same bits as a row evaluated alone. Standard errors come from the
     finite-difference observed information at the optimum.
 
     The fit uses exactly ``k_layers`` layers; choosing k is the caller's

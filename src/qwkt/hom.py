@@ -237,15 +237,21 @@ def _variant_envelope(model: DetectionModel, sigma: float) -> np.ndarray:
 
 
 def _category_probabilities(
-    model: DetectionModel, env: np.ndarray, fringe: np.ndarray, fringe_sign: int
+    model: DetectionModel,
+    env: np.ndarray,
+    fringe: np.ndarray,
+    fringe_sign: int,
+    bunching: bool = True,
 ) -> tuple:
     """Outcome probabilities for rows of the weighted fringe.
 
     Returns ``(coincidence, bunching, single_click, no_click)`` in the
     ``OutcomeTable`` layout. The per-bin blocks have the shape of
     ``fringe`` (one row per candidate); ``bunching`` is None for the
-    trinomial variant and the categories that do not depend on the fringe
-    are scalars. The fringe brackets are clipped at zero.
+    trinomial variant, and for the two-port variant when ``bunching`` is
+    false (a likelihood over a table without bunch counts never reads it).
+    The categories that do not depend on the fringe are scalars. The fringe
+    brackets are clipped at zero.
     """
     gamma = model.gamma
     survive = (1.0 - gamma) ** 2
@@ -253,7 +259,7 @@ def _category_probabilities(
     if model.variant == "two-port":
         scaled = survive * env
         anti = scaled * np.maximum(1.0 - mod, 0.0) / 2.0
-        bunch = scaled * np.maximum(1.0 + mod, 0.0) / 2.0
+        bunch = scaled * np.maximum(1.0 + mod, 0.0) / 2.0 if bunching else None
         return anti, bunch, 2.0 * gamma * (1.0 - gamma), gamma**2
     pair = (survive / 2.0) * env * np.maximum(1.0 + mod, 0.0)
     return pair, None, (1.0 - gamma**2) - pair, gamma**2

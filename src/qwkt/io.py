@@ -227,21 +227,24 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _table_cell(cell) -> str:
+    """One ``write_table`` cell; floats first, the common case. ``%.17g``
+    spells non-finite floats ``inf``, ``-inf`` and ``nan``, as ``str`` does."""
+    if isinstance(cell, float):
+        return "%.17g" % cell
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    if cell is None:
+        return ""
+    return "%.17g" % float(cell)
+
+
 def write_table(path, header: tuple[str, ...], rows, comments: tuple[str, ...] = ()) -> None:
-    """Generic CSV: floats at 17 significant digits, ints and strings as-is."""
+    """Generic CSV: floats at 17 significant digits, ints and strings as-is,
+    None as an empty cell."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif cell is None:
-                cells.append("")
-            else:
-                value = float(cell)
-                cells.append(format_float(value) if math.isfinite(value) else str(value))
-        lines.append(",".join(cells))
+    lines += [",".join(map(_table_cell, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")

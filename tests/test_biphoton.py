@@ -1,9 +1,12 @@
 """Source model tests: converter, profiles, correlation/spectrum forms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwkt import (
     SPEED_OF_LIGHT,
@@ -11,6 +14,7 @@ from qwkt import (
     ConfigurationError,
     DelayProfile,
     ForwardModelConfig,
+    FrequencyGrid,
     bandwidth_nm_to_rads,
     cross_correlation,
     envelope_density,
@@ -18,6 +22,7 @@ from qwkt import (
     joint_spectral_intensity,
     temporal_modes,
 )
+from qwkt.biphoton import _fringe_rows
 
 # frozen: 2*pi*c*(10 nm)/(810 nm)^2
 SIGMA_10NM = 2.8709824223576484e13
@@ -167,6 +172,38 @@ def test_fringe_factor_bounds():
     x = fringe_factor(prof, ForwardModelConfig(), omega)
     assert np.all(np.abs(x) <= 1.0 + 1e-12)
     assert x[1000] == pytest.approx(1.0)  # omega = 0, phi = 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    columns=st.lists(
+        st.lists(st.integers(0, 999), min_size=1, max_size=5, unique=True),
+        min_size=1,
+        max_size=4,
+    ),
+    n_bins=st.sampled_from([64, 4096]),
+    phi=st.sampled_from([0.0, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fringe_rows_with_repeated_delays_equal_single_profiles(columns, n_bins, phi, seed):
+    # A Cartesian product of a few delays per column, in shuffled row
+    # order, as a coarse scan's batches repeat them; column j holds delays
+    # in its own range so every row is a valid increasing profile.
+    omega = FrequencyGrid(omega_max=12.0 * SIGMA_10NM, n_bins=n_bins).values
+    step = 1e-15
+    rng = np.random.default_rng(seed)
+    rows = list(itertools.product(*[
+        [(1000 * j + i) * step for i in column] for j, column in enumerate(columns)
+    ]))
+    rng.shuffle(rows)
+    profiles = [
+        DelayProfile.normalized(zip(row, rng.uniform(0.05, 1.0, len(row)))) for row in rows
+    ]
+    taus = np.array([p.delays for p in profiles])
+    weights = np.array([p.weights for p in profiles])
+    cfg = ForwardModelConfig(phi=phi)
+    expected = np.array([fringe_factor(p, cfg, omega) for p in profiles])
+    assert np.array_equal(_fringe_rows(taus, weights, phi, omega), expected)
 
 
 def test_envelope_density_unit_mass():

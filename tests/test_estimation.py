@@ -289,6 +289,34 @@ def test_likelihood_batch_equals_single_rows(case, complete, n_rows, seed):
     assert batch == pytest.approx(singles, rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    case=_model_cases(),
+    complete=st.booleans(),
+    convention=st.sampled_from([(0.0, 1), (0.7, -1)]),
+)
+def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, convention):
+    # a 7^3 Cartesian batch over two delays and a weight, the shape of the
+    # coarse scan: every delay repeats 49 times in its column
+    model, profile, _, counts = case
+    if not complete:
+        counts = OutcomeTable(
+            variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
+        )
+    cfg = ForwardModelConfig(phi=convention[0], fringe_sign=convention[1])
+    like = _Likelihood(counts, model, SRC, cfg)
+    dt = TemporalGrid.conjugate_of(counts.grid).delta_t
+    tau0 = profile.delays[0] + dt * np.linspace(-3.0, 3.0, 7)
+    tau1 = profile.delays[-1] + 10.0 * dt + dt * np.linspace(-3.0, 3.0, 7)
+    w0 = np.linspace(0.1, 0.9, 7)
+    product = np.stack(np.meshgrid(tau0, tau1, w0, indexing="ij"), axis=-1).reshape(-1, 3)
+    taus = product[:, :2]
+    weights = np.stack([product[:, 2], 1.0 - product[:, 2]], axis=1)
+    batch = like.log_likelihood(taus, weights)
+    singles = [like.log_likelihood(taus[i : i + 1], weights[i : i + 1])[0] for i in range(343)]
+    assert np.array_equal(batch, singles)
+
+
 # ------------------------------------------------------------------- fisher
 
 

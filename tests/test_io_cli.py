@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qwkt.io import (
     format_float,
     wavelength_from_difference_frequency,
     write_json,
+    write_table,
 )
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
@@ -48,6 +50,15 @@ def _pattern(kind="ideal-density", n_bins=64):
 def test_format_float_shortest_exact():
     assert format_float(0.1) == "0.10000000000000001"
     assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
+
+
+def test_write_table_cell_formats(tmp_path):
+    out = tmp_path / "table.csv"
+    row = (3, np.int64(-7), None, "x", -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2)
+    write_table(out, tuple("abcdefghi"), [row], comments=("note",))
+    assert out.read_bytes() == (
+        b"# note\na,b,c,d,e,f,g,h,i\n3,-7,,x,-0,inf,-inf,nan,0.30000000000000004\n"
+    )
 
 
 def test_wavelength_frequency_roundtrip():
@@ -294,6 +305,21 @@ def test_cli_sweep_monotonicity_sidecar(tmp_path):
     assert side["monotonicity"]["gamma"] == "decreasing"
     rows = [r for r in out.read_text().splitlines() if r and not r.startswith("#")]
     assert len(rows) == 1 + 4 * 3
+
+
+def test_cli_main_repeated_calls_leave_no_garbage(tmp_path):
+    # no gc.collect(): memory that only a full collection would free counts
+    args = ["sweep", "--sigma-axis", "10", "--tau-axis", "0.5", "--out", str(tmp_path / "s.csv")]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            assert main(args) == 0
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown <= 0.2 * 2**20
 
 
 def test_cli_wkt_demo(tmp_path):
