@@ -238,6 +238,15 @@ def _fringe_rows(
     return out
 
 
+def _layer_rows(taus: np.ndarray, phi: float, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of ``omega tau_i + phi`` for the k delays of one
+    candidate, each of shape (k, n). The cosine rows are the ones
+    ``_fringe_rows`` sums (same bits); the sine rows give its delay
+    derivatives."""
+    phase = omega * taus[:, None] + phi
+    return np.cos(phase), np.sin(phase)
+
+
 def fringe_factor(
     profile: DelayProfile, cfg: ForwardModelConfig, omega: np.ndarray
 ) -> np.ndarray:

@@ -313,6 +313,8 @@ def cmd_estimate(args) -> int:
                 "log_likelihood": fit.log_likelihood,
                 "converged": fit.converged,
                 "iterations": fit.iterations,
+                "evaluations": fit.evaluations,
+                "hessian_condition": fit.hessian_condition,
             }
     except EstimationError as exc:
         result["error"] = str(exc)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import find_peaks
 
 from .biphoton import (
@@ -22,6 +21,7 @@ from .biphoton import (
     DelayProfile,
     ForwardModelConfig,
     _fringe_rows,
+    _layer_rows,
     envelope_density,
 )
 from .errors import (
@@ -31,7 +31,13 @@ from .errors import (
     MalformedSpectrumError,
     QuadratureError,
 )
-from .hom import DetectionModel, OutcomeTable, _category_probabilities, _variant_envelope
+from .hom import (
+    DetectionModel,
+    OutcomeTable,
+    _category_probabilities,
+    _category_slopes,
+    _variant_envelope,
+)
 from .transform import FrequencyGrid, SpectralPattern, TemporalGrid, inverse_qwkt
 
 _MAX_LAYERS = 4
@@ -39,6 +45,9 @@ _MAX_AXIS_POINTS = 256
 _SWEEP_AXES = ("sigma", "tau", "gamma", "alpha")
 _COARSE_POINTS = 21
 _COARSE_SPAN_STEPS = 10.0
+# Newton ascent stops once g^T step, the squared distance to the optimum in
+# standard errors, is at most this.
+_NEWTON_TOL = 1e-6
 _QUAD_RTOL = 1e-8
 # Fisher information panel rule, as fisher_information describes it.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -83,6 +92,8 @@ class MleResult:
     log_likelihood: float
     converged: bool
     iterations: int
+    evaluations: int  # likelihood rows evaluated, coarse scan plus Newton
+    hessian_condition: float  # of the balanced observed information
 
 
 @dataclass(frozen=True)
@@ -281,14 +292,63 @@ class _Likelihood:
         out = np.empty(taus.shape[0])
         step = self.rows_per_chunk
         for i in range(0, taus.shape[0], step):
-            out[i : i + step] = self._rows(taus[i : i + step], weights[i : i + step])
+            x = _fringe_rows(taus[i : i + step], weights[i : i + step], self.cfg.phi, self.omega)
+            out[i : i + step] = self._value(self._probabilities(x))
         return out
 
-    def _rows(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        x = _fringe_rows(taus, weights, self.cfg.phi, self.omega)
-        probs = _category_probabilities(
+    def score(self, taus: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Log-likelihood (``log_likelihood``'s bits), gradient and Hessian at
+        one candidate, in natural coordinates: k delays, first k-1 weights.
+
+        Each bin depends on them only through its fringe x. With J = dx/dtheta
+        and g, D the first and second derivatives by each bin's x, the
+        gradient is J^T g and the Hessian J^T D J + sum_b g_b d2x_b/dtheta2,
+        plus (N/M^2) (J^T m)(J^T m)^T when conditioned on the observed mass M
+        of x-slope m. Bins at the 1e-300 log floor contribute nothing.
+        """
+        k = taus.size
+        cos, sin = _layer_rows(taus, self.cfg.phi, self.omega)
+        x = np.zeros(self.omega.size)
+        for a, row in zip(weights, cos):
+            x += a * row
+        probs = self._probabilities(x[None])
+        value = float(self._value(probs)[0])
+        probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
+        slopes = _category_slopes(self.model, self.env, self.cfg.fringe_sign, probs)
+        if self.model.variant == "trinomial" and not self.complete:
+            n = self.counts[0]
+            terms = [(probs[0], n, slopes[0]), (1.0 - probs[0], self.n_trials - n, -slopes[0])]
+        else:
+            terms = [(p, n, s) for p, n, s in zip(probs, self.counts, slopes) if n is not None]
+        g, curvature = np.zeros(x.size), np.zeros(x.size)
+        for p, n, s in terms:
+            ratio = s * np.divide(1.0, p, out=np.zeros_like(x), where=p > 1e-300)
+            g += n * ratio
+            curvature -= n * ratio * ratio
+        jac = np.concatenate([-weights[:, None] * self.omega * sin, cos[:-1] - cos[-1]]).T
+        hessian = jac.T @ (curvature[:, None] * jac)
+        if self.model.variant == "two-port" and not self.complete:
+            mass = sum(np.sum(p) for p, _, _ in terms)
+            mass_slope = sum(s for _, _, s in terms)
+            g -= (self.observed / mass) * mass_slope
+            jm = jac.T @ mass_slope
+            hessian += (self.observed / mass**2) * np.outer(jm, jm)
+        # d2x/dtau_i2 = -a_i omega^2 cos_i; d2x/dtau_i da_j = -omega sin_i
+        # (i = j), and +omega sin_k for the last delay, whose weight is 1 - sum
+        g_omega = g * self.omega
+        hessian[range(k), range(k)] -= weights * (cos @ (g_omega * self.omega))
+        g_sin = sin @ g_omega
+        cross = np.vstack([-np.diag(g_sin[:-1]), np.full((1, k - 1), g_sin[-1])])
+        hessian[:k, k:] += cross
+        hessian[k:, :k] += cross.T
+        return value, jac.T @ g, hessian
+
+    def _probabilities(self, x: np.ndarray) -> tuple:
+        return _category_probabilities(
             self.model, self.env, x, self.cfg.fringe_sign, bunching=self.counts[1] is not None
         )
+
+    def _value(self, probs: tuple) -> np.ndarray:
         n_anti = self.counts[0]
         if self.model.variant == "trinomial" and not self.complete:
             pair = probs[0]
@@ -331,23 +391,27 @@ def mle_fit(
 ) -> MleResult:
     """Maximum-likelihood fit of layer delays and weights to sampled counts.
 
-    Free parameters are the k delays (optimized in units of the temporal
-    width 1/delta) and k-1 weight logits; weights always sum to one. The
-    search is a coarse scan around the initializer (21 points per parameter
-    spanning +/-10 temporal grid steps for delays and +/-2 for logits; a
-    full Cartesian scan for up to three free parameters, two passes of
-    coordinate sweeps beyond that) followed by Nelder-Mead descent to a
-    delay tolerance of 1e-4/delta. The scan evaluates each Cartesian
-    product, or each axis of a sweep, as one batch of candidate rows and
-    keeps the first strict minimum. Within a batch each distinct delay's
-    fringe is computed once and shared by every row that holds it, with the
-    same bits as a row evaluated alone. Standard errors come from the
-    finite-difference observed information at the optimum.
+    A coarse scan around the initializer (delays in units of the temporal
+    width 1/delta, k-1 weight logits; 21 points per parameter spanning
+    +/-10 temporal grid steps for delays and +/-2 for logits; a full
+    Cartesian scan for up to three free parameters, two passes of
+    coordinate sweeps beyond that) picks the start. The scan evaluates each
+    Cartesian product, or each axis of a sweep, as one batch of candidate
+    rows and keeps the first strict minimum; within a batch each distinct
+    delay's fringe is computed once and shared by every row that holds it,
+    with the same bits as a row evaluated alone.
+
+    From the scan's best point a damped Newton ascent on the analytic score
+    and Hessian (``_newton_ascent``) refines the k delays and first k-1
+    weights, at most ``max_iterations`` steps; weights always sum to one.
+    Standard errors come from the analytic observed information at the
+    optimum (``_observed_information_errors``).
 
     The fit uses exactly ``k_layers`` layers; choosing k is the caller's
     job. Surplus layers are not pruned: on one-layer data a two-layer fit
     can split the layer into two at the same delay, with a log-likelihood
-    equal to the one-layer fit's and standard errors that mean nothing.
+    equal to the one-layer fit's. The observed information there is not
+    positive definite, so the standard errors come back nan.
     """
     if not 1 <= k_layers <= _MAX_LAYERS:
         raise ConfigurationError(f"k_layers must lie in [1, {_MAX_LAYERS}]")
@@ -365,11 +429,12 @@ def mle_fit(
     def unpack(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return thetas[:, :k] / delta, _softmax_weights(thetas[:, k:])
 
-    def neg_log_likelihood(thetas: np.ndarray) -> np.ndarray:
-        return -like.log_likelihood(*unpack(thetas))
+    scanned = 0
 
-    def neg_log_likelihood_one(theta: np.ndarray) -> float:
-        return float(neg_log_likelihood(theta[None])[0])
+    def neg_log_likelihood(thetas: np.ndarray) -> np.ndarray:
+        nonlocal scanned
+        scanned += thetas.shape[0]
+        return -like.log_likelihood(*unpack(thetas))
 
     theta0 = np.concatenate(
         [taus0 * delta, np.log(np.maximum(weights0[:-1], 1e-6) / max(weights0[-1], 1e-6))]
@@ -386,7 +451,7 @@ def mle_fit(
         for i in range(len(theta0) - k)
     ]
     best_theta = np.array(theta0, dtype=float)
-    best_val = neg_log_likelihood_one(best_theta)
+    best_val = float(neg_log_likelihood(best_theta[None])[0])
     if len(axes) <= 3:
         product = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
         best_theta, best_val = _scan(neg_log_likelihood, product, best_theta, best_val)
@@ -397,97 +462,100 @@ def mle_fit(
                 trial[:, i] = axis
                 best_theta, best_val = _scan(neg_log_likelihood, trial, best_theta, best_val)
 
-    result = minimize(
-        neg_log_likelihood_one,
-        best_theta,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iterations,
-            "xatol": 1e-4,
-            "fatol": 1e-6,
-        },
+    taus, weights = (rows[0] for rows in unpack(best_theta[None]))
+    scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
+    taus_hat, weights_hat, value, hessian, iterations, converged, evaluations = _newton_ascent(
+        like, taus, weights, scale, max_iterations
     )
-    theta_hat = result.x if result.fun <= best_val else best_theta
-    taus_hat, weights_hat = (rows[0] for rows in unpack(theta_hat[None]))
-
-    stderr_tau, stderr_weight = _observed_information_errors(
-        like, taus_hat, weights_hat, source.sigma_spectral
-    )
+    stderr_tau, stderr_weight, condition = _observed_information_errors(hessian, scale)
     order = np.argsort(taus_hat)
     layers = tuple((float(taus_hat[i]), float(weights_hat[i])) for i in order)
     return MleResult(
         layers=layers,
         stderr_tau=tuple(float(stderr_tau[i]) for i in order),
         stderr_weight=tuple(float(stderr_weight[i]) for i in order),
-        log_likelihood=float(-min(result.fun, best_val)),
-        converged=bool(result.success),
-        iterations=int(result.nit),
+        log_likelihood=value,
+        converged=converged,
+        iterations=iterations,
+        evaluations=scanned + evaluations,
+        hessian_condition=condition,
     )
+
+
+def _newton_ascent(
+    like: _Likelihood, taus: np.ndarray, weights: np.ndarray, scale: np.ndarray, max_iterations: int
+) -> tuple:
+    """Damped Newton ascent of the log-likelihood from one candidate, in
+    ``score``'s coordinates balanced by ``scale``.
+
+    The balanced Newton system is solved on the eigenvectors of the observed
+    information, each eigenvalue taken by its absolute value and zero ones
+    left out: the Newton step where the information is positive definite,
+    and still an ascent step elsewhere (a surplus layer's ridge), where
+    Newton would head for the saddle. The step is halved until the
+    log-likelihood rises with every weight positive, or until the rise it
+    can still bring is below ``_NEWTON_TOL``. Converged means g^T step, twice
+    the predicted rise, is at most ``_NEWTON_TOL``; that step is still taken
+    if it rises. Returns the delays, weights, log-likelihood and Hessian
+    reached, the steps taken, convergence and the likelihood rows evaluated.
+    """
+    k = taus.size
+    value, gradient, hessian = like.score(taus, weights)
+    iterations, converged, evaluations = 0, False, 1
+    while iterations < max_iterations and not converged:
+        g, info = gradient * scale, -hessian * np.outer(scale, scale)
+        if not np.all(np.isfinite(info)):
+            break
+        lam, vec = np.linalg.eigh(info)
+        step = vec @ np.divide(vec.T @ g, np.abs(lam), out=np.zeros(g.size), where=lam != 0)
+        gain = float(g @ step)
+        if not math.isfinite(gain):
+            break
+        converged = gain <= _NEWTON_TOL
+        point, t = np.concatenate([taus, weights[:-1]]), 1.0
+        while t > 0.0:
+            trial = point + t * scale * step
+            trial_weights = np.append(trial[k:], 1.0 - np.sum(trial[k:]))
+            if np.all(trial_weights > 0.0):
+                evaluations += 1
+                if like.log_likelihood(trial[None, :k], trial_weights[None])[0] > value:
+                    break
+            t = t / 2.0 if t * gain > 2.0 * _NEWTON_TOL else 0.0
+        if t == 0.0:
+            break
+        taus, weights = trial[:k], trial_weights
+        value, gradient, hessian = like.score(taus, weights)
+        iterations, evaluations = iterations + 1, evaluations + 1
+    return taus, weights, value, hessian, iterations, converged, evaluations
 
 
 def _observed_information_errors(
-    like: _Likelihood, taus: np.ndarray, weights: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standard errors from finite-difference observed information.
+    hessian: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Standard errors from the analytic observed information -H, and the
+    condition number of the information balanced by ``scale``.
 
     Natural coordinates: the k delays plus the first k-1 weights (the last
-    weight is one minus the rest; its error follows by error propagation).
-    All 2d^2 + 1 stencil points are evaluated as one batch; points whose
-    weights leave the simplex count as infinitely unlikely.
+    weight's error follows by error propagation). The balanced information
+    is inverted on its eigenvectors. When it is not positive definite, as
+    for a surplus layer whose split from another is not identified, every
+    standard error is nan.
     """
-    k = taus.size
-    total = max(sum(t for t in like.totals[:2] if t is not None), 1.0)
-    h_tau = 0.5 / (2.0 * sigma * math.sqrt(total))
-    h_wt = min(0.5 / math.sqrt(total), 0.05)
-    d = k + (k - 1)
-
-    x0 = np.concatenate([taus, weights[:-1]])
-    steps = np.concatenate([np.full(k, h_tau), np.full(k - 1, h_wt)])
-    unit = np.diag(steps)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    points = [x0]
-    for i in range(d):
-        points += [x0 + unit[i], x0 - unit[i]]
-    for i, j in pairs:
-        points += [
-            x0 + unit[i] + unit[j],
-            x0 + unit[i] - unit[j],
-            x0 - unit[i] + unit[j],
-            x0 - unit[i] - unit[j],
-        ]
-    points = np.array(points)
-    head = points[:, k:]
-    w = np.concatenate([head, 1.0 - np.sum(head, axis=1, keepdims=True)], axis=1)
-    valid = np.all(w > 0.0, axis=1)
-    values = np.full(len(points), math.inf)
-    values[valid] = -like.log_likelihood(points[valid, :k], w[valid])
-
-    f0 = values[0]
-    hessian = np.empty((d, d))
-    for i in range(d):
-        hessian[i, i] = (values[1 + 2 * i] - 2.0 * f0 + values[2 + 2 * i]) / steps[i] ** 2
-    for (i, j), (pp, pm, mp, mm) in zip(pairs, values[1 + 2 * d :].reshape(-1, 4)):
-        hessian[i, j] = hessian[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
-    if not np.all(np.isfinite(hessian)):
-        return np.full(k, math.nan), np.full(k, math.nan)
-    try:
-        # Balance by the step scales: delays (seconds) and weights live
-        # ~30 orders of magnitude apart, far past pinv's relative cutoff.
-        balanced = hessian * np.outer(steps, steps)
-        cov = np.linalg.pinv(balanced) * np.outer(steps, steps)
-    except np.linalg.LinAlgError:
-        return np.full(k, math.nan), np.full(k, math.nan)
-    diag = np.diag(cov)
-    stderr = np.where(diag > 0.0, np.sqrt(np.abs(diag)), math.nan)
-    stderr_tau = stderr[:k]
+    k = (scale.size + 1) // 2
+    info = -hessian * np.outer(scale, scale)
+    nan = np.full(k, math.nan)
+    if not np.all(np.isfinite(info)):
+        return nan, nan, math.nan
+    lam, vec = np.linalg.eigh(info)
+    size = np.abs(lam)
+    condition = float(size.max() / size.min()) if size.min() > 0.0 else math.inf
+    if not lam[0] > 0.0:
+        return nan, nan, condition
+    cov = (vec / lam) @ vec.T * np.outer(scale, scale)
+    stderr = np.sqrt(np.diag(cov))
     if k == 1:
-        return stderr_tau, np.array([0.0])
-    block = cov[k:, k:]
-    last_var = float(np.sum(block))
-    stderr_weight = np.concatenate(
-        [stderr[k:], [math.sqrt(last_var) if last_var > 0.0 else math.nan]]
-    )
-    return stderr_tau, stderr_weight
+        return stderr, np.array([0.0]), condition
+    return stderr[:k], np.append(stderr[k:], math.sqrt(np.sum(cov[k:, k:]))), condition
 
 
 def _panel_sum(integrand, hi: float, step: float) -> float:
@@ -524,9 +592,10 @@ def fisher_information(
     Both integrands are even: twice the integral over [0, omega_max] is
     summed on 32-node Gauss-Legendre panels. Near-poles sit at omega |tau| =
     m pi +/- i acosh(1/alpha), so panels are at most omega_max/64 wide and
-    cut each fringe half-period pi/|tau| into ceil(pi / (4 acosh(1/alpha))).
-    Panels are halved until two sums agree to 1e-8 relative (their difference
-    is ``error_estimate``), or past 2^22 panels QuadratureError is raised.
+    start as one panel per fringe half-period pi/|tau|, with edges on the
+    near-poles' real parts. Panels are halved until two sums agree to 1e-8
+    relative (their difference is ``error_estimate``), or past 2^22 panels
+    QuadratureError is raised.
     """
     sigma = source.sigma_spectral
     gamma, alpha = model.gamma, model.alpha
@@ -565,7 +634,11 @@ def fisher_information(
             return (term_pair + term_single) / survive
 
     hi = model.grid.omega_max
-    per_half_period = math.ceil(math.pi / (4.0 * math.acosh(1.0 / alpha))) if 0 < alpha < 1 else 1
+    # The outermost node sits (1 - max node)/2 of a panel from its edge;
+    # panels narrow enough to put it within the near-pole distance of the
+    # edge see the notch there, so halving can tell when it is resolved.
+    reach = (1.0 - _GL_NODES[-1]) / 2.0
+    per_half_period = math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1
     step = hi / max(_MIN_PANELS, hi * fringe * per_half_period / math.pi)
     value, error = math.nan, math.inf
     while not error <= max(_QUAD_RTOL * abs(value), 1e-15 * sigma**2):

@@ -265,6 +265,27 @@ def _category_probabilities(
     return pair, None, (1.0 - gamma**2) - pair, gamma**2
 
 
+def _category_slopes(model: DetectionModel, env: np.ndarray, fringe_sign: int, probs: tuple) -> tuple:
+    """Derivatives by the fringe x of the ``_category_probabilities`` blocks
+    ``probs`` of one fringe row.
+
+    The blocks are affine in x and no bracket clips for |x| <= 1, so a
+    per-bin block's slope is its value at x = 1 minus its value at x = 0;
+    scalar blocks have slope 0. A block whose bracket has clipped holds
+    exactly 0 and stops moving; so does the trinomial single-click block,
+    the pair block's complement.
+    """
+    at_one, at_zero = (
+        _category_probabilities(model, env, np.full(env.shape, x), fringe_sign) for x in (1.0, 0.0)
+    )
+    stopped = [isinstance(p, np.ndarray) and p == 0.0 for p in probs[:2]]
+    stopped += [stopped[0], False]
+    return tuple(
+        np.where(stop, 0.0, one - zero) if isinstance(p, np.ndarray) else 0.0
+        for p, one, zero, stop in zip(probs, at_one, at_zero, stopped)
+    )
+
+
 def outcome_probabilities(
     model: DetectionModel,
     source: BiphotonSource,

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import xlogy
@@ -139,6 +139,22 @@ def test_mle_two_layers_recovers_both():
     assert abs(taus[1] - 2.0e-13) <= 10.0 * fit.stderr_tau[1]
     assert weights[0] == pytest.approx(0.5, abs=10.0 * fit.stderr_weight[0])
     assert sum(weights) == pytest.approx(1.0, rel=1e-9)
+    assert all(math.isfinite(e) for e in fit.stderr_tau + fit.stderr_weight)
+    assert 1.0 <= fit.hessian_condition < math.inf
+    assert fit.evaluations > 21**3  # the coarse scan plus the Newton steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mle_surplus_layer_reports_nan_errors(seed):
+    # two layers fitted to one-layer data split it at one delay; the split
+    # is not identified, the observed information is not positive definite,
+    # and the standard errors say so instead of reading ~1e-16 s
+    counts, model = _counts_table(DelayProfile.single(2e-13), 1_000_000, seed=seed)
+    single = mle_fit(counts, model, SRC, k_layers=1)
+    fit = mle_fit(counts, model, SRC, k_layers=2)
+    assert all(math.isnan(e) for e in fit.stderr_tau + fit.stderr_weight)
+    assert math.isfinite(fit.hessian_condition)
+    assert fit.log_likelihood == pytest.approx(single.log_likelihood, abs=1e-5)
 
 
 def test_mle_true_parameters_beat_perturbed_start():
@@ -225,10 +241,10 @@ _PROPERTY_TRIALS = 10_000
 
 
 @st.composite
-def _model_cases(draw):
+def _model_cases(draw, bins=(64, 4096), alphas=st.floats(0.0, 1.0)):
     """A detection model, a 1-4 layer profile inside the grid's Nyquist
     range, a fringe convention, and counts sampled from that model."""
-    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=draw(st.sampled_from([64, 4096])))
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=draw(st.sampled_from(bins)))
     t_max = TemporalGrid.conjugate_of(grid).t_max
     steps = draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(steps), max_size=len(steps)))
@@ -236,7 +252,7 @@ def _model_cases(draw):
     model = DetectionModel(
         grid,
         gamma=draw(st.floats(0.0, 0.9)),
-        alpha=draw(st.floats(0.0, 1.0)),
+        alpha=draw(alphas),
         n_trials=_PROPERTY_TRIALS,
         variant=draw(st.sampled_from(["two-port", "trinomial"])),
     )
@@ -246,6 +262,14 @@ def _model_cases(draw):
     table = outcome_probabilities(model, SRC, profile, cfg)
     counts = sample_counts(table, _PROPERTY_TRIALS, seed=draw(st.integers(0, 2**32 - 1)))
     return model, profile, cfg, counts
+
+
+def _without_bunch_counts(counts):
+    """The anti-bunch (or pair) counts alone: the conditioned two-port or
+    the pair-only trinomial likelihood."""
+    return OutcomeTable(
+        variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,10 +299,7 @@ def test_likelihood_row_is_outcome_table_log_probability(case):
 def test_likelihood_batch_equals_single_rows(case, complete, n_rows, seed):
     model, profile, cfg, counts = case
     if not complete:
-        # anti-bunch counts only: the conditioned or pair-only likelihood
-        counts = OutcomeTable(
-            variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
-        )
+        counts = _without_bunch_counts(counts)
     like = _Likelihood(counts, model, SRC, cfg)
     rng = np.random.default_rng(seed)
     k = len(profile.layers)
@@ -300,9 +321,7 @@ def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, con
     # coarse scan: every delay repeats 49 times in its column
     model, profile, _, counts = case
     if not complete:
-        counts = OutcomeTable(
-            variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
-        )
+        counts = _without_bunch_counts(counts)
     cfg = ForwardModelConfig(phi=convention[0], fringe_sign=convention[1])
     like = _Likelihood(counts, model, SRC, cfg)
     dt = TemporalGrid.conjugate_of(counts.grid).delta_t
@@ -315,6 +334,97 @@ def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, con
     batch = like.log_likelihood(taus, weights)
     singles = [like.log_likelihood(taus[i : i + 1], weights[i : i + 1])[0] for i in range(343)]
     assert np.array_equal(batch, singles)
+
+
+def _central_differences(like, x0, k, h):
+    """Gradient and Hessian of ``log_likelihood`` at the natural point
+    ``x0`` (k delays, first k-1 weights) by fourth-order central
+    differences with steps ``h``, all stencil points in one batch."""
+    d = x0.size
+    unit = np.diag(h)
+    offsets = [m * unit[i] for i in range(d) for m in (1, -1, 2, -2)]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    offsets += [
+        m * (a * unit[i] + b * unit[j])
+        for i, j in pairs for m in (1, 2) for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    points = x0 + np.array([np.zeros(d), *offsets])
+    weights = np.column_stack([points[:, k:], 1.0 - np.sum(points[:, k:], axis=1)])
+    f = like.log_likelihood(points[:, :k], weights)
+    f0, axis, mixed = f[0], f[1 : 1 + 4 * d].reshape(d, 4), f[1 + 4 * d :].reshape(-1, 2, 4)
+    gradient = (8.0 * (axis[:, 0] - axis[:, 1]) - (axis[:, 2] - axis[:, 3])) / (12.0 * h)
+    hessian = np.diag(
+        (16.0 * (axis[:, 0] + axis[:, 1]) - (axis[:, 2] + axis[:, 3]) - 30.0 * f0) / (12.0 * h * h)
+    )
+    for (i, j), (near, far) in zip(pairs, mixed):
+        # Richardson extrapolation of the four-point mixed difference
+        d_near = (near[0] - near[1] - near[2] + near[3]) / (4.0 * h[i] * h[j])
+        d_far = (far[0] - far[1] - far[2] + far[3]) / (16.0 * h[i] * h[j])
+        hessian[i, j] = hessian[j, i] = (4.0 * d_near - d_far) / 3.0
+    return gradient, hessian
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # every bracket >= 0.1, so no bin's log probability turns too fast for
+    # the difference steps
+    case=_model_cases(alphas=st.floats(0.3, 0.9)),
+    complete=st.booleans(),
+    convention=st.sampled_from([(0.0, 1), (0.7, -1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_score_matches_central_differences(case, complete, convention, seed):
+    # all four likelihoods: two-port complete or anti-only (conditioned on
+    # the observed mass), trinomial complete or pair-only (binomial)
+    model, profile, _, counts = case
+    if not complete:
+        counts = _without_bunch_counts(counts)
+    assume(counts.total_counts() > 0)
+    like = _Likelihood(counts, model, SRC, ForwardModelConfig(*convention))
+    rng = np.random.default_rng(seed)
+    k = len(profile.layers)
+    delta = SRC.delta_temporal
+    taus = profile.delays + rng.normal(0.0, 0.3, k) / delta
+    head = (0.8 * profile.weights + 0.2 * rng.dirichlet(np.ones(k)))[:-1]
+    weights = np.append(head, 1.0 - np.sum(head))
+    value, gradient, hessian = like.score(taus, weights)
+    assert value == like.log_likelihood(taus[None], weights[None])[0]
+
+    scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
+    balance = np.outer(scale, scale)
+    # the differences resolve the Hessian only above the rounding of the
+    # log-likelihood, ~1e-9 |L| at these steps (near zero delay, or at low
+    # visibility, the data carry too little delay information)
+    assume(np.max(np.abs(hessian * balance)) >= 1e-2 * abs(value))
+    expected_gradient, expected_hessian = _central_differences(
+        like, np.concatenate([taus, head]), k, 1e-3 * scale
+    )
+    gradient, expected_gradient = gradient * scale, expected_gradient * scale
+    hessian, expected_hessian = hessian * balance, expected_hessian * balance
+    assert np.max(np.abs(gradient - expected_gradient)) <= 1e-6 * np.max(np.abs(gradient))
+    assert np.max(np.abs(hessian - expected_hessian)) <= 1e-6 * np.max(np.abs(hessian))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_model_cases(bins=(64,)), complete=st.booleans())
+def test_newton_steps_only_raise_the_scan_optimum(case, complete):
+    # max_iterations = 0 returns the coarse scan's best row; every Newton
+    # step after it raises the log-likelihood
+    model, profile, cfg, counts = case
+    if not complete:
+        counts = _without_bunch_counts(counts)
+    assume(counts.total_counts() > 0)
+    k = len(profile.layers)
+    fits = [
+        mle_fit(counts, model, SRC, k, init=profile.layers, cfg=cfg, max_iterations=m)
+        for m in (0, 1, 500)
+    ]
+    assert fits[0].log_likelihood <= fits[1].log_likelihood <= fits[2].log_likelihood
+    assert all(fit.iterations <= m for fit, m in zip(fits, (0, 1, 500)))
+    assert fits[0].evaluations <= fits[1].evaluations <= fits[2].evaluations
+    for fit in fits:
+        assert sum(w for _, w in fit.layers) == pytest.approx(1.0, rel=1e-9)
+        assert all(w > 0.0 for _, w in fit.layers)
 
 
 # ------------------------------------------------------------------- fisher
@@ -449,6 +559,16 @@ def test_fisher_high_visibility_short_delay(variant):
     ideal = 1.0 if variant == "two-port" else 0.5
     assert 0.9 * ideal * FOUR_SIGMA_SQ < rep.g_omega < ideal * FOUR_SIGMA_SQ
     assert rep.error_estimate <= 1e-8 * rep.g_omega
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_fisher_near_unit_visibility_raises_rather_than_miss_the_notch(variant):
+    # at alpha = 1 - 1e-13 the integrand dips to 0 within 4.5e-7 rad of each
+    # fringe zero; with one panel per half-period no halving under the cap
+    # puts a node in the dip, and two sums agreed on a value 4.5e-7 too high
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    with pytest.raises(QuadratureError):
+        fisher_information(SRC, 1e-11, DetectionModel(grid, alpha=1.0 - 1e-13, variant=variant))
 
 
 @pytest.mark.parametrize("variant", ["two-port", "trinomial"])

@@ -239,6 +239,8 @@ def test_cli_simulate_counts_then_mle(tmp_path):
     taus = [lay["tau_s"] for lay in payload["mle"]["layers"]]
     assert abs(taus[0] - 0.12e-12) < 5e-16
     assert abs(taus[1] - 0.20e-12) < 5e-16
+    assert payload["mle"]["evaluations"] > 21**3
+    assert 1.0 <= payload["mle"]["hessian_condition"] < float("inf")
 
 
 def test_cli_trinomial_estimate_requires_trials(tmp_path, capsys):
