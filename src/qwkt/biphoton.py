@@ -223,9 +223,11 @@ def _fringe_rows(
     row reproduces ``fringe_factor`` bit for bit.
 
     Each distinct delay in a column has its cosine row computed once per
-    batch and gathered into every row that holds it; a Cartesian scan
-    repeats each delay many times. The gathered rows are the same bits as
-    rows computed one by one. A single row skips the lookup.
+    batch and gathered into every row that holds it. A padded-layer scan
+    holds every other layer's delay fixed, so their columns hold one
+    distinct delay, and repeats each of its own delays once per weight
+    fraction. The gathered rows are the same bits as rows computed one by
+    one. A single row skips the lookup.
     """
     out = np.zeros((taus.shape[0], omega.size))
     for tau, weight in zip(taus.T, weights.T):

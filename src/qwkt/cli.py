@@ -52,6 +52,7 @@ from .io import (
 from .transform import (
     FrequencyGrid,
     SpectralPattern,
+    TemporalGrid,
     classical_wkt,
     inverse_qwkt,
 )
@@ -166,6 +167,14 @@ def cmd_simulate(args) -> int:
         profile = DelayProfile.single(args.tau_ps * 1e-12)
     else:
         profile = DelayProfile.normalized(_parse_layers(args.layers))
+    t_max = TemporalGrid.conjugate_of(grid).t_max
+    if profile.delays[-1] >= t_max:
+        # beyond t_max the fringe aliases onto a shorter delay, which a fit
+        # then reports with a confidently small error
+        raise ConfigurationError(
+            f"layer delay {profile.delays[-1] * 1e12:.6g} ps is not below the grid's "
+            f"unambiguous range {t_max * 1e12:.6g} ps; raise --bins or lower --span-sd"
+        )
     cfg = ForwardModelConfig(phi=args.phi)
     out = Path(args.out)
     comments = (
@@ -286,7 +295,10 @@ def cmd_estimate(args) -> int:
         crb_rows = []
         for tau_hat, _, _ in report.delays:
             fisher = fisher_information(source, tau_hat, model)
-            crb_rows.append({"tau_s": tau_hat, "g_omega": fisher.g_omega, "crb_s": fisher.crb})
+            crb_rows.append({
+                "tau_s": tau_hat, "g_omega": fisher.g_omega, "crb_s": fisher.crb,
+                "error_estimate": fisher.error_estimate,
+            })
         result["crb"] = {
             "variant": args.variant,
             "n_trials": n_diag,

@@ -54,8 +54,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MIN_PANELS = 64
 _MAX_PANELS = 2**22
 # Likelihood rows and Fisher panels are evaluated in chunks of at most this
-# many (row, bin) or node cells, so a 9,261-row coarse scan never holds more
-# than ~0.1 MB per temporary array.
+# many (row, bin) or node cells, so a 400-row padded-layer scan never holds
+# more than ~0.1 MB per temporary array.
 _CHUNK_CELLS = 2**14
 
 
@@ -92,7 +92,7 @@ class MleResult:
     log_likelihood: float
     converged: bool
     iterations: int
-    evaluations: int  # likelihood rows evaluated, coarse scan plus Newton
+    evaluations: int  # likelihood rows evaluated, padded-layer scan plus Newton
     hessian_condition: float  # of the balanced observed information
 
 
@@ -200,17 +200,12 @@ def extract_delays(
     return PeakReport(delays=delays, ambiguity_flag=ambiguous, grid_resolution=dt)
 
 
-def _softmax_weights(logits: np.ndarray) -> np.ndarray:
-    """Map rows of k-1 free logits to rows of k positive weights summing to one."""
-    z = np.concatenate([logits, np.zeros((logits.shape[0], 1))], axis=1)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _initial_layers(
     counts: OutcomeTable, source: BiphotonSource, k_layers: int, init
-) -> list[tuple[float, float]]:
-    """Starting (tau, weight) list, padded or truncated to k_layers."""
+) -> tuple[list[tuple[float, float]], int]:
+    """Starting (tau, weight) list, truncated to the k_layers strongest or
+    padded to k_layers, and the number of leading layers a peak report
+    pins (none for a caller's list)."""
     if init is None:
         pattern = SpectralPattern(
             grid=counts.grid,
@@ -225,12 +220,13 @@ def _initial_layers(
     layers.sort()
     if len(layers) > k_layers:
         layers = sorted(sorted(layers, key=lambda la: -la[1])[:k_layers])
+    pinned = len(layers) if isinstance(init, PeakReport) else 0
     grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
     while len(layers) < k_layers:
         base = layers[-1][0] if layers else 10.0 / source.delta_temporal
         layers.append((base + 10.0 * grid_dt, 0.1))
     total = sum(a for _, a in layers)
-    return [(t, a / total) for t, a in layers]
+    return [(t, a / total) for t, a in layers], pinned
 
 
 def _log(p):
@@ -368,18 +364,6 @@ class _Likelihood:
         return out
 
 
-def _scan(
-    objective, candidates: np.ndarray, best_theta: np.ndarray, best_val: float
-) -> tuple[np.ndarray, float]:
-    """Evaluate a batch of candidate rows; keep the first strict minimum
-    below ``best_val``, else the incumbent."""
-    values = objective(candidates)
-    i = int(np.argmin(values))
-    if values[i] < best_val:
-        return candidates[i].copy(), float(values[i])
-    return best_theta, best_val
-
-
 def mle_fit(
     counts: OutcomeTable,
     model: DetectionModel,
@@ -391,21 +375,24 @@ def mle_fit(
 ) -> MleResult:
     """Maximum-likelihood fit of layer delays and weights to sampled counts.
 
-    A coarse scan around the initializer (delays in units of the temporal
-    width 1/delta, k-1 weight logits; 21 points per parameter spanning
-    +/-10 temporal grid steps for delays and +/-2 for logits; a full
-    Cartesian scan for up to three free parameters, two passes of
-    coordinate sweeps beyond that) picks the start. The scan evaluates each
-    Cartesian product, or each axis of a sweep, as one batch of candidate
-    rows and keeps the first strict minimum; within a batch each distinct
-    delay's fringe is computed once and shared by every row that holds it,
-    with the same bits as a row evaluated alone.
+    The start is the peak report's layers (``init``, or ``extract_delays``
+    on the coincidence counts when ``init`` is None): the k_layers
+    strongest peaks, each of them pinned. When fewer than k_layers peaks
+    are found, ``_initial_layers`` pads the list with layers the peaks do
+    not pin; every layer of a plain (tau, weight) list from the caller is
+    unpinned. Each unpinned layer in turn is scanned in one batch with the
+    other layers held: its delay at 21 offsets spanning +/-10 temporal grid
+    steps times 19 weight fractions 0.05..0.95, the other weights rescaled
+    to the remaining mass (no weight axis at k_layers = 1). The batch's
+    best row replaces the current start only if it beats it. Within a
+    batch each distinct delay's fringe is computed once, with the same bits
+    as a row alone.
 
-    From the scan's best point a damped Newton ascent on the analytic score
-    and Hessian (``_newton_ascent``) refines the k delays and first k-1
-    weights, at most ``max_iterations`` steps; weights always sum to one.
-    Standard errors come from the analytic observed information at the
-    optimum (``_observed_information_errors``).
+    From there a damped Newton ascent on the analytic score and Hessian
+    (``_newton_ascent``) refines the k delays and first k-1 weights, at
+    most ``max_iterations`` steps; weights always sum to one. Standard
+    errors come from the analytic observed information at the optimum
+    (``_observed_information_errors``).
 
     The fit uses exactly ``k_layers`` layers; choosing k is the caller's
     job. Surplus layers are not pruned: on one-layer data a two-layer fit
@@ -418,52 +405,27 @@ def mle_fit(
     if counts.variant != model.variant:
         raise ConfigurationError("counts table and model use different variants")
     like = _Likelihood(counts, model, source, cfg)
-    delta = source.delta_temporal
-    layers0 = _initial_layers(counts, source, k_layers, init)
+    layers0, pinned = _initial_layers(counts, source, k_layers, init)
+    taus = np.array([t for t, _ in layers0])
+    weights = np.array([a for _, a in layers0])
+
     grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
-
-    k = k_layers
-    taus0 = np.array([t for t, _ in layers0])
-    weights0 = np.array([a for _, a in layers0])
-
-    def unpack(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return thetas[:, :k] / delta, _softmax_weights(thetas[:, k:])
-
+    offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
+    fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
+    shift, share = (a.ravel() for a in np.meshgrid(offsets, fractions, indexing="ij"))
     scanned = 0
+    for j in range(pinned, k_layers):
+        # row 0 is the start, so a tie keeps it
+        held = np.delete(weights, j)
+        row_taus = np.tile(taus, (shift.size + 1, 1))
+        row_taus[1:, j] += shift
+        grid_weights = np.insert(np.outer(1.0 - share, held / held.sum()), j, share, axis=1)
+        row_weights = np.vstack([weights, grid_weights])
+        values = like.log_likelihood(row_taus, row_weights)
+        best = int(np.argmax(values))
+        taus, weights, scanned = row_taus[best], row_weights[best], scanned + values.size
 
-    def neg_log_likelihood(thetas: np.ndarray) -> np.ndarray:
-        nonlocal scanned
-        scanned += thetas.shape[0]
-        return -like.log_likelihood(*unpack(thetas))
-
-    theta0 = np.concatenate(
-        [taus0 * delta, np.log(np.maximum(weights0[:-1], 1e-6) / max(weights0[-1], 1e-6))]
-    )
-
-    # Coarse scan around the initializer.
-    tau_span = _COARSE_SPAN_STEPS * grid_dt * delta
-    axes = [
-        np.linspace(theta0[i] - tau_span, theta0[i] + tau_span, _COARSE_POINTS)
-        for i in range(k)
-    ]
-    axes += [
-        np.linspace(theta0[k + i] - 2.0, theta0[k + i] + 2.0, _COARSE_POINTS)
-        for i in range(len(theta0) - k)
-    ]
-    best_theta = np.array(theta0, dtype=float)
-    best_val = float(neg_log_likelihood(best_theta[None])[0])
-    if len(axes) <= 3:
-        product = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        best_theta, best_val = _scan(neg_log_likelihood, product, best_theta, best_val)
-    else:
-        for _ in range(2):
-            for i, axis in enumerate(axes):
-                trial = np.tile(best_theta, (axis.size, 1))
-                trial[:, i] = axis
-                best_theta, best_val = _scan(neg_log_likelihood, trial, best_theta, best_val)
-
-    taus, weights = (rows[0] for rows in unpack(best_theta[None]))
-    scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
+    scale = np.concatenate([np.full(k_layers, 1.0 / source.delta_temporal), np.ones(k_layers - 1)])
     taus_hat, weights_hat, value, hessian, iterations, converged, evaluations = _newton_ascent(
         like, taus, weights, scale, max_iterations
     )

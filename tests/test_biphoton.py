@@ -187,8 +187,9 @@ def test_fringe_factor_bounds():
 )
 def test_fringe_rows_with_repeated_delays_equal_single_profiles(columns, n_bins, phi, seed):
     # A Cartesian product of a few delays per column, in shuffled row
-    # order, as a coarse scan's batches repeat them; column j holds delays
-    # in its own range so every row is a valid increasing profile.
+    # order, repeating delays as a padded-layer scan's batch does; column j
+    # holds delays in its own range so every row is a valid increasing
+    # profile.
     omega = FrequencyGrid(omega_max=12.0 * SIGMA_10NM, n_bins=n_bins).values
     step = 1e-15
     rng = np.random.default_rng(seed)

@@ -32,7 +32,7 @@ from qwkt import (
     sample_counts,
     sweep,
 )
-from qwkt.estimation import _Likelihood
+from qwkt.estimation import _initial_layers, _Likelihood, _newton_ascent
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
 SIGMA = SRC.sigma_spectral
@@ -141,7 +141,7 @@ def test_mle_two_layers_recovers_both():
     assert sum(weights) == pytest.approx(1.0, rel=1e-9)
     assert all(math.isfinite(e) for e in fit.stderr_tau + fit.stderr_weight)
     assert 1.0 <= fit.hessian_condition < math.inf
-    assert fit.evaluations > 21**3  # the coarse scan plus the Newton steps
+    assert fit.evaluations < 21  # both peaks pinned: Newton steps only, no scan
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -222,6 +222,101 @@ def test_mle_pair_only_trial_count_comes_from_table():
         return mle_fit(partial, model, SRC, k_layers=1).layers[0][0]
 
     assert fitted_tau(1) == fitted_tau(20_000)
+
+
+def _full_scan_fit(counts, model, cfg, k):
+    """Log-likelihood of the fit as it was before peak seeding, kept as an
+    oracle: from the peak layers, a 21-point scan of every parameter in
+    (delay x delta, weight logit) coordinates, +/-10 grid steps and +/-2
+    logits, Cartesian up to three parameters and two passes of coordinate
+    sweeps beyond, then the same Newton ascent."""
+    like = _Likelihood(counts, model, SRC, cfg)
+    delta = SRC.delta_temporal
+    layers, _ = _initial_layers(counts, SRC, k, None)
+    taus0 = np.array([t for t, _ in layers])
+    weights0 = np.array([a for _, a in layers])
+
+    def unpack(thetas):
+        z = np.concatenate([thetas[:, k:], np.zeros((thetas.shape[0], 1))], axis=1)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return thetas[:, :k] / delta, e / e.sum(axis=1, keepdims=True)
+
+    theta0 = np.concatenate(
+        [taus0 * delta, np.log(np.maximum(weights0[:-1], 1e-6) / max(weights0[-1], 1e-6))]
+    )
+    span = 10.0 * TemporalGrid.conjugate_of(counts.grid).delta_t * delta
+    axes = [np.linspace(theta0[i] - span, theta0[i] + span, 21) for i in range(k)]
+    axes += [np.linspace(theta0[i] - 2.0, theta0[i] + 2.0, 21) for i in range(k, 2 * k - 1)]
+    best = [theta0, like.log_likelihood(*unpack(theta0[None]))[0]]
+
+    def scan(rows):
+        values = like.log_likelihood(*unpack(rows))
+        i = int(np.argmax(values))
+        if values[i] > best[1]:
+            best[:] = rows[i].copy(), values[i]
+
+    if len(axes) <= 3:
+        scan(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)))
+    else:
+        for _ in range(2):
+            for i, axis in enumerate(axes):
+                rows = np.tile(best[0], (axis.size, 1))
+                rows[:, i] = axis
+                scan(rows)
+    taus, weights = (rows[0] for rows in unpack(best[0][None]))
+    scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
+    return _newton_ascent(like, taus, weights, scale, 500)[2]
+
+
+@st.composite
+def _resolvable_cases(draw):
+    """Counts of 1-3 layers at 256 bins, each past the main peak's overlap
+    and at least nine grid steps (3.3 temporal widths) from the next, all
+    inside t_max, under either variant."""
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=256)
+    dt = TemporalGrid.conjugate_of(grid).delta_t
+    steps = [draw(st.floats(10.0, 40.0))]
+    for _ in range(draw(st.integers(0, 2))):
+        steps.append(steps[-1] + draw(st.floats(9.0, 40.0)))
+    raw = draw(st.lists(st.floats(0.2, 1.0), min_size=len(steps), max_size=len(steps)))
+    profile = DelayProfile.normalized([(i * dt, w) for i, w in zip(steps, raw)])
+    variant = draw(st.sampled_from(["two-port", "trinomial"]))
+    trials = 100_000 if variant == "two-port" else 1_000
+    model = DetectionModel(
+        grid, gamma=draw(st.floats(0.0, 0.3)), alpha=draw(st.floats(0.8, 1.0)),
+        n_trials=trials, variant=variant,
+    )
+    table = outcome_probabilities(model, SRC, profile)
+    counts = sample_counts(table, trials, seed=draw(st.integers(0, 2**32 - 1)))
+    return model, profile, counts
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_resolvable_cases(), complete=st.booleans())
+def test_mle_matches_full_scan_oracle(case, complete):
+    # starting Newton from the peak layers, with only unpinned layers
+    # scanned, ends no lower than the full scan did
+    model, profile, counts = case
+    if not complete:
+        counts = _without_bunch_counts(counts)
+    k = len(profile.layers)
+    cfg = ForwardModelConfig()
+    fit = mle_fit(counts, model, SRC, k, cfg=cfg)
+    assert fit.log_likelihood >= _full_scan_fit(counts, model, cfg, k) - 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mle_scans_the_padded_layer(seed):
+    # 30 fs apart, the pair merges into one side peak; the second layer is
+    # padded, and only its scan finds the pair
+    prof = DelayProfile.normalized([(1.2e-13, 0.5), (1.5e-13, 0.5)])
+    counts, model = _counts_table(prof, 100_000, seed=seed)
+    pattern = SpectralPattern(counts.grid, counts.counts_coincidence.astype(float), kind="counts")
+    assert len(extract_delays(pattern, SRC).delays) == 1
+    fit = mle_fit(counts, model, SRC, k_layers=2)
+    assert all(math.isfinite(e) for e in fit.stderr_tau + fit.stderr_weight)
+    for (tau, _), err, true in zip(fit.layers, fit.stderr_tau, prof.delays):
+        assert abs(tau - true) <= 10.0 * err
 
 
 def test_mle_validates_inputs():
@@ -317,8 +412,8 @@ def test_likelihood_batch_equals_single_rows(case, complete, n_rows, seed):
     convention=st.sampled_from([(0.0, 1), (0.7, -1)]),
 )
 def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, convention):
-    # a 7^3 Cartesian batch over two delays and a weight, the shape of the
-    # coarse scan: every delay repeats 49 times in its column
+    # a 7^3 Cartesian batch over two delays and a weight: every delay
+    # repeats 49 times in its column, more than a padded-layer scan does
     model, profile, _, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)
@@ -408,8 +503,8 @@ def test_score_matches_central_differences(case, complete, convention, seed):
 @settings(max_examples=25, deadline=None)
 @given(case=_model_cases(bins=(64,)), complete=st.booleans())
 def test_newton_steps_only_raise_the_scan_optimum(case, complete):
-    # max_iterations = 0 returns the coarse scan's best row; every Newton
-    # step after it raises the log-likelihood
+    # max_iterations = 0 returns the per-layer scan's best row (every layer
+    # of a caller's list is unpinned); every Newton step raises it
     model, profile, cfg, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)

@@ -220,6 +220,8 @@ def test_cli_simulate_ideal_then_estimate(tmp_path, capsys):
     assert abs(delays[0]["tau_s"] - 0.364e-12) < 2.0 * step
     assert (tmp_path / "est.correlation.csv").exists()
     assert "qcrb_s" in payload["crb"]
+    row = payload["crb"]["per_delay"][0]
+    assert 0.0 <= row["error_estimate"] <= 1e-8 * row["g_omega"]
 
 
 def test_cli_simulate_counts_then_mle(tmp_path):
@@ -239,7 +241,7 @@ def test_cli_simulate_counts_then_mle(tmp_path):
     taus = [lay["tau_s"] for lay in payload["mle"]["layers"]]
     assert abs(taus[0] - 0.12e-12) < 5e-16
     assert abs(taus[1] - 0.20e-12) < 5e-16
-    assert payload["mle"]["evaluations"] > 21**3
+    assert payload["mle"]["evaluations"] < 21  # both peaks pinned: no scan
     assert 1.0 <= payload["mle"]["hessian_condition"] < float("inf")
 
 
@@ -281,6 +283,21 @@ def test_cli_simulate_rejects_conflicting_delays(tmp_path):
         ["simulate", "--tau-ps", "0.2", "--layers", "0.1:1", "--out", tmp_path / "x.csv"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("ideal", [True, False])
+def test_cli_simulate_rejects_delays_beyond_unambiguous_range(tmp_path, capsys, ideal):
+    # 10 nm at 256 bins resolves delays below t_max = 1.167 ps; 1.5 ps
+    # aliases, and a fit of it read 0.90 ps with a femtosecond stderr
+    out = tmp_path / "x.csv"
+    code = _run(
+        ["simulate", "--sigma-nm", "10", "--layers", "0.3:0.5,1.5:0.5", "--bins", "256",
+         "--out", out, *(["--ideal"] if ideal else [])]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--bins" in err and "--span-sd" in err and "1.167" in err
+    assert not out.exists()
 
 
 def test_cli_fisher_axis(tmp_path):
