@@ -144,17 +144,18 @@ def _add_model_options(parser) -> None:
                         default="two-port", help="outcome model variant")
 
 
-def _finish(manifest: RunManifest, outputs: dict, started: float, manifest_path) -> None:
-    manifest = RunManifest(
-        command=manifest.command,
-        config=manifest.config,
-        seed=manifest.seed,
-        version=manifest.version,
-        input_digests=manifest.input_digests,
-        output_digests={name: sha256_digest(p) for name, p in outputs.items()},
+def _finish(args, started: float, config: dict, outputs, seed=None, inputs=()) -> None:
+    """Write the run's manifest. ``inputs`` are (file name, digest) pairs
+    taken before any output was written: ``--out`` may overwrite ``--input``."""
+    write_manifest(args.manifest or f"{Path(args.out)}.manifest.json", RunManifest(
+        command=args.command,
+        config=config,
+        seed=seed,
+        version=__version__,
+        input_digests=dict(inputs),
+        output_digests={p.name: sha256_digest(p) for p in outputs},
         duration_seconds=time.perf_counter() - started,
-    )
-    write_manifest(manifest_path, manifest)
+    ))
 
 
 def cmd_simulate(args) -> int:
@@ -196,28 +197,22 @@ def cmd_simulate(args) -> int:
             grid=grid, values=sampled.counts_coincidence, kind="counts"
         )
     write_spectrum(out, pattern, center_wavelength=args.center_nm * 1e-9, comments=comments)
-    manifest = RunManifest(
-        command="simulate",
-        config={
-            "sigma_rad_per_s": source.sigma_spectral,
-            "center_wavelength_m": args.center_nm * 1e-9,
-            "pump_wavelength_m": args.pump_nm * 1e-9,
-            "delays_s": list(map(float, profile.delays)),
-            "weights": list(map(float, profile.weights)),
-            "phi_rad": args.phi,
-            "gamma": args.gamma,
-            "alpha": args.alpha,
-            "variant": args.variant,
-            "n_trials": args.trials,
-            "n_bins": args.bins,
-            "span_sd": args.span_sd,
-            "ideal": bool(args.ideal),
-            "out": str(out),
-        },
-        seed=None if args.ideal else args.seed,
-        version=__version__,
-    )
-    _finish(manifest, {out.name: out}, started, args.manifest or f"{out}.manifest.json")
+    _finish(args, started, {
+        "sigma_rad_per_s": source.sigma_spectral,
+        "center_wavelength_m": args.center_nm * 1e-9,
+        "pump_wavelength_m": args.pump_nm * 1e-9,
+        "delays_s": list(map(float, profile.delays)),
+        "weights": list(map(float, profile.weights)),
+        "phi_rad": args.phi,
+        "gamma": args.gamma,
+        "alpha": args.alpha,
+        "variant": args.variant,
+        "n_trials": args.trials,
+        "n_bins": args.bins,
+        "span_sd": args.span_sd,
+        "ideal": bool(args.ideal),
+        "out": str(out),
+    }, (out,), seed=None if args.ideal else args.seed)
     return 0
 
 
@@ -232,29 +227,22 @@ def cmd_estimate(args) -> int:
     out = Path(args.out)
     sidecar = out.parent / (out.stem + ".correlation.csv")
     result: dict = {"schema_version": SCHEMA_VERSION, "command": "estimate", "input": str(in_path)}
-    outputs = {out.name: out, sidecar.name: sidecar}
-    manifest = RunManifest(
-        command="estimate",
-        config={
-            "input": str(in_path),
-            "sigma_rad_per_s": source.sigma_spectral,
-            "center_wavelength_m": args.center_nm * 1e-9,
-            "threshold": args.threshold,
-            "min_separation": args.min_separation,
-            "mle": bool(args.mle),
-            "k_layers": args.layers,
-            "gamma": args.gamma,
-            "alpha": args.alpha,
-            "variant": args.variant,
-            "n_trials": args.trials,
-            "phi_rad": args.phi,
-            "out": str(out),
-        },
-        seed=None,
-        version=__version__,
-        input_digests={in_path.name: sha256_digest(in_path)},
-    )
-    manifest_path = args.manifest or f"{out}.manifest.json"
+    config = {
+        "input": str(in_path),
+        "sigma_rad_per_s": source.sigma_spectral,
+        "center_wavelength_m": args.center_nm * 1e-9,
+        "threshold": args.threshold,
+        "min_separation": args.min_separation,
+        "mle": bool(args.mle),
+        "k_layers": args.layers,
+        "gamma": args.gamma,
+        "alpha": args.alpha,
+        "variant": args.variant,
+        "n_trials": args.trials,
+        "phi_rad": args.phi,
+        "out": str(out),
+    }
+    inputs = ((in_path.name, sha256_digest(in_path)),)
 
     correlation = inverse_qwkt(pattern)
     write_table(
@@ -331,23 +319,11 @@ def cmd_estimate(args) -> int:
     except EstimationError as exc:
         result["error"] = str(exc)
         write_json(out, result)
-        _finish(manifest, outputs, started, manifest_path)
+        _finish(args, started, config, (out, sidecar), inputs=inputs)
         raise
     write_json(out, result)
-    _finish(manifest, outputs, started, manifest_path)
+    _finish(args, started, config, (out, sidecar), inputs=inputs)
     return 0
-
-
-def _sweep_to_csv(args, result, out: Path) -> None:
-    write_table(
-        out,
-        ("sigma_rad_per_s", "tau_s", "gamma", "alpha", "variant", "g_omega", "crb_s", "error"),
-        (
-            (c.sigma, c.tau, c.gamma, c.alpha, c.variant, c.g_omega, c.crb, c.error or "")
-            for c in result.rows
-        ),
-        comments=(f"qwkt {__version__} {args.command}: Fisher information sweep",),
-    )
 
 
 def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> int:
@@ -357,31 +333,33 @@ def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> in
         variant=args.variant, n_trials=args.trials, span_sd=args.span_sd,
     )
     out = Path(args.out)
-    _sweep_to_csv(args, result, out)
-    outputs = {out.name: out}
+    write_table(
+        out,
+        ("sigma_rad_per_s", "tau_s", "gamma", "alpha", "variant", "g_omega", "crb_s", "error"),
+        (
+            (c.sigma, c.tau, c.gamma, c.alpha, c.variant, c.g_omega, c.crb, c.error or "")
+            for c in result.rows
+        ),
+        comments=(f"qwkt {__version__} {args.command}: Fisher information sweep",),
+    )
+    outputs = [out]
     if args.command == "sweep":
         mono_path = out.parent / (out.stem + ".monotonicity.json")
         write_json(mono_path, {
             "schema_version": SCHEMA_VERSION,
             "monotonicity": result.monotonicity,
         })
-        outputs[mono_path.name] = mono_path
-    manifest = RunManifest(
-        command=args.command,
-        config={
-            "sigma_rad_per_s": list(map(float, sigma_values)),
-            "tau_s": list(map(float, tau_values)),
-            "gamma": list(map(float, gamma_values)),
-            "alpha": list(map(float, alpha_values)),
-            "variant": args.variant,
-            "n_trials": args.trials,
-            "span_sd": args.span_sd,
-            "out": str(out),
-        },
-        seed=None,
-        version=__version__,
-    )
-    _finish(manifest, outputs, started, args.manifest or f"{out}.manifest.json")
+        outputs.append(mono_path)
+    _finish(args, started, {
+        "sigma_rad_per_s": list(map(float, sigma_values)),
+        "tau_s": list(map(float, tau_values)),
+        "gamma": list(map(float, gamma_values)),
+        "alpha": list(map(float, alpha_values)),
+        "variant": args.variant,
+        "n_trials": args.trials,
+        "span_sd": args.span_sd,
+        "out": str(out),
+    }, outputs)
     if result.rows and all(c.error is not None for c in result.rows):
         raise EstimationError("every sweep cell failed; see the error column")
     return 0
@@ -439,22 +417,15 @@ def cmd_wkt_demo(args) -> int:
                 zip(demo.lags, demo.acf), comments=(tag,))
     write_table(paths["spectrum"], ("omega_rad_per_s", "power"),
                 zip(demo.freqs, demo.psd), comments=(tag,))
-    manifest = RunManifest(
-        command="wkt-demo",
-        config={
-            "waveform": args.waveform,
-            "frequency_hz": args.frequency_hz,
-            "rate_hz": args.rate_hz,
-            "duration_s": args.duration_s,
-            "width_s": args.width_s,
-            "delay_s": args.delay_s,
-            "out": str(base),
-        },
-        seed=None,
-        version=__version__,
-    )
-    _finish(manifest, {p.name: p for p in paths.values()}, started,
-            args.manifest or f"{base}.manifest.json")
+    _finish(args, started, {
+        "waveform": args.waveform,
+        "frequency_hz": args.frequency_hz,
+        "rate_hz": args.rate_hz,
+        "duration_s": args.duration_s,
+        "width_s": args.width_s,
+        "delay_s": args.delay_s,
+        "out": str(base),
+    }, paths.values())
     return 0
 
 

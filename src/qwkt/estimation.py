@@ -249,7 +249,7 @@ class _Likelihood:
     counts only) are handled by conditioning on the observed categories:
     their probabilities are renormalized by the observed total mass. A
     trinomial table with pair counts only is fitted by the per-bin binomial
-    marginal with known trials.
+    marginal with known trials, which no bin's pair count may exceed.
     """
 
     def __init__(
@@ -279,6 +279,9 @@ class _Likelihood:
         # category probabilities; None where the table carries no counts
         self.counts = tuple(None if b is None else np.asarray(b, dtype=float) for b in blocks)
         self.complete = all(c is not None for c in self.counts[1 if two_port else 2 :])
+        if not (two_port or self.complete) and np.max(self.counts[0]) > self.n_trials:
+            # the binomial's n_trials - n would go negative
+            raise InputDataError(f"a bin holds more pairs than its {self.n_trials} trials")
         self.totals = tuple(None if c is None else float(np.sum(c)) for c in self.counts)
         self.observed = sum(t for t in self.totals if t is not None)
         self.rows_per_chunk = max(1, _CHUNK_CELLS // self.omega.size)
@@ -404,6 +407,8 @@ def mle_fit(
         raise ConfigurationError(f"k_layers must lie in [1, {_MAX_LAYERS}]")
     if counts.variant != model.variant:
         raise ConfigurationError("counts table and model use different variants")
+    if counts.grid != model.grid:
+        raise ConfigurationError("counts table and model use different frequency grids")
     like = _Likelihood(counts, model, source, cfg)
     layers0, pinned = _initial_layers(counts, source, k_layers, init)
     taus = np.array([t for t, _ in layers0])

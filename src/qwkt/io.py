@@ -3,9 +3,10 @@
 Spectra travel as two-column CSV with a header naming the schema:
 ``omega_rad_per_s,intensity`` for ideal densities (difference frequency in
 rad/s) or ``wavelength_nm,counts`` for sampled spectra on a spectrometer
-axis. Comment lines start with '#'. Floats are written with 17 significant
-digits so write-then-read is lossless; all writes go to a temp file in the
-target directory and are renamed into place.
+axis. Comment lines start with '#'. Every CSV, spectra included, goes
+through ``write_table``, which writes floats with 17 significant digits so
+write-then-read is lossless; every file goes to a temp file in the target
+directory and is renamed into place.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ OMEGA_HEADER = ("omega_rad_per_s", "intensity")
 WAVELENGTH_HEADER = ("wavelength_nm", "counts")
 _SNAP_RTOL = 1e-9
 _MIN_ROWS = 16
-
-
-def format_float(value: float) -> str:
-    """17 significant digits: enough to reproduce any float64 exactly."""
-    return format(float(value), ".17g")
 
 
 def sha256_digest(path) -> str:
@@ -86,27 +82,23 @@ def write_spectrum(
     center_wavelength: float = 810e-9,
     comments: tuple[str, ...] = (),
 ) -> None:
-    """Write a spectrum CSV; schema follows the pattern kind.
+    """Write a spectrum CSV through ``write_table``; schema follows the
+    pattern kind.
 
     ideal-density patterns use the (omega_rad_per_s, intensity) schema;
     counts patterns use (wavelength_nm, counts) with the axis mapped
-    through ``center_wavelength`` and rows sorted by wavelength.
+    through ``center_wavelength``, rows sorted by wavelength and counts
+    rounded to integers.
     """
-    lines = [f"# {c}" for c in comments]
     if pattern.kind == "ideal-density":
-        lines.append(",".join(OMEGA_HEADER))
-        for omega, value in zip(pattern.grid.values, pattern.values):
-            lines.append(f"{format_float(omega)},{format_float(value)}")
-    else:
-        wavelength = wavelength_from_difference_frequency(
-            pattern.grid.values, center_wavelength
-        )
-        counts = np.asarray(pattern.values)
-        order = np.argsort(wavelength)
-        lines.append(",".join(WAVELENGTH_HEADER))
-        for lam, count in zip(wavelength[order], counts[order]):
-            lines.append(f"{format_float(lam * 1e9)},{int(round(count))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = zip(pattern.grid.values.tolist(), pattern.values.tolist())
+        write_table(path, OMEGA_HEADER, rows, comments)
+        return
+    wavelength = wavelength_from_difference_frequency(pattern.grid.values, center_wavelength)
+    order = np.argsort(wavelength)
+    counts = np.rint(pattern.values[order]).astype(np.int64)
+    rows = zip((wavelength[order] * 1e9).tolist(), counts.tolist())
+    write_table(path, WAVELENGTH_HEADER, rows, comments)
 
 
 def _parse_rows(path) -> tuple[tuple[str, ...], list[tuple[float, float]]]:
@@ -137,12 +129,14 @@ def _parse_rows(path) -> tuple[tuple[str, ...], list[tuple[float, float]]]:
 def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
     """Read a spectrum CSV onto a symmetric uniform frequency grid.
 
-    The header names the schema. Abscissas must be strictly increasing and
-    values nonnegative (counts additionally integral). Wavelength axes are
-    converted to difference frequency first. An axis that already is a
-    symmetric uniform midpoint grid (to 1e-9 relative) is adopted exactly;
-    anything else is resampled by linear interpolation onto such a grid
-    (counts rounded back to integers), zero-filled outside the data.
+    The header names the schema. Abscissas must be finite and strictly
+    increasing, wavelengths positive, and values finite and nonnegative
+    (counts additionally integral). Wavelength axes are converted to
+    difference frequency first. An axis that already is a symmetric uniform
+    midpoint grid (to 1e-9 relative) is adopted exactly; anything else is
+    resampled by linear interpolation onto such a grid (counts rounded back
+    to integers), zero-filled outside the data. Every bad file raises
+    ``InputDataError``, also one whose axis overflows float64 on the way.
     """
     header, rows = _parse_rows(path)
     if header == OMEGA_HEADER:
@@ -155,21 +149,26 @@ def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
         raise InputDataError(f"spectrum needs at least {_MIN_ROWS} rows, got {len(rows)}")
     abscissa = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
-    if not np.all(np.diff(abscissa) > 0.0):
-        raise InputDataError("abscissa must be strictly increasing")
+    if not np.all(np.isfinite(abscissa)):
+        raise InputDataError("abscissa must be finite")
     if np.any(values < 0.0) or not np.all(np.isfinite(values)):
         raise InputDataError("spectrum values must be finite and nonnegative")
-    if kind == "counts":
-        if np.any(values != np.floor(values)):
-            raise InputDataError("counts schema requires integer values")
-        omega = difference_frequency_from_wavelength(abscissa * 1e-9, center_wavelength)
-        order = np.argsort(omega)
-        omega = omega[order]
-        values = values[order]
-    else:
-        omega = abscissa
-
-    grid, resampled = _to_midpoint_grid(omega, values, kind)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if not np.all(np.diff(abscissa) > 0.0):
+                raise InputDataError("abscissa must be strictly increasing")
+            omega = abscissa
+            if kind == "counts":
+                if np.any(values != np.floor(values)):
+                    raise InputDataError("counts schema requires integer values")
+                if abscissa[0] <= 0.0:
+                    raise InputDataError("wavelengths must be positive")
+                omega = difference_frequency_from_wavelength(abscissa * 1e-9, center_wavelength)
+                order = np.argsort(omega)
+                omega, values = omega[order], values[order]
+            grid, resampled = _to_midpoint_grid(omega, values, kind)
+    except (FloatingPointError, ConfigurationError) as exc:
+        raise InputDataError(f"spectrum axis gives no usable frequency grid: {exc}") from exc
     return SpectralPattern(grid=grid, values=resampled, kind=kind)
 
 
@@ -208,7 +207,7 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    atomic_write_text(path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    write_json(path, asdict(manifest))
 
 
 def read_manifest(path) -> RunManifest:

@@ -41,8 +41,8 @@ class FrequencyGrid:
     n_bins: int = 4096
 
     def __post_init__(self):
-        if self.omega_max <= 0.0 or not math.isfinite(self.omega_max):
-            raise ConfigurationError("omega_max must be positive and finite")
+        if not (self.omega_max > 0.0 and math.isfinite(self.span)):
+            raise ConfigurationError("omega_max must be positive with a finite span")
         if self.n_bins < 16:
             raise ConfigurationError("frequency grid needs at least 16 bins")
         if self.n_bins % 2 != 0:

@@ -18,6 +18,7 @@ from qwkt import (
     EstimationError,
     ForwardModelConfig,
     FrequencyGrid,
+    InputDataError,
     MalformedSpectrumError,
     OutcomeTable,
     QuadratureError,
@@ -224,6 +225,23 @@ def test_mle_pair_only_trial_count_comes_from_table():
     assert fitted_tau(1) == fitted_tau(20_000)
 
 
+def test_mle_pair_only_rejects_trials_below_pair_counts():
+    # with fewer trials than a bin's pairs the binomial's N - n goes
+    # negative; 2,000 trials on this 20,000-trial table read 200.87 fs
+    counts, model = _counts_table(
+        DelayProfile.single(2e-13), 20_000, seed=3, variant="trinomial", n_bins=64
+    )
+    assert np.max(counts.counts_coincidence) > 2_000
+    partial = OutcomeTable(
+        variant="trinomial",
+        grid=counts.grid,
+        counts_coincidence=counts.counts_coincidence,
+        n_trials=2_000,
+    )
+    with pytest.raises(InputDataError, match="2000 trials"):
+        mle_fit(partial, model, SRC, k_layers=1)
+
+
 def _full_scan_fit(counts, model, cfg, k):
     """Log-likelihood of the fit as it was before peak seeding, kept as an
     oracle: from the peak layers, a 21-point scan of every parameter in
@@ -328,6 +346,10 @@ def test_mle_validates_inputs():
     other = DetectionModel(counts.grid, variant="trinomial")
     with pytest.raises(ConfigurationError):
         mle_fit(counts, other, SRC, k_layers=1)
+    # a model on 10 sigma fitted a 12 sigma table about 40 stderr off
+    elsewhere = DetectionModel(FrequencyGrid(omega_max=10.0 * SIGMA, n_bins=64))
+    with pytest.raises(ConfigurationError, match="grids"):
+        mle_fit(counts, elsewhere, SRC, k_layers=1)
 
 
 # -------------------------------------------------- shared forward model

@@ -4,9 +4,13 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwkt import (
     BiphotonSource,
@@ -22,9 +26,10 @@ from qwkt import (
 )
 from qwkt.cli import main
 from qwkt.io import (
+    OMEGA_HEADER,
+    WAVELENGTH_HEADER,
     RunManifest,
     difference_frequency_from_wavelength,
-    format_float,
     wavelength_from_difference_frequency,
     write_json,
     write_table,
@@ -47,17 +52,14 @@ def _pattern(kind="ideal-density", n_bins=64):
 # ------------------------------------------------------------------ helpers
 
 
-def test_format_float_shortest_exact():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
-
-
 def test_write_table_cell_formats(tmp_path):
+    # floats at 17 significant digits, not the shortest repr: 0.1 is spelled out
     out = tmp_path / "table.csv"
-    row = (3, np.int64(-7), None, "x", -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2)
-    write_table(out, tuple("abcdefghi"), [row], comments=("note",))
+    row = (3, np.int64(-7), None, "x", -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, 0.1)
+    write_table(out, tuple("abcdefghij"), [row], comments=("note",))
     assert out.read_bytes() == (
-        b"# note\na,b,c,d,e,f,g,h,i\n3,-7,,x,-0,inf,-inf,nan,0.30000000000000004\n"
+        b"# note\na,b,c,d,e,f,g,h,i,j\n"
+        b"3,-7,,x,-0,inf,-inf,nan,0.30000000000000004,0.10000000000000001\n"
     )
 
 
@@ -150,6 +152,70 @@ def test_read_spectrum_validation(tmp_path):
     path.write_text("")
     with pytest.raises(InputDataError):
         read_spectrum(path)
+
+
+def _spectrum_text(header, rows):
+    return "\n".join([",".join(header), *(f"{a!r},{v!r}" for a, v in rows)]) + "\n"
+
+
+_BAD_CELLS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _spectrum_files(draw):
+    """Spectrum CSV text: 16-41 rows, so odd and even counts; an axis that
+    is symmetric, one-sided or asymmetric, at any float64 scale; and up to
+    two nan/inf cells in either column."""
+    header = draw(st.sampled_from([OMEGA_HEADER, WAVELENGTH_HEADER]))
+    n = draw(st.integers(16, 41))
+    step = draw(st.one_of(st.floats(1e-3, 10.0), st.floats(0.0, 1e308, exclude_min=True)))
+    start = draw(st.one_of(
+        st.just(-0.5 * (n - 1) * step), st.floats(1.0, 2000.0), st.floats(-1e308, 1e308)
+    ))
+    axis = [start + i * step for i in range(n)]
+    if header == WAVELENGTH_HEADER:
+        values = draw(st.lists(st.integers(0, 10**6).map(float), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(0.0, 1e308), min_size=n, max_size=n))
+    columns = [axis, values]
+    cells = st.tuples(st.integers(0, 1), st.integers(0, n - 1), _BAD_CELLS)
+    for column, row, bad in draw(st.lists(cells, max_size=2)):
+        columns[column][row] = bad
+    return _spectrum_text(header, zip(*columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_spectrum_files())
+def test_read_spectrum_loads_finite_or_raises_input_error(tmp_path_factory, text):
+    # never a ConfigurationError (exit 2) or a leaked RuntimeWarning
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pattern = read_spectrum(path)
+        except InputDataError:
+            return
+    assert np.all(np.isfinite(pattern.grid.values))
+    assert np.all(np.isfinite(pattern.values))
+
+
+@pytest.mark.parametrize("header, row, at", [
+    (WAVELENGTH_HEADER, (math.inf, 5.0), -1),  # was resampled onto a 4.65e15 rad/s grid
+    (WAVELENGTH_HEADER, (-5.0, 5.0), 0),  # was resampled onto a 7.6e17 rad/s grid
+    (WAVELENGTH_HEADER, (0.0, 5.0), 0),  # was exit 2 plus a RuntimeWarning
+    (OMEGA_HEADER, (math.inf, 5.0), -1),  # was exit 2 plus a RuntimeWarning
+])
+def test_cli_estimate_rejects_bad_abscissa(tmp_path, capsys, header, row, at):
+    rows = [(800.0 + i, 5.0) for i in range(32)]
+    rows[at] = row
+    path = tmp_path / "bad.csv"
+    path.write_text(_spectrum_text(header, rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_read_spectrum_counts_must_be_integers(tmp_path):
@@ -260,6 +326,10 @@ def test_cli_trinomial_estimate_requires_trials(tmp_path, capsys):
     capsys.readouterr()
     assert _run(fit) == 2
     assert "--trials" in capsys.readouterr().err
+    assert not est.exists()
+    # fewer trials than a bin's pairs read 200.87 fs +/- 0.048 fs with exit 0
+    assert _run([*fit, "--trials", "2000"]) == 3
+    assert "2000 trials" in capsys.readouterr().err
     assert not est.exists()
     assert _run([*fit, "--trials", "20000"]) == 0
     layer = json.loads(est.read_text())["mle"]["layers"][0]
@@ -375,3 +445,75 @@ def test_cli_manifest_contents(tmp_path):
     assert manifest.output_digests[out.name] == sha256_digest(out)
     assert manifest.version
     assert manifest.duration_seconds >= 0.0
+
+
+_RUNS = {
+    "simulate": (["--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "s.csv"],
+                 {"s.csv"}),
+    "estimate": (["--input", "in.csv", "--out", "e.json"], {"e.json", "e.correlation.csv"}),
+    "fisher": (["--tau-ps", "0.3", "--out", "f.csv"], {"f.csv"}),
+    "sweep": (["--tau-axis", "0.5", "--out", "w.csv"], {"w.csv", "w.monotonicity.json"}),
+    "wkt-demo": (["--waveform", "cosine", "--out", "d"],
+                 {"d.signal.csv", "d.autocorrelation.csv", "d.spectrum.csv"}),
+}
+
+
+def _simulate_input(name="in.csv"):
+    assert _run(["simulate", "--tau-ps", "0.2", "--bins", "256", "--trials", "1000",
+                 "--seed", "1", "--out", name]) == 0
+
+
+def _assert_manifest(path, command, outputs):
+    manifest = read_manifest(path)
+    assert manifest.command == command
+    assert manifest.output_digests == {name: sha256_digest(name) for name in outputs}
+    return manifest
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_cli_manifest_records_run(tmp_path, monkeypatch, command, override):
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    input_digest = sha256_digest("in.csv")
+    argv, outputs = _RUNS[command]
+    default = f"{argv[-1]}.manifest.json"
+    path = "custom.json" if override else default
+    assert _run([command, *argv, *(["--manifest", path] if override else [])]) == 0
+    manifest = _assert_manifest(path, command, outputs)
+    assert os.path.exists(default) != override
+    expected_inputs = {"in.csv": input_digest} if command == "estimate" else {}
+    assert manifest.input_digests == expected_inputs
+
+
+def test_cli_manifest_digests_input_before_out_overwrites_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    before = sha256_digest("in.csv")
+    assert _run(["estimate", "--input", "in.csv", "--out", "in.csv"]) == 0
+    manifest = _assert_manifest("in.csv.manifest.json", "estimate", {"in.csv", "in.correlation.csv"})
+    assert manifest.input_digests == {"in.csv": before}
+    assert manifest.output_digests["in.csv"] != before
+
+
+def test_cli_estimate_failure_still_records_run(tmp_path, monkeypatch):
+    # exit 4: the partial result, the sidecar and the manifest are written
+    monkeypatch.chdir(tmp_path)
+    Path("zero.csv").write_text(
+        _spectrum_text(OMEGA_HEADER, (((i - 31.5) * 1e12, 0.0) for i in range(64)))
+    )
+    assert _run(["estimate", "--input", "zero.csv", "--out", "e.json"]) == 4
+    payload = json.loads(Path("e.json").read_text())
+    assert payload["error"] and "peaks" not in payload
+    manifest = _assert_manifest("e.json.manifest.json", "estimate", {"e.json", "e.correlation.csv"})
+    assert manifest.input_digests == {"zero.csv": sha256_digest("zero.csv")}
+
+
+def test_cli_sweep_failure_still_records_run(tmp_path, monkeypatch):
+    # exit 4 when every cell fails: the CSV, its sidecar and the manifest are written
+    monkeypatch.chdir(tmp_path)
+    assert _run(["sweep", "--alpha-axis", "1.5", "--out", "w.csv"]) == 4
+    rows = [r for r in Path("w.csv").read_text().splitlines() if r and not r.startswith("#")]
+    assert len(rows) == 2 and rows[1].split(",")[-1]
+    assert Path("w.monotonicity.json").exists()
+    _assert_manifest("w.csv.manifest.json", "sweep", {"w.csv", "w.monotonicity.json"})
