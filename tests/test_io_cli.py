@@ -52,6 +52,15 @@ def _pattern(kind="ideal-density", n_bins=64):
 # ------------------------------------------------------------------ helpers
 
 
+def test_format_float_shortest_exact(tmp_path):
+    # a float cell is spelled at 17 significant digits and reads back exactly
+    out = tmp_path / "floats.csv"
+    write_table(out, ("a", "b"), [(0.1, 1.0 / 3.0)])
+    cells = out.read_text().splitlines()[1].split(",")
+    assert cells[0] == "0.10000000000000001"
+    assert float(cells[1]) == 1.0 / 3.0
+
+
 def test_write_table_cell_formats(tmp_path):
     # floats at 17 significant digits, not the shortest repr: 0.1 is spelled out
     out = tmp_path / "table.csv"
