@@ -144,17 +144,11 @@ class DelayProfile:
 class ForwardModelConfig:
     """Fringe convention of the spectral forward model.
 
-    ``phi`` is a constant interferometric phase offset; ``fringe_sign``
-    selects the sign of the modulation relative to each model's canonical
-    form (+1 keeps the printed form, -1 flips the fringe).
+    ``phi`` is a constant interferometric phase offset; ``phi = pi`` flips
+    the sign of every fringe.
     """
 
     phi: float = 0.0
-    fringe_sign: int = +1
-
-    def __post_init__(self):
-        if self.fringe_sign not in (+1, -1):
-            raise ConfigurationError("fringe_sign must be +1 or -1")
 
 
 def temporal_modes(source: BiphotonSource, profile: DelayProfile, t: np.ndarray):
@@ -267,11 +261,12 @@ def joint_spectral_intensity(
     """Joint spectral intensity over the difference frequency.
 
     ``F(omega) = envelope_density(omega) *
-    [1 - fringe_sign * sum_i a_i cos(omega tau_i + phi)] / 2``.
+    [1 - sum_i a_i cos(omega tau_i + phi)] / 2``; ``phi = pi`` turns the
+    bracket into ``1 + sum_i a_i cos(omega tau_i)``.
 
     Nonnegative everywhere because the layer weights sum to one; tiny
     negative rounding residues at fringe zeros are clipped to 0.
     """
     omega = np.asarray(omega, dtype=float)
-    bracket = 1.0 - cfg.fringe_sign * fringe_factor(profile, cfg, omega)
+    bracket = 1.0 - fringe_factor(profile, cfg, omega)
     return envelope_density(omega, source.sigma_spectral) * np.maximum(bracket, 0.0) / 2.0

@@ -50,10 +50,10 @@ from .io import (
     write_table,
 )
 from .transform import (
-    FrequencyGrid,
     SpectralPattern,
     TemporalGrid,
     classical_wkt,
+    default_frequency_grid,
     inverse_qwkt,
 )
 
@@ -115,12 +115,6 @@ def _source_from_args(args) -> BiphotonSource:
     )
 
 
-def _grid_from_args(args, source: BiphotonSource) -> FrequencyGrid:
-    return FrequencyGrid(
-        omega_max=args.span_sd * 2.0 * source.sigma_spectral, n_bins=args.bins
-    )
-
-
 def _add_source_options(parser) -> None:
     parser.add_argument("--sigma-nm", type=float, default=20.0,
                         help="single-photon bandwidth, nm equivalent")
@@ -161,7 +155,7 @@ def _finish(args, started: float, config: dict, outputs, seed=None, inputs=()) -
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     source = _source_from_args(args)
-    grid = _grid_from_args(args, source)
+    grid = default_frequency_grid(source, n_bins=args.bins, span_sd=args.span_sd)
     if (args.tau_ps is None) == (args.layers is None):
         raise ConfigurationError("provide exactly one of --tau-ps or --layers")
     if args.tau_ps is not None:
@@ -224,6 +218,8 @@ def cmd_estimate(args) -> int:
     source = _source_from_args(args)
     in_path = Path(args.input)
     pattern = read_spectrum(in_path, center_wavelength=args.center_nm * 1e-9)
+    if args.mle and pattern.kind != "counts":
+        raise InputDataError("--mle needs a counts spectrum; this file is an ideal density")
     out = Path(args.out)
     sidecar = out.parent / (out.stem + ".correlation.csv")
     result: dict = {"schema_version": SCHEMA_VERSION, "command": "estimate", "input": str(in_path)}
@@ -243,20 +239,22 @@ def cmd_estimate(args) -> int:
         "out": str(out),
     }
     inputs = ((in_path.name, sha256_digest(in_path)),)
-
     correlation = inverse_qwkt(pattern)
-    write_table(
-        sidecar,
-        ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),
-        (
-            (t, v.real, v.imag, abs(v))
-            for t, v in zip(correlation.grid.values, correlation.values)
-        ),
-        comments=(f"qwkt {__version__} estimate: inverted correlation",),
-    )
 
-    if args.mle and pattern.kind != "counts":
-        raise InputDataError("--mle needs a counts spectrum; this file is an ideal density")
+    def write_outputs() -> None:
+        # only once the estimate stands or failed as exit 4: a run that
+        # exits 2 or 3 leaves no files behind
+        write_table(
+            sidecar,
+            ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),
+            (
+                (t, v.real, v.imag, abs(v))
+                for t, v in zip(correlation.grid.values, correlation.values)
+            ),
+            comments=(f"qwkt {__version__} estimate: inverted correlation",),
+        )
+        write_json(out, result)
+        _finish(args, started, config, (out, sidecar), inputs=inputs)
 
     try:
         report = extract_delays(
@@ -318,11 +316,9 @@ def cmd_estimate(args) -> int:
             }
     except EstimationError as exc:
         result["error"] = str(exc)
-        write_json(out, result)
-        _finish(args, started, config, (out, sidecar), inputs=inputs)
+        write_outputs()
         raise
-    write_json(out, result)
-    _finish(args, started, config, (out, sidecar), inputs=inputs)
+    write_outputs()
     return 0
 
 

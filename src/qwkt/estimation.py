@@ -38,7 +38,7 @@ from .hom import (
     _category_slopes,
     _variant_envelope,
 )
-from .transform import FrequencyGrid, SpectralPattern, TemporalGrid, inverse_qwkt
+from .transform import SpectralPattern, TemporalGrid, default_frequency_grid, inverse_qwkt
 
 _MAX_LAYERS = 4
 _MAX_AXIS_POINTS = 256
@@ -313,7 +313,7 @@ class _Likelihood:
         probs = self._probabilities(x[None])
         value = float(self._value(probs)[0])
         probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
-        slopes = _category_slopes(self.model, self.env, self.cfg.fringe_sign, probs)
+        slopes = _category_slopes(self.model, self.env, probs)
         if self.model.variant == "trinomial" and not self.complete:
             n = self.counts[0]
             terms = [(probs[0], n, slopes[0]), (1.0 - probs[0], self.n_trials - n, -slopes[0])]
@@ -343,9 +343,7 @@ class _Likelihood:
         return value, jac.T @ g, hessian
 
     def _probabilities(self, x: np.ndarray) -> tuple:
-        return _category_probabilities(
-            self.model, self.env, x, self.cfg.fringe_sign, bunching=self.counts[1] is not None
-        )
+        return _category_probabilities(self.model, self.env, x, bunching=self.counts[1] is not None)
 
     def _value(self, probs: tuple) -> np.ndarray:
         n_anti = self.counts[0]
@@ -695,7 +693,7 @@ def sweep(
         g_omega = crb = error = None
         try:
             source = BiphotonSource(sigma_spectral=sigma)
-            grid = FrequencyGrid(omega_max=span_sd * 2.0 * sigma, n_bins=16)
+            grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
             model = DetectionModel(grid, gamma=gamma, alpha=alpha, n_trials=n_trials, variant=variant)
             report = fisher_information(source, tau, model)
             g_omega, crb = report.g_omega, report.crb

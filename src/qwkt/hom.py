@@ -13,7 +13,7 @@ one photon lost, both lost) sum to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -40,25 +40,17 @@ class JointAmplitude:
     Gaussian in the difference frequency (RMS 2 sigma in intensity, from
     anticorrelated photons of single-photon RMS sigma) times a narrow
     Gaussian in the sum frequency standing in for the near-monochromatic
-    pump line. The sum-frequency width only makes the amplitude square
-    integrable in 2D; it cancels in every normalized quantity. Unit
+    pump line. The sum-frequency width, sigma / 100, only makes the
+    amplitude square integrable in 2D; it cancels in every normalized
+    quantity. Unit
     normalized: the squared modulus integrates to 1 over the plane.
     """
 
     source: BiphotonSource
-    sum_bandwidth: float | None = None
-    symmetric: bool = field(init=False)
 
-    def __post_init__(self):
-        if self.sum_bandwidth is None:
-            object.__setattr__(self, "sum_bandwidth", self.source.sigma_spectral / 100.0)
-        if self.sum_bandwidth <= 0.0:
-            raise ConfigurationError("sum_bandwidth must be positive")
-        object.__setattr__(
-            self,
-            "symmetric",
-            abs(self.difference_center) <= 1e-9 * self.source.sigma_spectral,
-        )
+    @property
+    def sum_bandwidth(self) -> float:
+        return self.source.sigma_spectral / 100.0
 
     @property
     def sum_center(self) -> float:
@@ -240,7 +232,6 @@ def _category_probabilities(
     model: DetectionModel,
     env: np.ndarray,
     fringe: np.ndarray,
-    fringe_sign: int,
     bunching: bool = True,
 ) -> tuple:
     """Outcome probabilities for rows of the weighted fringe.
@@ -255,7 +246,7 @@ def _category_probabilities(
     """
     gamma = model.gamma
     survive = (1.0 - gamma) ** 2
-    mod = fringe_sign * model.alpha * fringe
+    mod = model.alpha * fringe
     if model.variant == "two-port":
         scaled = survive * env
         anti = scaled * np.maximum(1.0 - mod, 0.0) / 2.0
@@ -265,7 +256,7 @@ def _category_probabilities(
     return pair, None, (1.0 - gamma**2) - pair, gamma**2
 
 
-def _category_slopes(model: DetectionModel, env: np.ndarray, fringe_sign: int, probs: tuple) -> tuple:
+def _category_slopes(model: DetectionModel, env: np.ndarray, probs: tuple) -> tuple:
     """Derivatives by the fringe x of the ``_category_probabilities`` blocks
     ``probs`` of one fringe row.
 
@@ -276,7 +267,7 @@ def _category_slopes(model: DetectionModel, env: np.ndarray, fringe_sign: int, p
     the pair block's complement.
     """
     at_one, at_zero = (
-        _category_probabilities(model, env, np.full(env.shape, x), fringe_sign) for x in (1.0, 0.0)
+        _category_probabilities(model, env, np.full(env.shape, x)) for x in (1.0, 0.0)
     )
     stopped = [isinstance(p, np.ndarray) and p == 0.0 for p in probs[:2]]
     stopped += [stopped[0], False]
@@ -294,21 +285,18 @@ def outcome_probabilities(
 ) -> OutcomeTable:
     """Outcome probability table for the configured detection model.
 
-    two-port: anti-bunch bins carry ``(1-gamma)^2 env_bin (1 - s alpha x)/2``
-    and bunch bins ``(1-gamma)^2 env_bin (1 + s alpha x)/2`` where ``x`` is
-    the weighted fringe ``sum_i a_i cos(omega tau_i + phi)`` and ``s`` the
-    fringe sign; one photon lost has probability ``2 gamma (1-gamma)``,
-    both lost ``gamma^2``.
+    two-port: anti-bunch bins carry ``(1-gamma)^2 env_bin (1 - alpha x)/2``
+    and bunch bins ``(1-gamma)^2 env_bin (1 + alpha x)/2`` where ``x`` is
+    the weighted fringe ``sum_i a_i cos(omega tau_i + phi)``; one photon
+    lost has probability ``2 gamma (1-gamma)``, both lost ``gamma^2``.
 
     trinomial: per bin, pair detection ``(1-gamma)^2/2 env_norm
-    (1 + s alpha x)`` with the peak-normalized envelope, single click
+    (1 + alpha x)`` with the peak-normalized envelope, single click
     ``(1-gamma^2) - pair``, no click ``gamma^2``; each bin normalizes to 1.
     """
     env = _variant_envelope(model, source.sigma_spectral)
     x = fringe_factor(profile, cfg, model.grid.values)
-    coincidence, bunching, single, none = _category_probabilities(
-        model, env, x, cfg.fringe_sign
-    )
+    coincidence, bunching, single, none = _category_probabilities(model, env, x)
     return OutcomeTable(
         variant=model.variant,
         grid=model.grid,

@@ -23,7 +23,6 @@ import numpy as np
 from .biphoton import BiphotonSource
 from .errors import ConfigurationError, InputDataError
 
-_PAIRING_RTOL = 1e-9
 _IMAG_RESIDUE_RTOL = 1e-9
 _NEGATIVE_CLIP_RTOL = 1e-6
 
@@ -111,11 +110,6 @@ class TemporalGrid:
         span = 2.0 * math.pi / self.delta_t
         return FrequencyGrid(omega_max=span / 2.0, n_bins=self.n_bins)
 
-    def is_paired_with(self, grid: FrequencyGrid) -> bool:
-        if grid.n_bins != self.n_bins:
-            return False
-        return abs(self.delta_t * grid.span / (2.0 * math.pi) - 1.0) <= _PAIRING_RTOL
-
 
 @dataclass(frozen=True)
 class SpectralPattern:
@@ -184,38 +178,22 @@ def _midpoint_phases(n: int) -> tuple[np.ndarray, complex]:
     return u, constant
 
 
-def _apply_window(values: np.ndarray, window: str) -> np.ndarray:
-    if window == "none":
-        return values
-    if window == "hann":
-        return values * np.hanning(len(values))
-    raise ConfigurationError(f"unknown window {window!r}")
-
-
-def forward_qwkt(
-    correlation: TemporalCorrelation,
-    output_grid: FrequencyGrid | None = None,
-    window: str = "none",
-) -> SpectralPattern:
-    """Correlation function -> spectral pattern (midpoint sum via FFT).
+def forward_qwkt(correlation: TemporalCorrelation) -> SpectralPattern:
+    """Correlation function -> spectral pattern on the paired frequency
+    grid (midpoint sum via FFT).
 
     The result of the ``(1 / 2 pi) integral R(T) exp(+i omega T) dT``
     discretization must be real and nonnegative (the input correlation is
     expected to be symmetric); a relative imaginary residue above 1e-9
     raises an input error. Window-edge discretization residue can dip a
     few 1e-8 of the peak below zero; dips within 1e-6 of the peak are
-    clipped, larger ones signal an inconsistent input. ``window="hann"``
-    apodizes ingested real data before the transform.
+    clipped, larger ones signal an inconsistent input.
     """
     tgrid = correlation.grid
-    if output_grid is None:
-        output_grid = tgrid.paired_frequency_grid()
-    elif not tgrid.is_paired_with(output_grid):
-        raise ConfigurationError("temporal grid is not Nyquist-paired with the output grid")
+    grid = tgrid.paired_frequency_grid()
     n = tgrid.n_bins
     u, constant = _midpoint_phases(n)
-    values = _apply_window(correlation.values, window)
-    f = (tgrid.delta_t / (2.0 * math.pi)) * constant * u * (n * np.fft.ifft(values * u))
+    f = (tgrid.delta_t / (2.0 * math.pi)) * constant * u * (n * np.fft.ifft(correlation.values * u))
     scale = float(np.max(np.abs(f)))
     residue = float(np.max(np.abs(f.imag))) if scale > 0.0 else 0.0
     if scale > 0.0 and residue > _IMAG_RESIDUE_RTOL * scale:
@@ -227,10 +205,10 @@ def forward_qwkt(
     floor = -_NEGATIVE_CLIP_RTOL * scale
     if np.any(real < floor):
         raise InputDataError("transform output has significantly negative values")
-    return SpectralPattern(grid=output_grid, values=np.maximum(real, 0.0), kind="ideal-density")
+    return SpectralPattern(grid=grid, values=np.maximum(real, 0.0), kind="ideal-density")
 
 
-def inverse_qwkt(pattern: SpectralPattern, window: str = "none") -> TemporalCorrelation:
+def inverse_qwkt(pattern: SpectralPattern) -> TemporalCorrelation:
     """Spectral pattern -> correlation function on the conjugate grid.
 
     Discretizes ``R(T) = integral F(omega) exp(-i omega T) domega``. The
@@ -242,8 +220,7 @@ def inverse_qwkt(pattern: SpectralPattern, window: str = "none") -> TemporalCorr
     n = grid.n_bins
     u, constant = _midpoint_phases(n)
     u_conj = np.conj(u)
-    values = _apply_window(pattern.values, window)
-    r = grid.delta_omega * np.conj(constant) * u_conj * np.fft.fft(values * u_conj)
+    r = grid.delta_omega * np.conj(constant) * u_conj * np.fft.fft(pattern.values * u_conj)
     return TemporalCorrelation(grid=tgrid, values=r)
 
 

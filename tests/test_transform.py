@@ -66,10 +66,10 @@ def test_grid_validation():
 def test_temporal_grid_pairing():
     g = FrequencyGrid(omega_max=8.0, n_bins=64)
     tg = TemporalGrid.conjugate_of(g)
-    assert tg.is_paired_with(g)
     assert tg.delta_t * g.delta_omega * g.n_bins == pytest.approx(2.0 * math.pi, rel=1e-15)
-    other = FrequencyGrid(omega_max=8.0, n_bins=32)
-    assert not tg.is_paired_with(other)
+    paired = tg.paired_frequency_grid()
+    assert paired.n_bins == g.n_bins
+    assert paired.omega_max == pytest.approx(g.omega_max, rel=1e-15)
 
 
 def test_default_grid_spans_six_widths():
@@ -191,25 +191,6 @@ def test_forward_rejects_asymmetric_correlation():
     corr = TemporalCorrelation(tg, rng.normal(size=64) + 1j * rng.normal(size=64))
     with pytest.raises(InputDataError):
         forward_qwkt(corr)
-
-
-def test_forward_output_grid_must_pair():
-    g = FrequencyGrid(omega_max=4.0, n_bins=64)
-    corr = inverse_qwkt(SpectralPattern(g, np.exp(-0.5 * g.values**2)))
-    with pytest.raises(ConfigurationError):
-        forward_qwkt(corr, output_grid=FrequencyGrid(omega_max=4.0, n_bins=32))
-
-
-def test_hann_window_equals_premultiplied():
-    g = FrequencyGrid(omega_max=6.0, n_bins=128)
-    rng = np.random.default_rng(9)
-    corr = inverse_qwkt(_random_band_limited(g, rng))
-    windowed = forward_qwkt(corr, window="hann")
-    taper = np.hanning(corr.values.size)
-    manual = forward_qwkt(TemporalCorrelation(corr.grid, corr.values * taper))
-    assert windowed.values == pytest.approx(manual.values, rel=1e-12, abs=1e-15)
-    with pytest.raises(ConfigurationError):
-        forward_qwkt(corr, window="blackman")
 
 
 def test_source_correlation_spectrum_consistency():
