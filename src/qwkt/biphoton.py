@@ -40,8 +40,8 @@ def bandwidth_nm_to_rads(delta_lambda: float, center_lambda: float) -> float:
         RMS angular-frequency bandwidth in rad/s,
         ``2 pi c delta_lambda / center_lambda**2``.
     """
-    if delta_lambda <= 0.0 or center_lambda <= 0.0:
-        raise ValueError("bandwidth and center wavelength must be positive")
+    if not (0.0 < delta_lambda < math.inf and 0.0 < center_lambda < math.inf):
+        raise ValueError("bandwidth and center wavelength must be positive and finite")
     return 2.0 * math.pi * SPEED_OF_LIGHT * delta_lambda / center_lambda**2
 
 
@@ -61,11 +61,11 @@ class BiphotonSource:
     delta_temporal: float = field(init=False)
 
     def __post_init__(self):
-        if self.sigma_spectral <= 0.0:
-            raise ConfigurationError("sigma_spectral must be positive")
-        for name in ("center_wavelength_signal", "center_wavelength_idler", "pump_wavelength"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be positive")
+        for name in (
+            "sigma_spectral", "center_wavelength_signal", "center_wavelength_idler", "pump_wavelength"
+        ):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         lhs = 1.0 / self.center_wavelength_signal + 1.0 / self.center_wavelength_idler
         rhs = 1.0 / self.pump_wavelength
         if abs(lhs - rhs) > 1e-6 * rhs:
@@ -108,12 +108,12 @@ class DelayProfile:
             raise ConfigurationError("profile needs at least one layer")
         taus = [t for t, _ in self.layers]
         weights = [a for _, a in self.layers]
-        if any(t < 0.0 for t in taus):
-            raise ConfigurationError("delays must be nonnegative")
+        if any(not 0.0 <= t < math.inf for t in taus):
+            raise ConfigurationError("delays must be nonnegative and finite")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise ConfigurationError("delays must be strictly increasing")
-        if any(a <= 0.0 for a in weights):
-            raise ConfigurationError("weights must be positive")
+        if any(not 0.0 < a < math.inf for a in weights):
+            raise ConfigurationError("weights must be positive and finite")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ConfigurationError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "layers", tuple((float(t), float(a)) for t, a in self.layers))
@@ -138,17 +138,6 @@ class DelayProfile:
     @property
     def weights(self) -> np.ndarray:
         return np.array([a for _, a in self.layers])
-
-
-@dataclass(frozen=True)
-class ForwardModelConfig:
-    """Fringe convention of the spectral forward model.
-
-    ``phi`` is a constant interferometric phase offset; ``phi = pi`` flips
-    the sign of every fringe.
-    """
-
-    phi: float = 0.0
 
 
 def temporal_modes(source: BiphotonSource, profile: DelayProfile, t: np.ndarray):
@@ -243,12 +232,11 @@ def _layer_rows(taus: np.ndarray, phi: float, omega: np.ndarray) -> tuple[np.nda
     return np.cos(phase), np.sin(phase)
 
 
-def fringe_factor(
-    profile: DelayProfile, cfg: ForwardModelConfig, omega: np.ndarray
-) -> np.ndarray:
-    """Weighted interference term ``sum_i a_i cos(omega tau_i + phi)``."""
+def fringe_factor(profile: DelayProfile, omega: np.ndarray, phi: float = 0.0) -> np.ndarray:
+    """Weighted interference term ``sum_i a_i cos(omega tau_i + phi)``; the
+    constant phase offset ``phi = pi`` flips every fringe."""
     omega = np.asarray(omega, dtype=float)
-    rows = _fringe_rows(profile.delays[None], profile.weights[None], cfg.phi, omega.ravel())
+    rows = _fringe_rows(profile.delays[None], profile.weights[None], phi, omega.ravel())
     return rows.reshape(omega.shape)
 
 
@@ -256,7 +244,7 @@ def joint_spectral_intensity(
     source: BiphotonSource,
     profile: DelayProfile,
     omega: np.ndarray,
-    cfg: ForwardModelConfig = ForwardModelConfig(),
+    phi: float = 0.0,
 ) -> np.ndarray:
     """Joint spectral intensity over the difference frequency.
 
@@ -268,5 +256,5 @@ def joint_spectral_intensity(
     negative rounding residues at fringe zeros are clipped to 0.
     """
     omega = np.asarray(omega, dtype=float)
-    bracket = 1.0 - fringe_factor(profile, cfg, omega)
+    bracket = 1.0 - fringe_factor(profile, omega, phi)
     return envelope_density(omega, source.sigma_spectral) * np.maximum(bracket, 0.0) / 2.0

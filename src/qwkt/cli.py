@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,7 +23,6 @@ from ._version import __version__
 from .biphoton import (
     BiphotonSource,
     DelayProfile,
-    ForwardModelConfig,
     bandwidth_nm_to_rads,
     joint_spectral_intensity,
 )
@@ -38,7 +38,7 @@ from .estimation import (
     quantum_fisher_information,
     sweep,
 )
-from .hom import DetectionModel, OutcomeTable, outcome_probabilities, sample_counts
+from .hom import _MAX_TRIALS, DetectionModel, OutcomeTable, outcome_probabilities, sample_counts
 from .io import (
     SCHEMA_VERSION,
     RunManifest,
@@ -60,6 +60,13 @@ from .transform import (
 _UNIT_SCALE = {"": 1.0, "s": 1.0, "ps": 1e-12, "nm": 1e-9}
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_axis(spec: str, default_unit: str = "") -> list[float]:
     """Axis spec 'start:stop:count' or a single value, with optional unit
     suffix (ps, nm, s) applying to all values. count = 0 gives an empty axis."""
@@ -74,11 +81,11 @@ def _parse_axis(spec: str, default_unit: str = "") -> list[float]:
     parts = body.split(":")
     try:
         if len(parts) == 1:
-            return [float(parts[0]) * scale]
+            return [_finite(parts[0]) * scale]
         if len(parts) != 3:
             raise ValueError("expected start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
+        start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigurationError(f"bad axis spec {spec!r}: {exc}") from exc
     if count < 0:
         raise ConfigurationError(f"axis count must be nonnegative in {spec!r}")
@@ -93,17 +100,17 @@ def _parse_layers(spec: str) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise ConfigurationError(f"bad layer spec {chunk!r}: expected tau_ps:weight")
         try:
-            pairs.append((float(parts[0]) * 1e-12, float(parts[1])))
-        except ValueError as exc:
+            pairs.append((_finite(parts[0]) * 1e-12, _finite(parts[1])))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigurationError(f"bad layer spec {chunk!r}: {exc}") from exc
     return pairs
 
 
 def _trials(text: str) -> int:
-    value = int(float(text))
-    if value < 1:
-        raise argparse.ArgumentTypeError("trials must be a positive count")
-    return value
+    value = _finite(text)
+    if not (value.is_integer() and 1 <= value <= _MAX_TRIALS):
+        raise argparse.ArgumentTypeError(f"trials must be a whole number in [1, {_MAX_TRIALS}]")
+    return int(value)
 
 
 def _source_from_args(args) -> BiphotonSource:
@@ -116,24 +123,24 @@ def _source_from_args(args) -> BiphotonSource:
 
 
 def _add_source_options(parser) -> None:
-    parser.add_argument("--sigma-nm", type=float, default=20.0,
+    parser.add_argument("--sigma-nm", type=_finite, default=20.0,
                         help="single-photon bandwidth, nm equivalent")
-    parser.add_argument("--center-nm", type=float, default=810.0,
+    parser.add_argument("--center-nm", type=_finite, default=810.0,
                         help="signal/idler center wavelength, nm")
-    parser.add_argument("--pump-nm", type=float, default=405.0,
+    parser.add_argument("--pump-nm", type=_finite, default=405.0,
                         help="pump wavelength, nm")
 
 
 def _add_grid_options(parser) -> None:
     parser.add_argument("--bins", type=int, default=4096,
                         help="frequency bins (even)")
-    parser.add_argument("--span-sd", type=float, default=6.0,
+    parser.add_argument("--span-sd", type=_finite, default=6.0,
                         help="half window in units of the envelope RMS 2*sigma")
 
 
 def _add_model_options(parser) -> None:
-    parser.add_argument("--gamma", type=float, default=0.0, help="per-photon loss")
-    parser.add_argument("--alpha", type=float, default=1.0, help="fringe visibility")
+    parser.add_argument("--gamma", type=_finite, default=0.0, help="per-photon loss")
+    parser.add_argument("--alpha", type=_finite, default=1.0, help="fringe visibility")
     parser.add_argument("--variant", choices=("two-port", "trinomial"),
                         default="two-port", help="outcome model variant")
 
@@ -170,7 +177,6 @@ def cmd_simulate(args) -> int:
             f"layer delay {profile.delays[-1] * 1e12:.6g} ps is not below the grid's "
             f"unambiguous range {t_max * 1e12:.6g} ps; raise --bins or lower --span-sd"
         )
-    cfg = ForwardModelConfig(phi=args.phi)
     out = Path(args.out)
     comments = (
         f"qwkt {__version__} simulate",
@@ -178,14 +184,14 @@ def cmd_simulate(args) -> int:
         "delays_ps " + ",".join(format(t * 1e12, ".17g") for t in profile.delays),
     )
     if args.ideal:
-        values = joint_spectral_intensity(source, profile, grid.values, cfg)
+        values = joint_spectral_intensity(source, profile, grid.values, args.phi)
         pattern = SpectralPattern(grid=grid, values=values, kind="ideal-density")
     else:
         model = DetectionModel(
             grid=grid, gamma=args.gamma, alpha=args.alpha,
             n_trials=args.trials, variant=args.variant,
         )
-        table = outcome_probabilities(model, source, profile, cfg)
+        table = outcome_probabilities(model, source, profile, args.phi)
         sampled = sample_counts(table, args.trials, args.seed)
         pattern = SpectralPattern(
             grid=grid, values=sampled.counts_coincidence, kind="counts"
@@ -299,10 +305,7 @@ def cmd_estimate(args) -> int:
                 grid=pattern.grid,
                 counts_coincidence=pattern.values,
             )
-            fit = mle_fit(
-                counts_table, model, source, args.layers,
-                init=report, cfg=ForwardModelConfig(phi=args.phi),
-            )
+            fit = mle_fit(counts_table, model, source, args.layers, init=report, phi=args.phi)
             result["mle"] = {
                 "layers": [
                     {"tau_s": t, "weight": w, "stderr_tau_s": st, "stderr_weight": sw}
@@ -445,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_options(p)
     _add_grid_options(p)
     _add_model_options(p)
-    p.add_argument("--tau-ps", type=float, default=None, help="single layer delay, ps")
+    p.add_argument("--tau-ps", type=_finite, default=None, help="single layer delay, ps")
     p.add_argument("--layers", default=None, help="layer list tau_ps:weight,tau_ps:weight")
-    p.add_argument("--phi", type=float, default=0.0, help="fringe phase, rad")
+    p.add_argument("--phi", type=_finite, default=0.0, help="fringe phase, rad")
     p.add_argument("--ideal", action="store_true", help="write the ideal density instead of counts")
     p.add_argument("--trials", type=_trials, default=100000, help="trials to sample")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -457,28 +460,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_options(p)
     _add_model_options(p)
     p.add_argument("--input", required=True, help="spectrum CSV to analyze")
-    p.add_argument("--threshold", type=float, default=0.02, help="side-peak height threshold")
+    p.add_argument("--threshold", type=_finite, default=0.02, help="side-peak height threshold")
     p.add_argument("--min-separation", type=int, default=2, help="peak separation, grid steps")
     p.add_argument("--mle", action="store_true", help="refine with a maximum-likelihood fit")
     p.add_argument("--layers", type=int, default=1, help="layer count for the MLE")
     p.add_argument("--trials", type=_trials, default=None,
                    help="trials behind the counts: the per-bin count, required "
                         "for --variant trinomial; two-port default: column total")
-    p.add_argument("--phi", type=float, default=0.0, help="fringe phase, rad")
+    p.add_argument("--phi", type=_finite, default=0.0, help="fringe phase, rad")
     p.add_argument("--out", default="estimate.json", help="output JSON path")
 
     p = add("fisher", cmd_fisher, "Fisher information along a delay axis")
     _add_source_options(p)
     _add_model_options(p)
-    p.add_argument("--tau-ps", type=float, default=0.5, help="single delay, ps")
+    p.add_argument("--tau-ps", type=_finite, default=0.5, help="single delay, ps")
     p.add_argument("--tau-axis", default=None, help="delay axis start:stop:count[ps]")
     p.add_argument("--trials", type=_trials, default=1, help="trials for the CRB column")
-    p.add_argument("--span-sd", type=float, default=6.0,
+    p.add_argument("--span-sd", type=_finite, default=6.0,
                    help="integration half window in units of 2*sigma")
     p.add_argument("--out", default="fisher.csv", help="output CSV path")
 
     p = add("sweep", cmd_sweep, "Fisher information over a parameter grid")
-    p.add_argument("--center-nm", type=float, default=810.0,
+    p.add_argument("--center-nm", type=_finite, default=810.0,
                    help="signal/idler center wavelength, nm")
     p.add_argument("--variant", choices=("two-port", "trinomial"),
                    default="two-port", help="outcome model variant")
@@ -487,18 +490,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-axis", default="0", help="loss axis start:stop:count")
     p.add_argument("--alpha-axis", default="1", help="visibility axis start:stop:count")
     p.add_argument("--trials", type=_trials, default=1, help="trials for the CRB column")
-    p.add_argument("--span-sd", type=float, default=6.0,
+    p.add_argument("--span-sd", type=_finite, default=6.0,
                    help="integration half window in units of 2*sigma")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
 
     p = add("wkt-demo", cmd_wkt_demo, "classical time series, autocorrelation, spectrum")
     p.add_argument("--waveform", required=True,
                    choices=("cosine", "gaussian-pulse", "two-pulse"))
-    p.add_argument("--frequency-hz", type=float, default=5.0, help="cosine frequency")
-    p.add_argument("--rate-hz", type=float, default=64.0, help="sample rate")
-    p.add_argument("--duration-s", type=float, default=8.0, help="record length")
-    p.add_argument("--width-s", type=float, default=0.25, help="pulse RMS width")
-    p.add_argument("--delay-s", type=float, default=1.0, help="two-pulse separation")
+    p.add_argument("--frequency-hz", type=_finite, default=5.0, help="cosine frequency")
+    p.add_argument("--rate-hz", type=_finite, default=64.0, help="sample rate")
+    p.add_argument("--duration-s", type=_finite, default=8.0, help="record length")
+    p.add_argument("--width-s", type=_finite, default=0.25, help="pulse RMS width")
+    p.add_argument("--delay-s", type=_finite, default=1.0, help="two-pulse separation")
     p.add_argument("--out", default="wkt", help="output path prefix")
     return parser
 

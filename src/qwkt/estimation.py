@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .biphoton import (
-    BiphotonSource,
-    DelayProfile,
-    ForwardModelConfig,
-    _fringe_rows,
-    _layer_rows,
-    envelope_density,
-)
+from .biphoton import BiphotonSource, _fringe_rows, _layer_rows, envelope_density
 from .errors import (
     ConfigurationError,
     EstimationError,
@@ -145,7 +138,7 @@ def extract_delays(
     interpolation. Side-peak weights are twice the height ratio to the main
     peak, renormalized to unit sum.
     """
-    if threshold <= 0.0 or threshold >= 1.0:
+    if not 0.0 < threshold < 1.0:
         raise ConfigurationError("threshold must lie in (0, 1)")
     if min_separation < 1:
         raise ConfigurationError("min_separation must be at least 1")
@@ -159,11 +152,8 @@ def extract_delays(
             f"main correlation peak sits at T={t[main_idx]:.3e}s, "
             "not at zero delay; spectrum is malformed"
         )
-    _, main_height = _parabolic_offset(
-        y[main_idx - 1] if main_idx > 0 else y[main_idx],
-        y[main_idx],
-        y[main_idx + 1] if main_idx + 1 < y.size else y[main_idx],
-    )
+    # |T| <= 2 dt keeps the main peak's neighbours inside the grid
+    _, main_height = _parabolic_offset(y[main_idx - 1], y[main_idx], y[main_idx + 1])
     if main_height <= 0.0:
         raise MalformedSpectrumError("spectrum inverts to an empty correlation")
 
@@ -174,14 +164,11 @@ def extract_delays(
     )
     found = []
     for p in peak_idx:
+        # find_peaks skips the segment's ends; t[idx] >= 1.5 dt and |delta| <= 1
+        # keep the refined delay at or above 0.5 dt
         idx = half + int(p)
-        if idx <= 0 or idx + 1 >= y.size:
-            continue
         delta, height = _parabolic_offset(y[idx - 1], y[idx], y[idx + 1])
-        tau_hat = t[idx] + delta * dt
-        if tau_hat <= 0.0:
-            continue
-        found.append((tau_hat, height))
+        found.append((t[idx] + delta * dt, height))
     found.sort()
 
     raw_weights = [2.0 * h / main_height for _, h in found]
@@ -244,28 +231,26 @@ class _Likelihood:
     """Multinomial log-likelihood of an outcome table under candidate layers.
 
     Candidates come in rows; the outcome probabilities of every row come
-    from the forward model shared with ``outcome_probabilities``.
-    Categories absent from the table (a spectrum file carries anti-bunch
-    counts only) are handled by conditioning on the observed categories:
-    their probabilities are renormalized by the observed total mass. A
-    trinomial table with pair counts only is fitted by the per-bin binomial
-    marginal with known trials, which no bin's pair count may exceed.
+    from the forward model shared with ``outcome_probabilities``. The table
+    is read once into ``terms``, one (category, counts) pair per observed
+    block, the category indexing ``_category_probabilities``. Categories
+    absent from a two-port table (a spectrum file carries anti-bunch counts
+    only) are handled by conditioning on the observed categories: their
+    probabilities are renormalized by the observed total mass. A trinomial
+    table with pair counts only is fitted by the per-bin binomial marginal
+    with known trials, which no bin's pair count may exceed; its second
+    term, category None, is the 1 - pair rest.
     """
 
     def __init__(
-        self,
-        counts: OutcomeTable,
-        model: DetectionModel,
-        source: BiphotonSource,
-        cfg: ForwardModelConfig,
+        self, counts: OutcomeTable, model: DetectionModel, source: BiphotonSource, phi: float
     ):
         if counts.counts_coincidence is None:
             raise InputDataError("outcome table holds no counts to fit")
         if counts.total_counts() <= 0:
             raise InputDataError("outcome table has zero total counts; no likelihood mass")
         self.model = model
-        self.n_trials = model.n_trials if counts.n_trials is None else counts.n_trials
-        self.cfg = cfg
+        self.phi = phi
         self.omega = model.grid.values
         self.env = _variant_envelope(model, source.sigma_spectral)
         two_port = model.variant == "two-port"
@@ -275,15 +260,23 @@ class _Likelihood:
             counts.counts_single,
             counts.counts_none,
         )
-        # (coincidence, bunching, single, none), the layout of the model's
-        # category probabilities; None where the table carries no counts
-        self.counts = tuple(None if b is None else np.asarray(b, dtype=float) for b in blocks)
-        self.complete = all(c is not None for c in self.counts[1 if two_port else 2 :])
-        if not (two_port or self.complete) and np.max(self.counts[0]) > self.n_trials:
-            # the binomial's n_trials - n would go negative
-            raise InputDataError(f"a bin holds more pairs than its {self.n_trials} trials")
-        self.totals = tuple(None if c is None else float(np.sum(c)) for c in self.counts)
-        self.observed = sum(t for t in self.totals if t is not None)
+        self.bunching = blocks[1] is not None
+        # a category with one probability for every bin needs only its total
+        self.terms = []
+        for c, (block, p) in enumerate(zip(blocks, self._probabilities(np.zeros_like(self.env)))):
+            if block is not None:
+                n = np.asarray(block, dtype=float)
+                self.terms.append((c, n if isinstance(p, np.ndarray) else float(np.sum(n))))
+        self.observed = sum(float(np.sum(n)) for _, n in self.terms)
+        complete = len(self.terms) == (4 if two_port else 3)
+        self.conditioned = two_port and not complete
+        if not (two_port or complete):
+            n_trials = model.n_trials if counts.n_trials is None else counts.n_trials
+            pairs = self.terms[0][1]
+            if np.max(pairs) > n_trials:
+                # the binomial's n_trials - n would go negative
+                raise InputDataError(f"a bin holds more pairs than its {n_trials} trials")
+            self.terms = [(0, pairs), (None, n_trials - pairs)]
         self.rows_per_chunk = max(1, _CHUNK_CELLS // self.omega.size)
 
     def log_likelihood(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -291,7 +284,7 @@ class _Likelihood:
         out = np.empty(taus.shape[0])
         step = self.rows_per_chunk
         for i in range(0, taus.shape[0], step):
-            x = _fringe_rows(taus[i : i + step], weights[i : i + step], self.cfg.phi, self.omega)
+            x = _fringe_rows(taus[i : i + step], weights[i : i + step], self.phi, self.omega)
             out[i : i + step] = self._value(self._probabilities(x))
         return out
 
@@ -306,7 +299,7 @@ class _Likelihood:
         of x-slope m. Bins at the 1e-300 log floor contribute nothing.
         """
         k = taus.size
-        cos, sin = _layer_rows(taus, self.cfg.phi, self.omega)
+        cos, sin = _layer_rows(taus, self.phi, self.omega)
         x = np.zeros(self.omega.size)
         for a, row in zip(weights, cos):
             x += a * row
@@ -314,11 +307,10 @@ class _Likelihood:
         value = float(self._value(probs)[0])
         probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
         slopes = _category_slopes(self.model, self.env, probs)
-        if self.model.variant == "trinomial" and not self.complete:
-            n = self.counts[0]
-            terms = [(probs[0], n, slopes[0]), (1.0 - probs[0], self.n_trials - n, -slopes[0])]
-        else:
-            terms = [(p, n, s) for p, n, s in zip(probs, self.counts, slopes) if n is not None]
+        terms = [
+            (1.0 - probs[0], n, -slopes[0]) if c is None else (probs[c], n, slopes[c])
+            for c, n in self.terms
+        ]
         g, curvature = np.zeros(x.size), np.zeros(x.size)
         for p, n, s in terms:
             ratio = s * np.divide(1.0, p, out=np.zeros_like(x), where=p > 1e-300)
@@ -326,7 +318,7 @@ class _Likelihood:
             curvature -= n * ratio * ratio
         jac = np.concatenate([-weights[:, None] * self.omega * sin, cos[:-1] - cos[-1]]).T
         hessian = jac.T @ (curvature[:, None] * jac)
-        if self.model.variant == "two-port" and not self.complete:
+        if self.conditioned:
             mass = sum(np.sum(p) for p, _, _ in terms)
             mass_slope = sum(s for _, _, s in terms)
             g -= (self.observed / mass) * mass_slope
@@ -343,24 +335,19 @@ class _Likelihood:
         return value, jac.T @ g, hessian
 
     def _probabilities(self, x: np.ndarray) -> tuple:
-        return _category_probabilities(self.model, self.env, x, bunching=self.counts[1] is not None)
+        return _category_probabilities(self.model, self.env, x, bunching=self.bunching)
 
     def _value(self, probs: tuple) -> np.ndarray:
-        n_anti = self.counts[0]
-        if self.model.variant == "trinomial" and not self.complete:
-            pair = probs[0]
-            return _row_dot(_log(pair), n_anti) + _row_dot(
-                _log(1.0 - pair), self.n_trials - n_anti
-            )
-        observed = [(p, n, t) for p, n, t in zip(probs, self.counts, self.totals) if n is not None]
         out = 0.0
-        for p, n, total in observed:
+        for c, n in self.terms:
+            p = 1.0 - probs[0] if c is None else probs[c]
             if isinstance(p, np.ndarray):
                 out = out + _row_dot(_log(p), n)
             else:
-                out = out + total * math.log(max(p, 1e-300))
-        if not self.complete:
-            mass = sum(p.sum(axis=1) if isinstance(p, np.ndarray) else p for p, _, _ in observed)
+                out = out + n * math.log(max(p, 1e-300))
+        if self.conditioned:
+            observed = [probs[c] for c, _ in self.terms]
+            mass = sum(p.sum(axis=1) if isinstance(p, np.ndarray) else p for p in observed)
             out = out - self.observed * _log(mass)
         return out
 
@@ -371,7 +358,7 @@ def mle_fit(
     source: BiphotonSource,
     k_layers: int,
     init=None,
-    cfg: ForwardModelConfig = ForwardModelConfig(),
+    phi: float = 0.0,
     max_iterations: int = 500,
 ) -> MleResult:
     """Maximum-likelihood fit of layer delays and weights to sampled counts.
@@ -407,7 +394,7 @@ def mle_fit(
         raise ConfigurationError("counts table and model use different variants")
     if counts.grid != model.grid:
         raise ConfigurationError("counts table and model use different frequency grids")
-    like = _Likelihood(counts, model, source, cfg)
+    like = _Likelihood(counts, model, source, phi)
     layers0, pinned = _initial_layers(counts, source, k_layers, init)
     taus = np.array([t for t, _ in layers0])
     weights = np.array([a for _, a in layers0])

@@ -22,7 +22,6 @@ from .biphoton import (
     SPEED_OF_LIGHT,
     BiphotonSource,
     DelayProfile,
-    ForwardModelConfig,
     envelope_peak_normalized,
     fringe_factor,
 )
@@ -281,7 +280,7 @@ def outcome_probabilities(
     model: DetectionModel,
     source: BiphotonSource,
     profile: DelayProfile,
-    cfg: ForwardModelConfig = ForwardModelConfig(),
+    phi: float = 0.0,
 ) -> OutcomeTable:
     """Outcome probability table for the configured detection model.
 
@@ -295,7 +294,7 @@ def outcome_probabilities(
     ``(1-gamma^2) - pair``, no click ``gamma^2``; each bin normalizes to 1.
     """
     env = _variant_envelope(model, source.sigma_spectral)
-    x = fringe_factor(profile, cfg, model.grid.values)
+    x = fringe_factor(profile, model.grid.values, phi)
     coincidence, bunching, single, none = _category_probabilities(model, env, x)
     return OutcomeTable(
         variant=model.variant,

@@ -48,10 +48,6 @@ class FrequencyGrid:
             raise ConfigurationError("n_bins must be even")
 
     @property
-    def omega_min(self) -> float:
-        return -self.omega_max
-
-    @property
     def span(self) -> float:
         return 2.0 * self.omega_max
 

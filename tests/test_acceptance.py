@@ -16,7 +16,6 @@ from qwkt import (
     BiphotonSource,
     DelayProfile,
     DetectionModel,
-    ForwardModelConfig,
     FrequencyGrid,
     JointAmplitude,
     SpectralPattern,
@@ -60,7 +59,7 @@ def test_ac01_transform_matches_closed_forms():
     t0 = time.perf_counter()
     got = forward_qwkt(corr)
     elapsed = time.perf_counter() - t0
-    expected = joint_spectral_intensity(SRC, prof, grid.values, ForwardModelConfig(phi=math.pi))
+    expected = joint_spectral_intensity(SRC, prof, grid.values, phi=math.pi)
     band = np.abs(grid.values) <= 6.0 * (2.0 * SIGMA)
     denom = np.maximum(expected[band], 1e-8 * expected.max())
     err = float(np.max(np.abs(got.values[band] - expected[band]) / denom))

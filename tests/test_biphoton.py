@@ -13,7 +13,6 @@ from qwkt import (
     BiphotonSource,
     ConfigurationError,
     DelayProfile,
-    ForwardModelConfig,
     FrequencyGrid,
     bandwidth_nm_to_rads,
     cross_correlation,
@@ -46,7 +45,9 @@ def test_bandwidth_converter_scaling():
     assert bandwidth_nm_to_rads(10e-9, 1620e-9) == pytest.approx(base / 4, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-9], ids=["zero", "negative"])
+@pytest.mark.parametrize(
+    "bad", [0.0, -1e-9, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+)
 def test_bandwidth_converter_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         bandwidth_nm_to_rads(bad, 810e-9)
@@ -83,6 +84,26 @@ def test_delay_profile_validation():
         DelayProfile(layers=((2e-13, 0.5), (1e-13, 0.5)))  # not increasing
     with pytest.raises(ConfigurationError):
         DelayProfile(layers=((1e-13, 0.4),))  # weights must sum to 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DelayProfile(((math.nan, 1.0),)),
+        lambda: DelayProfile(((math.inf, 1.0),)),
+        lambda: DelayProfile(((1e-13, math.nan),)),
+        lambda: DelayProfile(((1e-13, math.nan), (2e-13, 1.0))),
+        lambda: BiphotonSource(sigma_spectral=math.nan),
+        lambda: BiphotonSource(sigma_spectral=math.inf),
+        lambda: BiphotonSource(sigma_spectral=SIGMA_10NM, pump_wavelength=math.nan),
+    ],
+    ids=["delay-nan", "delay-inf", "weight-nan", "one-weight-nan", "sigma-nan", "sigma-inf",
+         "pump-nan"],
+)
+def test_non_finite_parameters_are_rejected(build):
+    # every range check fails on nan and +/-inf, not only on values past its bounds
+    with pytest.raises(ConfigurationError):
+        build()
 
 
 def test_delay_profile_normalized():
@@ -161,8 +182,8 @@ def test_jsi_fringe_phase_pi_flips_sign():
     src = BiphotonSource.from_bandwidth(10e-9)
     prof = DelayProfile.single(2e-13)
     omega = np.linspace(-2e14, 2e14, 301)
-    flipped = joint_spectral_intensity(src, prof, omega, ForwardModelConfig(phi=math.pi))
-    x = fringe_factor(prof, ForwardModelConfig(phi=0.0), omega)
+    flipped = joint_spectral_intensity(src, prof, omega, phi=math.pi)
+    x = fringe_factor(prof, omega, phi=0.0)
     expected = envelope_density(omega, src.sigma_spectral) * (1.0 + x) / 2.0
     assert flipped == pytest.approx(expected, rel=1e-9, abs=1e-30)
 
@@ -170,7 +191,7 @@ def test_jsi_fringe_phase_pi_flips_sign():
 def test_fringe_factor_bounds():
     prof = DelayProfile.normalized([(1e-13, 0.5), (2e-13, 0.5)])
     omega = np.linspace(-5e14, 5e14, 2001)
-    x = fringe_factor(prof, ForwardModelConfig(), omega)
+    x = fringe_factor(prof, omega)
     assert np.all(np.abs(x) <= 1.0 + 1e-12)
     assert x[1000] == pytest.approx(1.0)  # omega = 0, phi = 0
 
@@ -203,8 +224,7 @@ def test_fringe_rows_with_repeated_delays_equal_single_profiles(columns, n_bins,
     ]
     taus = np.array([p.delays for p in profiles])
     weights = np.array([p.weights for p in profiles])
-    cfg = ForwardModelConfig(phi=phi)
-    expected = np.array([fringe_factor(p, cfg, omega) for p in profiles])
+    expected = np.array([fringe_factor(p, omega, phi) for p in profiles])
     assert np.array_equal(_fringe_rows(taus, weights, phi, omega), expected)
 
 

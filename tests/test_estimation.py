@@ -17,7 +17,6 @@ from qwkt import (
     DelayProfile,
     DetectionModel,
     EstimationError,
-    ForwardModelConfig,
     FrequencyGrid,
     InputDataError,
     MalformedSpectrumError,
@@ -109,6 +108,8 @@ def test_extract_threshold_validation():
         extract_delays(pattern, SRC, threshold=0.0)
     with pytest.raises(ConfigurationError):
         extract_delays(pattern, SRC, threshold=1.0)
+    with pytest.raises(ConfigurationError):
+        extract_delays(pattern, SRC, threshold=math.nan)
     with pytest.raises(ConfigurationError):
         extract_delays(pattern, SRC, min_separation=0)
 
@@ -259,13 +260,13 @@ def test_mle_pair_only_rejects_trials_below_pair_counts():
         mle_fit(partial, model, SRC, k_layers=1)
 
 
-def _full_scan_fit(counts, model, cfg, k):
+def _full_scan_fit(counts, model, k):
     """Log-likelihood of the fit as it was before peak seeding, kept as an
     oracle: from the peak layers, a 21-point scan of every parameter in
     (delay x delta, weight logit) coordinates, +/-10 grid steps and +/-2
     logits, Cartesian up to three parameters and two passes of coordinate
     sweeps beyond, then the same Newton ascent."""
-    like = _Likelihood(counts, model, SRC, cfg)
+    like = _Likelihood(counts, model, SRC, 0.0)
     delta = SRC.delta_temporal
     layers, _ = _initial_layers(counts, SRC, k, None)
     taus0 = np.array([t for t, _ in layers])
@@ -335,9 +336,8 @@ def test_mle_matches_full_scan_oracle(case, complete):
     if not complete:
         counts = _without_bunch_counts(counts)
     k = len(profile.layers)
-    cfg = ForwardModelConfig()
-    fit = mle_fit(counts, model, SRC, k, cfg=cfg)
-    assert fit.log_likelihood >= _full_scan_fit(counts, model, cfg, k) - 1e-9
+    fit = mle_fit(counts, model, SRC, k)
+    assert fit.log_likelihood >= _full_scan_fit(counts, model, k) - 1e-9
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -390,10 +390,10 @@ def _model_cases(draw, bins=(64, 4096), alphas=st.floats(0.0, 1.0)):
         n_trials=_PROPERTY_TRIALS,
         variant=draw(st.sampled_from(["two-port", "trinomial"])),
     )
-    cfg = ForwardModelConfig(phi=draw(st.floats(-math.pi, math.pi)))
-    table = outcome_probabilities(model, SRC, profile, cfg)
+    phi = draw(st.floats(-math.pi, math.pi))
+    table = outcome_probabilities(model, SRC, profile, phi)
     counts = sample_counts(table, _PROPERTY_TRIALS, seed=draw(st.integers(0, 2**32 - 1)))
-    return model, profile, cfg, counts
+    return model, profile, phi, counts
 
 
 def _without_bunch_counts(counts):
@@ -423,18 +423,34 @@ def _observed_table(counts, shape):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_model_cases())
-def test_likelihood_row_is_outcome_table_log_probability(case):
-    model, profile, cfg, counts = case
-    like = _Likelihood(counts, model, SRC, cfg)
+@given(case=_model_cases(), shape=st.sampled_from(_TABLE_SHAPES))
+def test_likelihood_row_is_outcome_table_log_probability(case, shape):
+    # closed forms: the complete table's log-probability; two-port blocks
+    # conditioned on their probability mass M, sum n log(p / M); and the
+    # trinomial pairs' binomial, sum n log p + (N - n) log(1 - p)
+    model, profile, phi, table = case
+    counts = _observed_table(table, shape)
+    assume(counts.total_counts() > 0)
+    like = _Likelihood(counts, model, SRC, phi)
     got = like.log_likelihood(profile.delays[None], profile.weights[None])
-    blocks = (
-        (counts.counts_coincidence, counts.coincidence),
-        (counts.counts_bunching, counts.bunching),
-        (counts.counts_single, counts.single_click),
-        (counts.counts_none, counts.no_click),
-    )
-    expected = sum(float(np.sum(xlogy(n, p))) for n, p in blocks if n is not None)
+    blocks = [
+        (n, p)
+        for n, p in (
+            (counts.counts_coincidence, table.coincidence),
+            (counts.counts_bunching, table.bunching),
+            (counts.counts_single, table.single_click),
+            (counts.counts_none, table.no_click),
+        )
+        if n is not None
+    ]
+    if shape == "complete":
+        expected = sum(float(np.sum(xlogy(n, p))) for n, p in blocks)
+    elif model.variant == "two-port":
+        mass = sum(float(np.sum(p)) for _, p in blocks)
+        expected = sum(float(np.sum(xlogy(n, p / mass))) for n, p in blocks)
+    else:
+        n, p = blocks[0]
+        expected = float(np.sum(xlogy(n, p) + xlogy(_PROPERTY_TRIALS - n, 1.0 - p)))
     assert got.shape == (1,)
     assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -447,9 +463,9 @@ def test_likelihood_row_is_outcome_table_log_probability(case):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
-    model, profile, cfg, counts = case
+    model, profile, phi, counts = case
     counts = _observed_table(counts, shape)
-    like = _Likelihood(counts, model, SRC, cfg)
+    like = _Likelihood(counts, model, SRC, phi)
     rng = np.random.default_rng(seed)
     k = len(profile.layers)
     taus = rng.uniform(0.0, TemporalGrid.conjugate_of(counts.grid).t_max, (n_rows, k))
@@ -471,7 +487,7 @@ def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi
     model, profile, _, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)
-    like = _Likelihood(counts, model, SRC, ForwardModelConfig(phi=phi))
+    like = _Likelihood(counts, model, SRC, phi)
     dt = TemporalGrid.conjugate_of(counts.grid).delta_t
     tau0 = profile.delays[0] + dt * np.linspace(-3.0, 3.0, 7)
     tau1 = profile.delays[-1] + 10.0 * dt + dt * np.linspace(-3.0, 3.0, 7)
@@ -528,7 +544,7 @@ def test_score_matches_central_differences(case, shape, phi, seed):
     model, profile, _, counts = case
     counts = _observed_table(counts, shape)
     assume(counts.total_counts() > 0)
-    like = _Likelihood(counts, model, SRC, ForwardModelConfig(phi=phi))
+    like = _Likelihood(counts, model, SRC, phi)
     rng = np.random.default_rng(seed)
     k = len(profile.layers)
     delta = SRC.delta_temporal
@@ -558,12 +574,12 @@ def test_score_matches_central_differences(case, shape, phi, seed):
 def test_newton_steps_only_raise_the_scan_optimum(case, shape):
     # max_iterations = 0 returns the per-layer scan's best row (every layer
     # of a caller's list is unpinned); every Newton step raises it
-    model, profile, cfg, counts = case
+    model, profile, phi, counts = case
     counts = _observed_table(counts, shape)
     assume(counts.total_counts() > 0)
     k = len(profile.layers)
     fits = [
-        mle_fit(counts, model, SRC, k, init=profile.layers, cfg=cfg, max_iterations=m)
+        mle_fit(counts, model, SRC, k, init=profile.layers, phi=phi, max_iterations=m)
         for m in (0, 1, 500)
     ]
     assert fits[0].log_likelihood <= fits[1].log_likelihood <= fits[2].log_likelihood

@@ -369,6 +369,39 @@ def test_cli_simulate_rejects_conflicting_delays(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # inf raised OverflowError (exit 1); 2.7 ran 2 trials; 1e30 exited 3 or 4
+        ["simulate", "--tau-ps", "0.2", "--trials", "inf"],
+        ["simulate", "--tau-ps", "0.2", "--trials", "2.7"],
+        ["simulate", "--tau-ps", "0.2", "--trials", "1e30"],
+        ["fisher", "--trials", "1e30"],
+        ["simulate", "--layers", "0.2:nan"],
+        ["wkt-demo", "--waveform", "cosine", "--duration-s", "inf"],
+        # exit 0 with a nan fit, exit 0 with no delays, exit 4 after 4.5 s
+        ["estimate", "--input", "IN", "--mle", "--phi", "nan"],
+        ["estimate", "--input", "IN", "--threshold", "nan"],
+        ["estimate", "--input", "IN", "--sigma-nm", "nan"],
+        # exit 4 after writing its files
+        ["sweep", "--tau-axis", "nan"],
+    ],
+    ids=["trials-inf", "trials-fraction", "trials-huge", "fisher-trials-huge", "layer-nan",
+         "duration-inf", "phi-nan", "threshold-nan", "sigma-nan", "axis-nan"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
+    spectrum = tmp_path / "in.csv"
+    assert _run(["simulate", "--tau-ps", "0.2", "--bins", "256", "--out", spectrum]) == 0
+    before = sorted(tmp_path.iterdir())
+    argv = [spectrum if a == "IN" else a for a in argv] + ["--out", tmp_path / "out"]
+    try:
+        code = _run(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value
+        code = exc.code
+    assert code == 2
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("ideal", [True, False])
 def test_cli_simulate_rejects_delays_beyond_unambiguous_range(tmp_path, capsys, ideal):
     # 10 nm at 256 bins resolves delays below t_max = 1.167 ps; 1.5 ps

@@ -201,9 +201,8 @@ def test_source_correlation_spectrum_consistency():
     g = default_frequency_grid(src, n_bins=2048, span_sd=9.0)
     tg = TemporalGrid.conjugate_of(g)
     corr = TemporalCorrelation(tg, cross_correlation(src, prof, tg.values) / 2.0)
-    from qwkt import ForwardModelConfig
 
-    expected = joint_spectral_intensity(src, prof, g.values, ForwardModelConfig(phi=math.pi))
+    expected = joint_spectral_intensity(src, prof, g.values, phi=math.pi)
     got = forward_qwkt(corr).values
     keep = np.abs(g.values) <= 12.0 * src.sigma_spectral
     denom = np.maximum(expected[keep], 1e-8 * expected.max())
