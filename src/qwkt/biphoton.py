@@ -1,9 +1,12 @@
 """Biphoton source model: temporal modes, their cross-correlation, and the
 joint spectral intensity of a frequency-entangled photon pair.
 
+The photons are degenerate: signal and idler share one center wavelength,
+and the pump sits at half of it. The difference-frequency axis ``omega``
+is therefore centered on zero.
+
 All quantities are SI: wavelengths in meters, times in seconds, angular
-frequencies in rad/s. The difference-frequency axis ``omega`` is centered
-on zero for degenerate signal/idler center wavelengths.
+frequencies in rad/s.
 """
 
 from __future__ import annotations
@@ -47,50 +50,27 @@ def bandwidth_nm_to_rads(delta_lambda: float, center_lambda: float) -> float:
 
 @dataclass(frozen=True)
 class BiphotonSource:
-    """Down-conversion source parameters.
+    """Degenerate down-conversion source.
 
     ``sigma_spectral`` is the RMS spectral width of a single down-converted
-    photon (rad/s); ``delta_temporal`` is derived from it at construction.
-    Center wavelengths must satisfy energy conservation with the pump.
+    photon (rad/s) and ``center_wavelength`` the center of both photons
+    (m); ``delta_temporal`` is derived from sigma at construction.
     """
 
     sigma_spectral: float
-    center_wavelength_signal: float = 810e-9
-    center_wavelength_idler: float = 810e-9
-    pump_wavelength: float = 405e-9
+    center_wavelength: float = 810e-9
     delta_temporal: float = field(init=False)
 
     def __post_init__(self):
-        for name in (
-            "sigma_spectral", "center_wavelength_signal", "center_wavelength_idler", "pump_wavelength"
-        ):
+        for name in ("sigma_spectral", "center_wavelength"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
-        lhs = 1.0 / self.center_wavelength_signal + 1.0 / self.center_wavelength_idler
-        rhs = 1.0 / self.pump_wavelength
-        if abs(lhs - rhs) > 1e-6 * rhs:
-            raise ConfigurationError(
-                "center wavelengths violate energy conservation: "
-                f"1/{self.center_wavelength_signal} + 1/{self.center_wavelength_idler} != "
-                f"1/{self.pump_wavelength}"
-            )
         object.__setattr__(self, "delta_temporal", DELTA_PER_SIGMA * self.sigma_spectral)
 
     @classmethod
-    def from_bandwidth(
-        cls,
-        delta_lambda: float,
-        center_lambda: float = 810e-9,
-        pump_wavelength: float = 405e-9,
-    ) -> "BiphotonSource":
-        """Build a degenerate source from a wavelength bandwidth (meters)."""
-        sigma = bandwidth_nm_to_rads(delta_lambda, center_lambda)
-        return cls(
-            sigma_spectral=sigma,
-            center_wavelength_signal=center_lambda,
-            center_wavelength_idler=center_lambda,
-            pump_wavelength=pump_wavelength,
-        )
+    def from_bandwidth(cls, delta_lambda: float, center_lambda: float = 810e-9) -> "BiphotonSource":
+        """Build a source from a wavelength bandwidth (meters)."""
+        return cls(bandwidth_nm_to_rads(delta_lambda, center_lambda), center_lambda)
 
 
 @dataclass(frozen=True)

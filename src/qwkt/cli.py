@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .biphoton import (
-    BiphotonSource,
-    DelayProfile,
-    bandwidth_nm_to_rads,
-    joint_spectral_intensity,
-)
+from .biphoton import BiphotonSource, DelayProfile, bandwidth_nm_to_rads, joint_spectral_intensity
 from .errors import (
     ConfigurationError,
     EstimationError,
@@ -57,7 +52,16 @@ from .transform import (
     inverse_qwkt,
 )
 
-_UNIT_SCALE = {"": 1.0, "s": 1.0, "ps": 1e-12, "nm": 1e-9}
+# Unit suffixes each axis accepts and their scale to SI; "" is the default.
+_AXIS_UNITS = {
+    "tau": {"": 1e-12, "ps": 1e-12, "s": 1.0},
+    "sigma": {"": 1e-9, "nm": 1e-9},
+    "gamma": {"": 1.0},
+    "alpha": {"": 1.0},
+}
+# wkt-demo's np.correlate(..., "full") is O(n^2): 2^18 samples take 8.9 s
+# on a 2-core VM
+_WKT_MAX_SAMPLES = 2**18
 
 
 def _finite(text: str) -> float:
@@ -67,18 +71,15 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_axis(spec: str, default_unit: str = "") -> list[float]:
-    """Axis spec 'start:stop:count' or a single value, with optional unit
-    suffix (ps, nm, s) applying to all values. count = 0 gives an empty axis."""
+def _parse_axis(spec: str, axis: str) -> list[float]:
+    """Axis spec 'start:stop:count' or a single value, with an optional unit
+    suffix from ``_AXIS_UNITS[axis]`` applying to all values. count = 0
+    gives an empty axis."""
+    units = _AXIS_UNITS[axis]
     body = spec.strip()
-    unit = ""
-    for suffix in ("ps", "nm", "s"):
-        if body.endswith(suffix):
-            unit = suffix
-            body = body[: -len(suffix)]
-            break
-    scale = _UNIT_SCALE[unit or default_unit]
-    parts = body.split(":")
+    unit = next((u for u in units if u and body.endswith(u)), "")  # "ps" before "s"
+    scale = units[unit]
+    parts = body[: len(body) - len(unit)].split(":")
     try:
         if len(parts) == 1:
             return [_finite(parts[0]) * scale]
@@ -86,7 +87,10 @@ def _parse_axis(spec: str, default_unit: str = "") -> list[float]:
             raise ValueError("expected start:stop:count")
         start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigurationError(f"bad axis spec {spec!r}: {exc}") from exc
+        allowed = " or ".join(u for u in units if u) or "none"
+        raise ConfigurationError(
+            f"bad axis spec {spec!r}: {exc}; {axis} unit suffixes: {allowed}"
+        ) from exc
     if count < 0:
         raise ConfigurationError(f"axis count must be nonnegative in {spec!r}")
     return [float(v) * scale for v in np.linspace(start, stop, count)]
@@ -114,21 +118,14 @@ def _trials(text: str) -> int:
 
 
 def _source_from_args(args) -> BiphotonSource:
-    return BiphotonSource(
-        sigma_spectral=bandwidth_nm_to_rads(args.sigma_nm * 1e-9, args.center_nm * 1e-9),
-        center_wavelength_signal=args.center_nm * 1e-9,
-        center_wavelength_idler=args.center_nm * 1e-9,
-        pump_wavelength=args.pump_nm * 1e-9,
-    )
+    return BiphotonSource.from_bandwidth(args.sigma_nm * 1e-9, args.center_nm * 1e-9)
 
 
 def _add_source_options(parser) -> None:
     parser.add_argument("--sigma-nm", type=_finite, default=20.0,
                         help="single-photon bandwidth, nm equivalent")
     parser.add_argument("--center-nm", type=_finite, default=810.0,
-                        help="signal/idler center wavelength, nm")
-    parser.add_argument("--pump-nm", type=_finite, default=405.0,
-                        help="pump wavelength, nm")
+                        help="center wavelength of both photons, nm; the pump is at half")
 
 
 def _add_grid_options(parser) -> None:
@@ -180,7 +177,8 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     comments = (
         f"qwkt {__version__} simulate",
-        f"sigma {args.sigma_nm} nm equivalent at {args.center_nm} nm center, pump {args.pump_nm} nm",
+        f"sigma {args.sigma_nm} nm equivalent at {args.center_nm} nm center, "
+        f"pump {args.center_nm / 2.0} nm",
         "delays_ps " + ",".join(format(t * 1e12, ".17g") for t in profile.delays),
     )
     if args.ideal:
@@ -200,7 +198,7 @@ def cmd_simulate(args) -> int:
     _finish(args, started, {
         "sigma_rad_per_s": source.sigma_spectral,
         "center_wavelength_m": args.center_nm * 1e-9,
-        "pump_wavelength_m": args.pump_nm * 1e-9,
+        "pump_wavelength_m": args.center_nm / 2.0 * 1e-9,
         "delays_s": list(map(float, profile.delays)),
         "weights": list(map(float, profile.weights)),
         "phi_rad": args.phi,
@@ -368,7 +366,7 @@ def cmd_fisher(args) -> int:
     center = args.center_nm * 1e-9
     sigma_values = [bandwidth_nm_to_rads(args.sigma_nm * 1e-9, center)]
     tau_values = (
-        _parse_axis(args.tau_axis, default_unit="ps")
+        _parse_axis(args.tau_axis, "tau")
         if args.tau_axis is not None
         else [args.tau_ps * 1e-12]
     )
@@ -379,20 +377,27 @@ def cmd_sweep(args) -> int:
     center = args.center_nm * 1e-9
     sigma_values = [
         bandwidth_nm_to_rads(dl, center)
-        for dl in _parse_axis(args.sigma_axis, default_unit="nm")
+        for dl in _parse_axis(args.sigma_axis, "sigma")
     ]
     return _run_sweep(
         args,
         sigma_values,
-        _parse_axis(args.tau_axis, default_unit="ps"),
-        _parse_axis(args.gamma_axis),
-        _parse_axis(args.alpha_axis),
+        _parse_axis(args.tau_axis, "tau"),
+        _parse_axis(args.gamma_axis, "gamma"),
+        _parse_axis(args.alpha_axis, "alpha"),
     )
 
 
 def cmd_wkt_demo(args) -> int:
     started = time.perf_counter()
-    n = int(round(args.duration_s * args.rate_hz))
+    if min(args.rate_hz, args.duration_s, args.width_s) <= 0.0:
+        raise ConfigurationError("--rate-hz, --duration-s and --width-s must be positive")
+    samples = args.duration_s * args.rate_hz
+    if not (math.isfinite(samples) and 16 <= round(samples) <= _WKT_MAX_SAMPLES):
+        raise ConfigurationError(
+            f"--duration-s times --rate-hz is {samples:.6g} samples, not 16 to {_WKT_MAX_SAMPLES}"
+        )
+    n = round(samples)
     t = (np.arange(n) - n // 2) / args.rate_hz
     if args.waveform == "cosine":
         x = np.cos(2.0 * np.pi * args.frequency_hz * t)
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_options(p)
     _add_model_options(p)
     p.add_argument("--tau-ps", type=_finite, default=0.5, help="single delay, ps")
-    p.add_argument("--tau-axis", default=None, help="delay axis start:stop:count[ps]")
+    p.add_argument("--tau-axis", default=None, help="delay axis start:stop:count[ps|s]")
     p.add_argument("--trials", type=_trials, default=1, help="trials for the CRB column")
     p.add_argument("--span-sd", type=_finite, default=6.0,
                    help="integration half window in units of 2*sigma")
@@ -482,11 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep, "Fisher information over a parameter grid")
     p.add_argument("--center-nm", type=_finite, default=810.0,
-                   help="signal/idler center wavelength, nm")
+                   help="center wavelength of both photons, nm")
     p.add_argument("--variant", choices=("two-port", "trinomial"),
                    default="two-port", help="outcome model variant")
     p.add_argument("--sigma-axis", default="20", help="bandwidth axis start:stop:count[nm]")
-    p.add_argument("--tau-axis", default="0.5", help="delay axis start:stop:count[ps]")
+    p.add_argument("--tau-axis", default="0.5", help="delay axis start:stop:count[ps|s]")
     p.add_argument("--gamma-axis", default="0", help="loss axis start:stop:count")
     p.add_argument("--alpha-axis", default="1", help="visibility axis start:stop:count")
     p.add_argument("--trials", type=_trials, default=1, help="trials for the CRB column")

@@ -53,26 +53,14 @@ class JointAmplitude:
 
     @property
     def sum_center(self) -> float:
-        two_pi_c = 2.0 * math.pi * SPEED_OF_LIGHT
-        return (
-            two_pi_c / self.source.center_wavelength_signal
-            + two_pi_c / self.source.center_wavelength_idler
-        )
-
-    @property
-    def difference_center(self) -> float:
-        two_pi_c = 2.0 * math.pi * SPEED_OF_LIGHT
-        return (
-            two_pi_c / self.source.center_wavelength_signal
-            - two_pi_c / self.source.center_wavelength_idler
-        )
+        return 2.0 * (2.0 * math.pi * SPEED_OF_LIGHT / self.source.center_wavelength)
 
     def __call__(self, omega_s: np.ndarray, omega_i: np.ndarray) -> np.ndarray:
         omega_s = np.asarray(omega_s, dtype=float)
         omega_i = np.asarray(omega_i, dtype=float)
         sigma = self.source.sigma_spectral
         sum_term = (omega_s + omega_i - self.sum_center) ** 2 / (4.0 * self.sum_bandwidth**2)
-        diff_term = (omega_s - omega_i - self.difference_center) ** 2 / (16.0 * sigma**2)
+        diff_term = (omega_s - omega_i) ** 2 / (16.0 * sigma**2)
         norm = 1.0 / math.sqrt(2.0 * math.pi * sigma * self.sum_bandwidth)
         return norm * np.exp(-sum_term - diff_term)
 

@@ -60,18 +60,6 @@ def test_source_delta_calibration():
     assert src.delta_temporal == pytest.approx(math.sqrt(2) * src.sigma_spectral, rel=1e-15)
 
 
-def test_source_energy_conservation():
-    # degenerate defaults satisfy 1/810 + 1/810 = 1/405 exactly
-    BiphotonSource.from_bandwidth(20e-9)
-    with pytest.raises(ConfigurationError):
-        BiphotonSource(
-            sigma_spectral=SIGMA_10NM,
-            center_wavelength_signal=800e-9,
-            center_wavelength_idler=810e-9,
-            pump_wavelength=405e-9,
-        )
-
-
 def test_source_rejects_nonpositive_sigma():
     with pytest.raises(ConfigurationError):
         BiphotonSource(sigma_spectral=-1.0)
@@ -95,10 +83,11 @@ def test_delay_profile_validation():
         lambda: DelayProfile(((1e-13, math.nan), (2e-13, 1.0))),
         lambda: BiphotonSource(sigma_spectral=math.nan),
         lambda: BiphotonSource(sigma_spectral=math.inf),
-        lambda: BiphotonSource(sigma_spectral=SIGMA_10NM, pump_wavelength=math.nan),
+        lambda: BiphotonSource(sigma_spectral=SIGMA_10NM, center_wavelength=math.nan),
+        lambda: BiphotonSource(sigma_spectral=SIGMA_10NM, center_wavelength=math.inf),
     ],
     ids=["delay-nan", "delay-inf", "weight-nan", "one-weight-nan", "sigma-nan", "sigma-inf",
-         "pump-nan"],
+         "center-nan", "center-inf"],
 )
 def test_non_finite_parameters_are_rejected(build):
     # every range check fails on nan and +/-inf, not only on values past its bounds

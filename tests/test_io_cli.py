@@ -475,6 +475,86 @@ def test_cli_bad_axis_spec(tmp_path):
     assert _run(["fisher", "--tau-axis", "oops", "--out", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each exited 0 with a wrong value: tau 500 ps, sigma 0.01 nm, gamma 2e-13
+        ["fisher", "--sigma-nm", "10", "--tau-axis", "0.5nm"],
+        ["sweep", "--sigma-axis", "10ps"],
+        ["sweep", "--gamma-axis", "0.2ps"],
+        ["sweep", "--alpha-axis", "1s"],
+        ["sweep", "--sigma-axis", "1e-8s"],
+    ],
+    ids=["tau-nm", "sigma-ps", "gamma-ps", "alpha-s", "sigma-s"],
+)
+def test_cli_axis_unit_must_fit_its_axis(tmp_path, capsys, argv):
+    assert _run([*argv, "--out", tmp_path / "x.csv"]) == 2
+    assert "unit suffixes" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_tau_axis_units_agree(tmp_path):
+    tables = []
+    for i, spec in enumerate(["0.5", "0.5ps", "5e-13s"]):
+        out = tmp_path / f"f{i}.csv"
+        assert _run(["fisher", "--tau-axis", spec, "--out", out]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # OverflowError (exit 1), a 7.28 TiB array request (exit 1), 9 s of O(n^2)
+        ["--duration-s", "1e200", "--rate-hz", "1e200"],
+        ["--duration-s", "1e6", "--rate-hz", "1e6"],
+        ["--duration-s", "1", "--rate-hz", str(2**18 + 1)],
+        # exit 3
+        ["--rate-hz", "0"],
+        ["--duration-s", "-8"],
+        ["--duration-s", "0.1"],
+        ["--duration-s", "1", "--rate-hz", "15"],
+        # two RuntimeWarnings on stderr, then exit 3
+        ["--waveform", "gaussian-pulse", "--width-s", "0"],
+        ["--width-s", "-1"],
+    ],
+    ids=["overflow", "huge", "cap-plus-one", "rate-zero", "duration-negative",
+         "few-samples", "fifteen-samples", "width-zero", "width-negative"],
+)
+def test_cli_wkt_demo_rejects_bad_sampling(tmp_path, capsys, flags):
+    assert _run(["wkt-demo", "--waveform", "cosine", *flags, "--out", tmp_path / "d"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_wkt_demo_smallest_record(tmp_path):
+    assert _run(["wkt-demo", "--waveform", "cosine", "--duration-s", "1", "--rate-hz", "16",
+                 "--out", tmp_path / "d"]) == 0
+    rows = (tmp_path / "d.signal.csv").read_text().splitlines()
+    assert len([r for r in rows if r and not r.startswith("#")]) == 1 + 16
+
+
+def test_cli_center_wavelength_sets_the_pump(tmp_path):
+    # both exited 2 at any --center-nm but 810 unless a pump at half of it was given
+    out = tmp_path / "s.csv"
+    assert _run(["simulate", "--center-nm", "800", "--tau-ps", "0.2", "--bins", "256",
+                 "--trials", "1000", "--out", out]) == 0
+    assert "# sigma 20.0 nm equivalent at 800.0 nm center, pump 400.0 nm" in out.read_text()
+    assert _run(["estimate", "--center-nm", "800", "--input", out,
+                 "--out", tmp_path / "e.json"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "fisher"])
+def test_cli_has_no_pump_flag(tmp_path, capsys, command):
+    # the pump is at half the center wavelength; fisher accepted and ignored the flag
+    inputs = ["--input", "in.csv"] if command == "estimate" else []
+    with pytest.raises(SystemExit) as exc:
+        _run([command, *inputs, "--pump-nm", "405", "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--layers", "0.12:0.5,0.267:0.5", "--trials", "100000", "--seed", "9"]

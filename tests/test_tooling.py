@@ -1,6 +1,7 @@
-"""Checks on the repository itself: the README's library example runs, and
-no module imports a name it does not use."""
+"""Checks on the repository itself: the README's library example runs, no
+module imports a name it does not use, and every CLI flag is read."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -8,6 +9,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from qwkt.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "qwkt").glob("*.py") if p.name != "__init__.py")
@@ -34,3 +37,40 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one representative run per subcommand; each must read every flag it defines
+_FLAG_RUNS = {
+    "simulate": ["--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "in.csv"],
+    "estimate": ["--input", "in.csv", "--out", "e.json"],
+    "fisher": ["--tau-ps", "0.3", "--out", "f.csv"],
+    "sweep": ["--tau-axis", "0.5", "--out", "w.csv"],
+    "wkt-demo": ["--waveform", "gaussian-pulse", "--out", "d"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAG_RUNS))
+def test_every_cli_flag_is_read(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    if command == "estimate":
+        assert main(["simulate", *_FLAG_RUNS["simulate"]]) == 0
+    parser = build_parser()
+    args = parser.parse_args([command, *_FLAG_RUNS[command]], namespace=_ReadRecorder())
+    args._read.clear()  # reads made while parsing do not count
+    assert args.func(args) == 0
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    assert not dests - args._read, f"{command} never reads {sorted(dests - args._read)}"
