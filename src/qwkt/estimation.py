@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .biphoton import BiphotonSource, _fringe_rows, _layer_rows, envelope_density
 from .errors import (
@@ -42,14 +41,36 @@ _COARSE_SPAN_STEPS = 10.0
 # standard errors, is at most this.
 _NEWTON_TOL = 1e-6
 _QUAD_RTOL = 1e-8
-# Fisher information panel rule, as fisher_information describes it.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Fisher information panel rule, as fisher_information describes it: the
+# positive half of np.polynomial.legendre.leggauss(32), which is exactly
+# symmetric, written out so no process pays for a LAPACK eigensolve.
+_GL_HALF_NODES = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 _MIN_PANELS = 64
 _MAX_PANELS = 2**22
-# Likelihood rows and Fisher panels are evaluated in chunks of at most this
-# many (row, bin) or node cells, so a 400-row padded-layer scan never holds
-# more than ~0.1 MB per temporary array.
+# Likelihood rows are evaluated in chunks of at most this many (row, bin)
+# cells, so a 400-row padded-layer scan never holds more than ~0.1 MB per
+# temporary array.
 _CHUNK_CELLS = 2**14
+# Fisher panel sums are accumulated in groups of _SUM_PANELS panels (the
+# grouping fixes the bits of the sum); the integrand runs on blocks of
+# _BLOCK_PANELS panels, 8192 nodes, so its temporaries (64 KiB) stay below
+# the C allocator's 128 KiB mmap threshold and are not mapped and unmapped
+# on every call.
+_SUM_PANELS = 512
+_BLOCK_PANELS = 256
 
 
 @dataclass(frozen=True)
@@ -124,6 +145,29 @@ def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> tuple[f
     return delta, height
 
 
+def _find_peaks(x: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of the interior local maxima of ``x`` at least ``height``
+    high and at least ``distance`` samples apart, as
+    ``scipy.signal.find_peaks(x, height=height, distance=distance)[0]``.
+
+    A plateau counts once, at its middle sample (rounded down). Peaks are
+    visited from the highest, in reversed ``np.argsort`` order, and each
+    kept peak removes the lower ones closer than ``distance``.
+    """
+    # first index of each run of equal samples
+    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    level = x[starts]
+    runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[runs] + starts[runs + 1] - 1) // 2
+    peaks = peaks[x[peaks] >= height]
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < distance] = False
+            keep[j] = True
+    return peaks[keep]
+
+
 def extract_delays(
     spectrum: SpectralPattern,
     source: BiphotonSource,
@@ -159,12 +203,9 @@ def extract_delays(
 
     half = y.size // 2  # first index with positive T
     segment = y[half:]
-    peak_idx, _ = find_peaks(
-        segment, height=threshold * main_height, distance=min_separation
-    )
     found = []
-    for p in peak_idx:
-        # find_peaks skips the segment's ends; t[idx] >= 1.5 dt and |delta| <= 1
+    for p in _find_peaks(segment, threshold * main_height, min_separation):
+        # _find_peaks skips the segment's ends; t[idx] >= 1.5 dt and |delta| <= 1
         # keep the refined delay at or above 0.5 dt
         idx = half + int(p)
         delta, height = _parabolic_offset(y[idx - 1], y[idx], y[idx + 1])
@@ -512,15 +553,19 @@ def _observed_information_errors(
 
 def _panel_sum(integrand, hi: float, step: float) -> float:
     """Gauss-Legendre sum of ``integrand`` over [0, hi], one panel between
-    consecutive multiples of ``step``, in chunks of ``_CHUNK_CELLS`` nodes."""
+    consecutive multiples of ``step``, summed in groups of ``_SUM_PANELS``
+    panels and evaluated in blocks of ``_BLOCK_PANELS``."""
     n_panels = math.ceil(hi / step)
-    per_chunk = _CHUNK_CELLS // _GL_NODES.size
     total = 0.0
-    for first in range(0, n_panels, per_chunk):
-        edges = np.minimum(step * np.arange(first, min(first + per_chunk, n_panels) + 1), hi)
+    for first in range(0, n_panels, _SUM_PANELS):
+        edges = np.minimum(step * np.arange(first, min(first + _SUM_PANELS, n_panels) + 1), hi)
         half = 0.5 * np.diff(edges)
-        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-        total += float(half @ (integrand(nodes) @ _GL_WEIGHTS))
+        mid = edges[:-1] + half
+        rows = [slice(b, b + _BLOCK_PANELS) for b in range(0, half.size, _BLOCK_PANELS)]
+        panels = np.concatenate([
+            integrand(mid[r, None] + half[r, None] * _GL_NODES) @ _GL_WEIGHTS for r in rows
+        ])
+        total += float(half @ panels)
     return total
 
 

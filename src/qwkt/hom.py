@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .biphoton import (
     SPEED_OF_LIGHT,
@@ -30,6 +30,38 @@ from .transform import FrequencyGrid
 
 _MAX_TRIALS = 2**63 - 1
 _VARIANTS = ("two-port", "trinomial")
+
+# Cephes ndtr, erf and erfc rational approximations, highest power first
+# (Q, S and U have an implied leading 1). These are the coefficients and
+# branch points scipy.special.ndtr evaluates, so _ndtr matches it bit for bit.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -193,18 +225,75 @@ class OutcomeTable:
         return total
 
 
+def _horner(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
+    """Polynomial in x, highest power first, as Cephes ``polevl`` (or, when
+    ``monic``, ``p1evl`` with its implied leading 1) evaluates it."""
+    value = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def _erf_inner(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _erfc_outer(x: np.ndarray) -> np.ndarray:
+    """Cephes erfc for x >= sqrt(1/2).
+
+    exp(-x^2) is taken per element with ``math.exp`` (the C library's exp,
+    which Cephes calls); ``np.exp`` rounds differently in about 1% of
+    inputs. Where -x^2 is below -MAXLOG the result underflows to 0; x^2 is
+    formed only below 27, past which it exceeds MAXLOG anyway, so huge x
+    raises no overflow.
+    """
+    out = np.zeros_like(x)
+    near = x < 1.0
+    out[near] = 1.0 - _erf_inner(x[near])
+    idx = np.flatnonzero(~near & (x < 27.0))
+    v = x[idx]
+    square = v * v
+    keep = square <= _MAXLOG
+    idx, v, square = idx[keep], v[keep], square[keep]
+    decay = np.array([math.exp(-s) for s in square.tolist()])
+    below8 = v < 8.0
+    p = np.where(below8, _horner(v, _ERFC_P), _horner(v, _ERFC_R))
+    q = np.where(below8, _horner(v, _ERFC_Q, monic=True), _horner(v, _ERFC_S, monic=True))
+    out[idx] = decay * p / q
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a non-nan array, bit for bit as
+    ``scipy.special.ndtr`` (Cephes ``ndtr``) computes it."""
+    x = a * _SQRT_HALF
+    z = np.abs(x)
+    cdf = np.empty_like(x)
+    inner = z < _SQRT_HALF
+    cdf[inner] = 0.5 + 0.5 * _erf_inner(x[inner])
+    tail = 0.5 * _erfc_outer(z[~inner])
+    cdf[~inner] = np.where(x[~inner] > 0.0, 1.0 - tail, tail)
+    return cdf
+
+
+@lru_cache(maxsize=8)
 def binned_envelope(grid: FrequencyGrid, sigma: float) -> np.ndarray:
     """Envelope mass per bin, renormalized to unit total over the window.
 
     Exact Gaussian integrals over bin edges (the envelope is a normal
     density with RMS 2 sigma); renormalization folds the out-of-window
     tail (~1e-9 for the default window) back in so the outcome model is
-    an exact probability distribution.
+    an exact probability distribution. The result is cached per (grid,
+    sigma) and read-only, since every caller shares it.
     """
     z = grid.bin_edges / (2.0 * sigma)
-    cdf = ndtr(z)
+    cdf = _ndtr(z)
     mass = np.diff(cdf)
-    return mass / np.sum(mass)
+    env = mass / np.sum(mass)
+    env.flags.writeable = False
+    return env
 
 
 def _variant_envelope(model: DetectionModel, sigma: float) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.signal import find_peaks
 from scipy.special import xlogy
 
 from qwkt import (
@@ -24,6 +25,7 @@ from qwkt import (
     QuadratureError,
     SpectralPattern,
     TemporalGrid,
+    envelope_density,
     extract_delays,
     fisher_information,
     joint_spectral_intensity,
@@ -33,7 +35,15 @@ from qwkt import (
     sample_counts,
     sweep,
 )
-from qwkt.estimation import _initial_layers, _Likelihood, _newton_ascent
+from qwkt.estimation import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _find_peaks,
+    _initial_layers,
+    _Likelihood,
+    _newton_ascent,
+    _panel_sum,
+)
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
 SIGMA = SRC.sigma_spectral
@@ -123,6 +133,24 @@ def test_extract_works_on_counts_spectra():
     pattern = SpectralPattern(grid, counts.counts_coincidence.astype(float), kind="counts")
     report = extract_delays(pattern, SRC)
     assert abs(report.taus[0] - 2e-13) <= 2.0 * report.grid_resolution
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 200),
+    integers=st.booleans(),
+    distance=st.integers(1, 6),
+    level=st.sampled_from(["below", "inside", "above"]),
+)
+def test_find_peaks_matches_scipy(seed, n, integers, distance, level):
+    # small integers make plateaus and equal heights; an "inside" height is
+    # one of the samples, so some peaks sit exactly on it
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, n).astype(float) if integers else rng.standard_normal(n)
+    height = {"below": x.min() - 1.0, "inside": x[seed % n], "above": x.max() + 1.0}[level]
+    expected = find_peaks(x, height=height, distance=distance)[0]
+    np.testing.assert_array_equal(_find_peaks(x, height, distance), expected)
 
 
 # ----------------------------------------------------------------- likelihood
@@ -773,6 +801,37 @@ def test_fisher_reports_inputs():
     rep = fisher_information(SRC, 3e-13, DetectionModel(grid, gamma=0.2, alpha=0.8))
     assert (rep.sigma, rep.tau, rep.gamma, rep.alpha) == (SIGMA, 3e-13, 0.2, 0.8)
     assert rep.variant == "two-port"
+
+
+def test_gauss_legendre_literals_equal_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_panel_sum_blocks_stay_small_and_keep_the_512_panel_sum():
+    # Blocks under 2^14 nodes keep the integrand's temporaries under 128 KiB;
+    # the panel sum still groups 512 panels, so its bits do not change.
+    sizes = []
+
+    def integrand(w):
+        sizes.append(w.size)
+        s = np.sin(w * 3e-13)
+        return envelope_density(w, SIGMA) * w * w * s * s / (1.0 - 0.81 * (1.0 - s * s))
+
+    hi = 12.0 * SIGMA
+    step = hi / 1300.0  # two whole 512-panel groups and a partial one
+    value = _panel_sum(integrand, hi, step)
+    assert max(sizes) < 2**14
+
+    n_panels = math.ceil(hi / step)
+    expected = 0.0
+    for first in range(0, n_panels, 512):
+        edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+        expected += float(half @ (integrand(nodes) @ _GL_WEIGHTS))
+    assert value == expected
 
 
 # ----------------------------------------------------------------- qfi/qcrb

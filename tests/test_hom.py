@@ -1,10 +1,14 @@
 """Interference and detection tests: amplitudes, probabilities, sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from qwkt import (
     BiphotonSource,
@@ -21,6 +25,7 @@ from qwkt import (
     outcome_probabilities,
     sample_counts,
 )
+from qwkt.hom import _ndtr
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
 
@@ -150,6 +155,42 @@ def test_binned_envelope_probability_mass():
     assert env.shape == (g.n_bins,)
     assert np.all(env >= 0.0)
     assert env.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_binned_envelope_is_cached_and_read_only():
+    g = _grid()
+    env = binned_envelope(g, SRC.sigma_spectral)
+    assert binned_envelope(replace(g), SRC.sigma_spectral) is env
+    with pytest.raises(ValueError):
+        env[0] = 0.0
+
+
+# branch points of the Cephes port (|x| = sqrt(1/2), 1 and 8 for x = a /
+# sqrt(2)), and inputs whose square would overflow
+_NDTR_POINTS = [
+    0.0, math.sqrt(0.5), math.sqrt(2.0), 8.0 * math.sqrt(2.0), 1e300, math.inf,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.floats(-10.0, 10.0),
+            st.floats(37.0, 40.0),  # exp(-a^2/2) underflows
+            st.sampled_from(_NDTR_POINTS),
+        ).flatmap(lambda a: st.sampled_from([a, -a])),
+        min_size=1,
+        max_size=64,
+    )
+)
+@example([sign * a for a in _NDTR_POINTS for sign in (1.0, -1.0)])
+def test_ndtr_matches_scipy_bitwise(values):
+    a = np.array(values)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cdf = _ndtr(a)
+    assert cdf.tobytes() == ndtr(a).tobytes()
 
 
 def test_two_port_outcomes_sum_to_one():

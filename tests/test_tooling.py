@@ -1,11 +1,15 @@
 """Checks on the repository itself: the README's library example runs, no
-module imports a name it does not use, and every CLI flag is read."""
+module imports a name it does not use, every CLI flag is read, and the
+runtime needs numpy only."""
 
 import argparse
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,36 @@ def test_every_cli_flag_is_read(tmp_path, monkeypatch, command):
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
     assert not dests - args._read, f"{command} never reads {sorted(dests - args._read)}"
+
+
+def test_package_has_no_scipy_import():
+    # scipy is a test-only oracle; the package runs on numpy alone
+    pattern = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    sources = (ROOT / "src" / "qwkt").glob("*.py")
+    assert not [p.name for p in sources if pattern.search(p.read_text())]
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from qwkt.cli import main
+runs = [
+    ["simulate", "--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "in.csv"],
+    ["estimate", "--input", "in.csv", "--mle", "--layers", "1", "--out", "e.json"],
+    ["fisher", "--tau-ps", "0.3", "--alpha", "0.9", "--out", "f.csv"],
+    ["sweep", "--tau-axis", "0.05:10:3ps", "--alpha-axis", "0.9:1:2", "--out", "w.csv"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # a fresh interpreter, so nothing the test session imported counts
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
