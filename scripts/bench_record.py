@@ -1,11 +1,11 @@
 """Record a perf-trajectory point: run each checkout's own benchmark/run.py
 unchanged (--trace 0) for every workload and seed, and write BENCH_<n>.json.
 
-    python3 scripts/bench_record.py --out BENCH_<n>.json --seeds 8000 8001 CHECKOUT...
+    python3 scripts/bench_record.py --out BENCH_<n>.json CHECKOUT... --seeds 8000 8001
 
 Checkouts take turns per (seed, workload), the order reversing each seed, so
 all sides see the same host. Per checkout: git rev, src/ line count, tier-1
-wall time, each run's end-to-end metrics and their medians per workload.
+wall time and pass, each run's end-to-end metrics and their medians per workload.
 """
 
 import argparse
@@ -33,10 +33,12 @@ def main() -> int:
     sides = []
     for root in args.checkouts:
         started = time.monotonic()
-        run(root, sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider")
+        tier1 = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                               cwd=root, capture_output=True, check=False)
         lines = sum(p.read_bytes().count(b"\n") for p in root.glob("src/**/*.py"))
         sides.append({"git_rev": run(root, "git", "rev-parse", "HEAD").strip(), "src_lines": lines,
                       "tier1_wall_s": time.monotonic() - started,
+                      "tier1_passed": tier1.returncode == 0,
                       "runs": {name: [] for name in WORKLOADS}})
     for k, seed in enumerate(args.seeds):
         for name in WORKLOADS:

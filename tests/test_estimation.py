@@ -426,7 +426,10 @@ def _model_cases(draw, bins=(64, 4096), alphas=st.floats(0.0, 1.0)):
 
 def _without_bunch_counts(counts):
     """The anti-bunch (or pair) counts alone: the conditioned two-port or
-    the pair-only trinomial likelihood."""
+    the pair-only trinomial likelihood. A single layer at zero delay with
+    unit visibility has no anti-bunch mass, and an empty table has no
+    likelihood (``_Likelihood`` rejects it), so such draws are discarded."""
+    assume(np.any(counts.counts_coincidence))
     return OutcomeTable(
         variant=counts.variant, grid=counts.grid, counts_coincidence=counts.counts_coincidence
     )
