@@ -358,10 +358,10 @@ class _Likelihood:
             ratio = s * np.divide(1.0, p, out=np.zeros_like(x), where=p > 1e-300)
             g += n * ratio
             curvature -= n * ratio * ratio
-        # The (2k - 1) x n_bins Jacobian and its weighted copy are written
-        # into buffers kept between calls: allocated afresh (160 KiB each for
-        # k = 3 at 4096 bins), their pages went back to the system and were
-        # faulted in again on every call.
+        # The (2k - 1) x n_bins Jacobian and its weighted copy go into buffers
+        # kept between calls: blocks this large (160 KiB each for k = 3 at
+        # 4096 bins), freed after every call, are handed back to the system
+        # by the allocator and faulted in again by the next call.
         d = 2 * k - 1
         if self._jacobian_buffers is None or self._jacobian_buffers[0].shape[0] != d:
             self._jacobian_buffers = (np.empty((d, x.size)), np.empty((d, x.size)).T)
