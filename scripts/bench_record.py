@@ -1,5 +1,6 @@
 """Record a perf-trajectory point: run each checkout's own benchmark/run.py
-unchanged (--trace 0) for every workload and seed, and write BENCH_<n>.json.
+unchanged (--trace 0, its own run length) for every workload and seed, and
+write BENCH_<n>.json.
 
     python3 scripts/bench_record.py --out BENCH_<n>.json CHECKOUT... --seeds 8000 8001
 
@@ -19,15 +20,15 @@ from pathlib import Path
 WORKLOADS = ("mle-campaign", "cli-pipeline", "fisher-sweep")
 
 
-def run(root, *argv, check=True):
-    return subprocess.run(argv, cwd=root, capture_output=True, text=True, check=check).stdout
+def run(root, *argv):
+    """stdout of argv run in root; its stderr passes through, and a failure stops the record."""
+    return subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=True).stdout
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("checkouts", nargs="+", type=Path)
     args = parser.parse_args()
     sides = []
@@ -44,8 +45,7 @@ def main() -> int:
         for name in WORKLOADS:
             for i in range(len(sides))[:: -1 if k % 2 else 1]:
                 out = run(args.checkouts[i], sys.executable, "benchmark/run.py", "--workload", name,
-                          "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
-                          check=False)
+                          "--seed", str(seed), "--trace", "0")
                 result = json.loads(out.splitlines()[-1])
                 sides[i]["runs"][name].append({"seed": seed, "correct": result["correct"], **{
                     metric: m["value"] for metric, m in result["metrics"].items()}})
@@ -53,8 +53,7 @@ def main() -> int:
         side["median"] = {name: {metric: statistics.median(r[metric] for r in runs)
                                  for metric in runs[0] if metric not in ("seed", "correct")}
                           for name, runs in side["runs"].items()}
-    args.out.write_text(json.dumps({"seeds": args.seeds, "seconds": args.seconds, "sides": sides},
-                                   indent=1) + "\n")
+    args.out.write_text(json.dumps({"seeds": args.seeds, "sides": sides}, indent=1) + "\n")
     return 0
 
 
