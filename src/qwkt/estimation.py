@@ -319,7 +319,6 @@ class _Likelihood:
                 raise InputDataError(f"a bin holds more pairs than its {n_trials} trials")
             self.terms = [(0, pairs), (None, n_trials - pairs)]
         self.rows_per_chunk = max(1, _CHUNK_CELLS // self.omega.size)
-        self._jacobian_buffers = None
 
     def log_likelihood(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Log-likelihood of each row of (B, k) delays and weights, shape (B,)."""
@@ -358,18 +357,8 @@ class _Likelihood:
             ratio = s * np.divide(1.0, p, out=np.zeros_like(x), where=p > 1e-300)
             g += n * ratio
             curvature -= n * ratio * ratio
-        # The (2k - 1) x n_bins Jacobian and its weighted copy go into buffers
-        # kept between calls: blocks this large (160 KiB each for k = 3 at
-        # 4096 bins), freed after every call, are handed back to the system
-        # by the allocator and faulted in again by the next call.
-        d = 2 * k - 1
-        if self._jacobian_buffers is None or self._jacobian_buffers[0].shape[0] != d:
-            self._jacobian_buffers = (np.empty((d, x.size)), np.empty((d, x.size)).T)
-        rows, weighted = self._jacobian_buffers
-        jac = np.concatenate(
-            [-weights[:, None] * self.omega * sin, cos[:-1] - cos[-1]], out=rows
-        ).T
-        hessian = jac.T @ np.multiply(curvature[:, None], jac, out=weighted)
+        jac = np.concatenate([-weights[:, None] * self.omega * sin, cos[:-1] - cos[-1]]).T
+        hessian = jac.T @ (curvature[:, None] * jac)
         if self.conditioned:
             mass = sum(np.sum(p) for p, _, _ in terms)
             mass_slope = sum(s for _, _, s in terms)
