@@ -251,10 +251,8 @@ def cmd_estimate(args) -> int:
         write_table(
             sidecar,
             ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),
-            (
-                (t, v.real, v.imag, abs(v))
-                for t, v in zip(correlation.grid.values, correlation.values)
-            ),
+            (correlation.grid.values, correlation.values.real, correlation.values.imag,
+             np.array([abs(v) for v in correlation.values.tolist()])),  # np.abs: not bit-equal
             comments=(f"qwkt {__version__} estimate: inverted correlation",),
         )
         write_json(out, result)
@@ -333,10 +331,10 @@ def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> in
     write_table(
         out,
         ("sigma_rad_per_s", "tau_s", "gamma", "alpha", "variant", "g_omega", "crb_s", "error"),
-        (
+        zip(*(
             (c.sigma, c.tau, c.gamma, c.alpha, c.variant, c.g_omega, c.crb, c.error or "")
             for c in result.rows
-        ),
+        )),
         comments=(f"qwkt {__version__} {args.command}: Fisher information sweep",),
     )
     outputs = [out]
@@ -398,16 +396,18 @@ def cmd_wkt_demo(args) -> int:
             f"--duration-s times --rate-hz is {samples:.6g} samples, not 16 to {_WKT_MAX_SAMPLES}"
         )
     n = round(samples)
-    t = (np.arange(n) - n // 2) / args.rate_hz
-    if args.waveform == "cosine":
-        x = np.cos(2.0 * np.pi * args.frequency_hz * t)
-    elif args.waveform == "gaussian-pulse":
-        x = np.exp(-(t**2) / (2.0 * args.width_s**2))
-    else:  # two-pulse
-        half = 0.5 * args.delay_s
-        x = np.exp(-((t - half) ** 2) / (2.0 * args.width_s**2)) + np.exp(
-            -((t + half) ** 2) / (2.0 * args.width_s**2)
-        )
+    try:  # finite flags can still overflow, e.g. --width-s 1e-200 or --frequency-hz 1e308
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            t = (np.arange(n) - n // 2) / args.rate_hz
+            if args.waveform == "cosine":
+                x = np.cos(2.0 * np.pi * args.frequency_hz * t)
+            elif args.waveform == "gaussian-pulse":
+                x = np.exp(-(t**2) / (2.0 * args.width_s**2))
+            else:  # two-pulse
+                x = sum(np.exp(-((t - s) ** 2) / (2.0 * args.width_s**2))
+                        for s in (0.5 * args.delay_s, -0.5 * args.delay_s))
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"waveform flags give a non-finite signal: {exc}") from exc
     demo = classical_wkt(x, sample_rate=args.rate_hz)
     base = Path(args.out)
     paths = {
@@ -416,11 +416,11 @@ def cmd_wkt_demo(args) -> int:
         "spectrum": base.parent / (base.name + ".spectrum.csv"),
     }
     tag = f"qwkt {__version__} wkt-demo: {args.waveform}"
-    write_table(paths["signal"], ("time_s", "x"), zip(t, x), comments=(tag,))
+    write_table(paths["signal"], ("time_s", "x"), (t, x), comments=(tag,))
     write_table(paths["autocorrelation"], ("lag_s", "autocorrelation"),
-                zip(demo.lags, demo.acf), comments=(tag,))
+                (demo.lags, demo.acf), comments=(tag,))
     write_table(paths["spectrum"], ("omega_rad_per_s", "power"),
-                zip(demo.freqs, demo.psd), comments=(tag,))
+                (demo.freqs, demo.psd), comments=(tag,))
     _finish(args, started, {
         "waveform": args.waveform,
         "frequency_hz": args.frequency_hz,

@@ -3,16 +3,18 @@
 Spectra travel as two-column CSV with a header naming the schema:
 ``omega_rad_per_s,intensity`` for ideal densities (difference frequency in
 rad/s) or ``wavelength_nm,counts`` for sampled spectra on a spectrometer
-axis. Comment lines start with '#'. Every CSV, spectra included, goes
-through ``write_table``, which writes floats with 17 significant digits so
-write-then-read is lossless; every file goes to a temp file in the target
-directory and is renamed into place.
+axis; comment lines start with '#'. Every CSV goes through ``write_table``,
+which takes columns and spells each with one field (floats at 17
+significant digits, so write-then-read is lossless); every file goes to a
+temp file in the target directory and is renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -91,39 +93,43 @@ def write_spectrum(
     rounded to integers.
     """
     if pattern.kind == "ideal-density":
-        rows = zip(pattern.grid.values.tolist(), pattern.values.tolist())
-        write_table(path, OMEGA_HEADER, rows, comments)
-        return
+        return write_table(path, OMEGA_HEADER, (pattern.grid.values, pattern.values), comments)
     wavelength = wavelength_from_difference_frequency(pattern.grid.values, center_wavelength)
     order = np.argsort(wavelength)
     counts = np.rint(pattern.values[order]).astype(np.int64)
-    rows = zip((wavelength[order] * 1e9).tolist(), counts.tolist())
-    write_table(path, WAVELENGTH_HEADER, rows, comments)
+    write_table(path, WAVELENGTH_HEADER, (wavelength[order] * 1e9, counts), comments)
 
 
-def _parse_rows(path) -> tuple[tuple[str, ...], list[tuple[float, float]]]:
+def _data_rows(text: str):
+    """(line number, cells) of each csv row that is neither blank nor a comment."""
+    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
+        if row and not row[0].lstrip().startswith("#"):
+            yield line_no, row
+
+
+def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The header's cells and the body as an (n, 2) float64 array."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputDataError(f"cannot read spectrum file {path}: {exc}") from exc
-    header: tuple[str, ...] | None = None
-    rows: list[tuple[float, float]] = []
-    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        cells = [c.strip() for c in row]
-        if header is None:
-            header = tuple(cells)
-            continue
-        if len(cells) != 2:
-            raise InputDataError(f"line {line_no}: expected 2 columns, got {len(cells)}")
-        try:
-            rows.append((float(cells[0]), float(cells[1])))
-        except ValueError as exc:
-            raise InputDataError(f"line {line_no}: non-numeric cell") from exc
+    rows = _data_rows(text)
+    _, header = next(rows, (0, None))
     if header is None:
         raise InputDataError("spectrum file is empty (no header line)")
-    return header, rows
+    body = [row for _, row in rows]
+    with contextlib.suppress(ValueError):  # a non-numeric cell
+        if set(map(len, body)) <= {2}:
+            cells = np.fromiter(map(float, itertools.chain.from_iterable(body)), float)
+            return tuple(c.strip() for c in header), cells.reshape(-1, 2)
+    for line_no, row in itertools.islice(_data_rows(text), 1, None):  # name the first bad line
+        if len(row) != 2:
+            raise InputDataError(f"line {line_no}: expected 2 columns, got {len(row)}")
+        try:
+            float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise InputDataError(f"line {line_no}: non-numeric cell") from exc
+    raise AssertionError("the batch conversion failed on no line")
 
 
 def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
@@ -138,17 +144,16 @@ def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
     to integers), zero-filled outside the data. Every bad file raises
     ``InputDataError``, also one whose axis overflows float64 on the way.
     """
-    header, rows = _parse_rows(path)
+    header, body = _parse_rows(path)
     if header == OMEGA_HEADER:
         kind = "ideal-density"
     elif header == WAVELENGTH_HEADER:
         kind = "counts"
     else:
         raise InputDataError(f"unknown spectrum schema header {header!r}")
-    if len(rows) < _MIN_ROWS:
-        raise InputDataError(f"spectrum needs at least {_MIN_ROWS} rows, got {len(rows)}")
-    abscissa = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
+    if len(body) < _MIN_ROWS:
+        raise InputDataError(f"spectrum needs at least {_MIN_ROWS} rows, got {len(body)}")
+    abscissa, values = body[:, 0], body[:, 1]
     if not np.all(np.isfinite(abscissa)):
         raise InputDataError("abscissa must be finite")
     if np.any(values < 0.0) or not np.all(np.isfinite(values)):
@@ -240,10 +245,15 @@ def _table_cell(cell) -> str:
     return "%.17g" % float(cell)
 
 
-def write_table(path, header: tuple[str, ...], rows, comments: tuple[str, ...] = ()) -> None:
-    """Generic CSV: floats at 17 significant digits, ints and strings as-is,
-    None as an empty cell."""
+def write_table(path, header: tuple[str, ...], columns, comments: tuple[str, ...] = ()) -> None:
+    """CSV from equal-length columns: a float ndarray is spelled ``%.17g``, an
+    integer ndarray ``%d``, any other sequence cell by cell by ``_table_cell``."""
+    fields, cells = [], []
+    for column in columns:
+        field = {"f": "%.17g", "i": "%d", "u": "%d"}.get(getattr(column, "dtype", np.dtype("O")).kind)
+        fields.append(field or "%s")
+        cells.append(column.tolist() if field else [_table_cell(c) for c in column])
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines += [",".join(map(_table_cell, row)) for row in rows]
+    lines += map(",".join(fields).__mod__, zip(*cells, strict=True))
     atomic_write_text(path, "\n".join(lines) + "\n")

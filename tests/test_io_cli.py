@@ -31,6 +31,8 @@ from qwkt.io import (
     RunManifest,
     difference_frequency_from_wavelength,
     wavelength_from_difference_frequency,
+    _parse_rows,
+    _table_cell,
     write_json,
     write_table,
 )
@@ -55,7 +57,7 @@ def _pattern(kind="ideal-density", n_bins=64):
 def test_format_float_shortest_exact(tmp_path):
     # a float cell is spelled at 17 significant digits and reads back exactly
     out = tmp_path / "floats.csv"
-    write_table(out, ("a", "b"), [(0.1, 1.0 / 3.0)])
+    write_table(out, ("a", "b"), [(0.1,), (1.0 / 3.0,)])
     cells = out.read_text().splitlines()[1].split(",")
     assert cells[0] == "0.10000000000000001"
     assert float(cells[1]) == 1.0 / 3.0
@@ -65,11 +67,97 @@ def test_write_table_cell_formats(tmp_path):
     # floats at 17 significant digits, not the shortest repr: 0.1 is spelled out
     out = tmp_path / "table.csv"
     row = (3, np.int64(-7), None, "x", -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, 0.1)
-    write_table(out, tuple("abcdefghij"), [row], comments=("note",))
+    write_table(out, tuple("abcdefghij"), [(cell,) for cell in row], comments=("note",))
     assert out.read_bytes() == (
         b"# note\na,b,c,d,e,f,g,h,i,j\n"
         b"3,-7,,x,-0,inf,-inf,nan,0.30000000000000004,0.10000000000000001\n"
     )
+
+
+# float64 edge cases: signed zeros, non-finite, subnormals, the normal limits
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-308, 1e308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_CELLS = {
+    "float": st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+    "int": _INT64,
+    "object": st.one_of(st.none(), st.text(st.characters(codec="utf-8"), max_size=4),
+                        st.integers(), _INT64.map(np.int64), st.floats()),
+}
+
+
+@st.composite
+def _table_columns(draw):
+    """1-4 equal-length columns: float64 arrays, int64 arrays, or lists
+    mixing None, str, int, np.int64 and float."""
+    n = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4)):
+        cells = draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+        dtype = {"float": np.float64, "int": np.int64}.get(kind)
+        columns.append(cells if dtype is None else np.array(cells, dtype=dtype))
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=_table_columns())
+def test_write_table_matches_per_cell_rows(tmp_path_factory, columns):
+    # the reference spells every cell of the transposed rows through _table_cell
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    write_table(path, header, columns, comments=("note",))
+    rows = [",".join(map(_table_cell, row)) for row in zip(*columns)]
+    assert path.read_bytes() == "\n".join(["# note", ",".join(header), *rows, ""]).encode()
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([x for x in _EDGE_FLOATS if math.isfinite(x)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(_FINITE, _FINITE), max_size=20))
+def test_written_floats_parse_back_bit_for_bit(tmp_path_factory, cells):
+    path = tmp_path_factory.getbasetemp() / "floats.csv"
+    body = np.array(cells, dtype=np.float64).reshape(-1, 2)
+    write_table(path, OMEGA_HEADER, (body[:, 0], body[:, 1]))
+    header, parsed = _parse_rows(path)
+    assert header == OMEGA_HEADER
+    assert parsed.tobytes() == body.tobytes()  # -0.0 and 0.0 differ here
+
+
+_ROWS = [f"{800.0 + i!r},{i}" for i in range(20)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("801.5,5,6", "line 7: expected 2 columns, got 3"),
+    ("abc,5", "line 7: non-numeric cell"),
+    ("801.5,", "line 7: non-numeric cell"),
+    ("801.5", "line 7: expected 2 columns, got 1"),
+])
+def test_read_spectrum_names_the_first_bad_line(tmp_path, bad, message):
+    # line numbers count the comment and blank lines; a later bad line of
+    # the other kind does not take precedence
+    later = "x,y" if "columns" in message else "1,2,3"
+    lines = ["# note", "", "wavelength_nm,counts", _ROWS[0], "", "# mid", bad,
+             *_ROWS[1:10], later, *_ROWS[10:]]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputDataError) as err:
+        read_spectrum(path)
+    assert str(err.value) == message
+
+
+def test_read_spectrum_quoted_cells_load_as_plain(tmp_path):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("wavelength_nm,counts\n" + "\n".join(_ROWS) + "\n")
+    quoted.write_text('"wavelength_nm","counts"\n' + "".join(
+        '"{}","{}"\n'.format(*row.split(",")) for row in _ROWS
+    ))
+    assert '"812.0","12"' in quoted.read_text()
+    a, b = read_spectrum(plain), read_spectrum(quoted)
+    assert a.grid == b.grid and a.kind == b.kind == "counts"
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_wavelength_frequency_roundtrip():
@@ -517,9 +605,13 @@ def test_cli_tau_axis_units_agree(tmp_path):
         # two RuntimeWarnings on stderr, then exit 3
         ["--waveform", "gaussian-pulse", "--width-s", "0"],
         ["--width-s", "-1"],
+        # finite flags, non-finite waveform: two RuntimeWarnings on stderr, then exit 3
+        ["--waveform", "gaussian-pulse", "--width-s", "1e-200"],
+        ["--waveform", "cosine", "--frequency-hz", "1e308"],
     ],
     ids=["overflow", "huge", "cap-plus-one", "rate-zero", "duration-negative",
-         "few-samples", "fifteen-samples", "width-zero", "width-negative"],
+         "few-samples", "fifteen-samples", "width-zero", "width-negative",
+         "width-underflow", "frequency-overflow"],
 )
 def test_cli_wkt_demo_rejects_bad_sampling(tmp_path, capsys, flags):
     assert _run(["wkt-demo", "--waveform", "cosine", *flags, "--out", tmp_path / "d"]) == 2
