@@ -29,10 +29,10 @@ from qwkt.io import (
     OMEGA_HEADER,
     WAVELENGTH_HEADER,
     RunManifest,
-    difference_frequency_from_wavelength,
-    wavelength_from_difference_frequency,
     _parse_rows,
     _table_cell,
+    difference_frequency_from_wavelength,
+    wavelength_from_difference_frequency,
     write_json,
     write_table,
 )
@@ -100,7 +100,7 @@ def _table_columns(draw):
     return columns
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(columns=_table_columns())
 def test_write_table_matches_per_cell_rows(tmp_path_factory, columns):
     # the reference spells every cell of the transposed rows through _table_cell
@@ -115,7 +115,7 @@ _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([x for x in _EDGE_FLOATS if math.isfinite(x)]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(cells=st.lists(st.tuples(_FINITE, _FINITE), max_size=20))
 def test_written_floats_parse_back_bit_for_bit(tmp_path_factory, cells):
     path = tmp_path_factory.getbasetemp() / "floats.csv"
