@@ -247,7 +247,7 @@ def _table_cell(cell) -> str:
 
 def write_table(path, header: tuple[str, ...], columns, comments: tuple[str, ...] = ()) -> None:
     """CSV from equal-length columns: a float ndarray is spelled ``%.17g``, an
-    integer ndarray ``%d``, any other sequence cell by cell by ``_table_cell``."""
+    integer ndarray ``%d``, any other sequence cell by cell via ``_table_cell``."""
     fields, cells = [], []
     for column in columns:
         field = {"f": "%.17g", "i": "%d", "u": "%d"}.get(getattr(column, "dtype", np.dtype("O")).kind)
