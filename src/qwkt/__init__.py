@@ -58,12 +58,10 @@ from .io import (
     write_spectrum,
 )
 from .transform import (
-    ClassicalWkt,
     FrequencyGrid,
     SpectralPattern,
     TemporalCorrelation,
     TemporalGrid,
-    classical_wkt,
     default_frequency_grid,
     forward_qwkt,
     inverse_qwkt,
@@ -111,12 +109,10 @@ __all__ = [
     "sha256_digest",
     "write_manifest",
     "write_spectrum",
-    "ClassicalWkt",
     "FrequencyGrid",
     "SpectralPattern",
     "TemporalCorrelation",
     "TemporalGrid",
-    "classical_wkt",
     "default_frequency_grid",
     "forward_qwkt",
     "inverse_qwkt",

@@ -1,5 +1,5 @@
-"""Command-line surface: simulate spectra, estimate delays, tabulate
-Fisher information, and demo the classical correlation/spectrum pair.
+"""Command-line surface: simulate spectra, estimate delays, and tabulate
+Fisher information.
 
 Human-friendly units at the boundary (ps, nm) are converted to SI
 immediately; every run writes its outputs atomically plus a JSON manifest
@@ -27,6 +27,7 @@ from .errors import (
     InputDataError,
 )
 from .estimation import (
+    _MAX_AXIS_POINTS,
     extract_delays,
     fisher_information,
     mle_fit,
@@ -47,7 +48,6 @@ from .io import (
 from .transform import (
     SpectralPattern,
     TemporalGrid,
-    classical_wkt,
     default_frequency_grid,
     inverse_qwkt,
 )
@@ -59,9 +59,6 @@ _AXIS_UNITS = {
     "gamma": {"": 1.0},
     "alpha": {"": 1.0},
 }
-# wkt-demo's np.correlate(..., "full") is O(n^2): 2^18 samples take 8.9 s
-# on a 2-core VM
-_WKT_MAX_SAMPLES = 2**18
 
 
 def _finite(text: str) -> float:
@@ -93,6 +90,8 @@ def _parse_axis(spec: str, axis: str) -> list[float]:
         ) from exc
     if count < 0:
         raise ConfigurationError(f"axis count must be nonnegative in {spec!r}")
+    if count > _MAX_AXIS_POINTS:  # before linspace allocates them
+        raise ConfigurationError(f"{axis} axis has {count} points, limit is {_MAX_AXIS_POINTS}")
     return [float(v) * scale for v in np.linspace(start, stop, count)]
 
 
@@ -386,53 +385,6 @@ def cmd_sweep(args) -> int:
     )
 
 
-def cmd_wkt_demo(args) -> int:
-    started = time.perf_counter()
-    if min(args.rate_hz, args.duration_s, args.width_s) <= 0.0:
-        raise ConfigurationError("--rate-hz, --duration-s and --width-s must be positive")
-    samples = args.duration_s * args.rate_hz
-    if not (math.isfinite(samples) and 16 <= round(samples) <= _WKT_MAX_SAMPLES):
-        raise ConfigurationError(
-            f"--duration-s times --rate-hz is {samples:.6g} samples, not 16 to {_WKT_MAX_SAMPLES}"
-        )
-    n = round(samples)
-    try:  # finite flags can still overflow, e.g. --width-s 1e-200 or --frequency-hz 1e308
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            t = (np.arange(n) - n // 2) / args.rate_hz
-            if args.waveform == "cosine":
-                x = np.cos(2.0 * np.pi * args.frequency_hz * t)
-            elif args.waveform == "gaussian-pulse":
-                x = np.exp(-(t**2) / (2.0 * args.width_s**2))
-            else:  # two-pulse
-                x = sum(np.exp(-((t - s) ** 2) / (2.0 * args.width_s**2))
-                        for s in (0.5 * args.delay_s, -0.5 * args.delay_s))
-    except FloatingPointError as exc:
-        raise ConfigurationError(f"waveform flags give a non-finite signal: {exc}") from exc
-    demo = classical_wkt(x, sample_rate=args.rate_hz)
-    base = Path(args.out)
-    paths = {
-        "signal": base.parent / (base.name + ".signal.csv"),
-        "autocorrelation": base.parent / (base.name + ".autocorrelation.csv"),
-        "spectrum": base.parent / (base.name + ".spectrum.csv"),
-    }
-    tag = f"qwkt {__version__} wkt-demo: {args.waveform}"
-    write_table(paths["signal"], ("time_s", "x"), (t, x), comments=(tag,))
-    write_table(paths["autocorrelation"], ("lag_s", "autocorrelation"),
-                (demo.lags, demo.acf), comments=(tag,))
-    write_table(paths["spectrum"], ("omega_rad_per_s", "power"),
-                (demo.freqs, demo.psd), comments=(tag,))
-    _finish(args, started, {
-        "waveform": args.waveform,
-        "frequency_hz": args.frequency_hz,
-        "rate_hz": args.rate_hz,
-        "duration_s": args.duration_s,
-        "width_s": args.width_s,
-        "delay_s": args.delay_s,
-        "out": str(base),
-    }, paths.values())
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwkt",
@@ -499,15 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integration half window in units of 2*sigma")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
 
-    p = add("wkt-demo", cmd_wkt_demo, "classical time series, autocorrelation, spectrum")
-    p.add_argument("--waveform", required=True,
-                   choices=("cosine", "gaussian-pulse", "two-pulse"))
-    p.add_argument("--frequency-hz", type=_finite, default=5.0, help="cosine frequency")
-    p.add_argument("--rate-hz", type=_finite, default=64.0, help="sample rate")
-    p.add_argument("--duration-s", type=_finite, default=8.0, help="record length")
-    p.add_argument("--width-s", type=_finite, default=0.25, help="pulse RMS width")
-    p.add_argument("--delay-s", type=_finite, default=1.0, help="two-pulse separation")
-    p.add_argument("--out", default="wkt", help="output path prefix")
     return parser
 
 

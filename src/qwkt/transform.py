@@ -8,8 +8,7 @@ The continuous pair realized here is
 discretized by midpoint sums on a symmetric frequency grid and its
 Nyquist-paired temporal grid (delta_T = 2 pi / omega_span). With that
 pairing the discrete pair is exactly unitary, so a roundtrip reproduces
-the input to machine precision. Also includes the classical estimator
-path: biased lag-sum autocorrelation and its power spectrum.
+the input to machine precision.
 """
 
 from __future__ import annotations
@@ -218,45 +217,3 @@ def inverse_qwkt(pattern: SpectralPattern) -> TemporalCorrelation:
     u_conj = np.conj(u)
     r = grid.delta_omega * np.conj(constant) * u_conj * np.fft.fft(pattern.values * u_conj)
     return TemporalCorrelation(grid=tgrid, values=r)
-
-
-@dataclass(frozen=True)
-class ClassicalWkt:
-    """Lag-domain autocorrelation and its power spectrum."""
-
-    lags: np.ndarray
-    acf: np.ndarray
-    freqs: np.ndarray
-    psd: np.ndarray
-
-
-def classical_wkt(x: np.ndarray, sample_rate: float = 1.0) -> ClassicalWkt:
-    """Biased autocorrelation of a sampled real series and its spectrum.
-
-    The autocorrelation uses the biased 1/n normalization at every lag, so
-    its transform (the power spectrum, evaluated on the 2n-1 point DFT
-    frequencies in rad/s) is nonnegative up to rounding. The spectrum is
-    periodic in frequency with period ``2 pi * sample_rate``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InputDataError("time series must be one-dimensional")
-    n = x.size
-    if n < 16:
-        raise InputDataError("time series needs at least 16 samples")
-    if not np.all(np.isfinite(x)):
-        raise InputDataError("time series must be finite")
-    if sample_rate <= 0.0:
-        raise ConfigurationError("sample_rate must be positive")
-    dt = 1.0 / sample_rate
-    acf = np.correlate(x, x, mode="full") / n
-    lags = np.arange(-(n - 1), n) * dt
-    m = 2 * n - 1
-    spectrum = dt * np.fft.fft(np.fft.ifftshift(acf))
-    freqs = 2.0 * math.pi * np.fft.fftfreq(m, d=dt)
-    return ClassicalWkt(
-        lags=lags,
-        acf=acf,
-        freqs=np.fft.fftshift(freqs),
-        psd=np.fft.fftshift(spectrum.real),
-    )

@@ -1,5 +1,6 @@
 """File formats and command-line entry points."""
 
+import argparse
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from qwkt import (
     write_manifest,
     write_spectrum,
 )
-from qwkt.cli import main
+from qwkt.cli import build_parser, main
 from qwkt.io import (
     OMEGA_HEADER,
     WAVELENGTH_HEADER,
@@ -466,7 +467,6 @@ def test_cli_simulate_rejects_conflicting_delays(tmp_path):
         ["simulate", "--tau-ps", "0.2", "--trials", "1e30"],
         ["fisher", "--trials", "1e30"],
         ["simulate", "--layers", "0.2:nan"],
-        ["wkt-demo", "--waveform", "cosine", "--duration-s", "inf"],
         # exit 0 with a nan fit, exit 0 with no delays, exit 4 after 4.5 s
         ["estimate", "--input", "IN", "--mle", "--phi", "nan"],
         ["estimate", "--input", "IN", "--threshold", "nan"],
@@ -475,7 +475,7 @@ def test_cli_simulate_rejects_conflicting_delays(tmp_path):
         ["sweep", "--tau-axis", "nan"],
     ],
     ids=["trials-inf", "trials-fraction", "trials-huge", "fisher-trials-huge", "layer-nan",
-         "duration-inf", "phi-nan", "threshold-nan", "sigma-nan", "axis-nan"],
+         "phi-nan", "threshold-nan", "sigma-nan", "axis-nan"],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
     spectrum = tmp_path / "in.csv"
@@ -546,21 +546,31 @@ def test_cli_main_repeated_calls_leave_no_garbage(tmp_path):
     assert grown <= 0.2 * 2**20
 
 
-def test_cli_wkt_demo(tmp_path):
-    out = tmp_path / "demo"
-    code = _run(["wkt-demo", "--waveform", "cosine", "--frequency-hz", "5.0",
-                 "--rate-hz", "100", "--duration-s", "5.12", "--out", out])
-    assert code == 0
-    spec = (tmp_path / "demo.spectrum.csv").read_text().splitlines()
-    body = [r for r in spec if r and not r.startswith("#")][1:]
-    freqs = np.array([float(r.split(",")[0]) for r in body])
-    power = np.array([float(r.split(",")[1]) for r in body])
-    peak = abs(freqs[np.argmax(power)])
-    assert abs(peak - 2.0 * math.pi * 5.0) < 2.0 * math.pi * 100.0 / 512
-
-
 def test_cli_bad_axis_spec(tmp_path):
     assert _run(["fisher", "--tau-axis", "oops", "--out", tmp_path / "x.csv"]) == 2
+
+
+@pytest.mark.parametrize(
+    ("axis", "argv"),
+    [
+        # exited 2 only after linspace built the list: 125.6 MB peak RSS
+        ("tau", ["fisher", "--tau-axis", "0:1:2000000ps"]),
+        ("gamma", ["sweep", "--gamma-axis", "0:0.5:2000000"]),
+    ],
+    ids=["fisher-tau", "sweep-gamma"],
+)
+def test_cli_axis_count_is_bounded_before_allocating(tmp_path, capsys, axis, argv):
+    tracemalloc.start()
+    try:
+        code = _run([*argv, "--out", tmp_path / "x.csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {axis} axis has 2000000 points, limit is 256"]
+    assert peak < 2**20
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -588,43 +598,6 @@ def test_cli_tau_axis_units_agree(tmp_path):
         assert _run(["fisher", "--tau-axis", spec, "--out", out]) == 0
         tables.append(out.read_bytes())
     assert tables[0] == tables[1] == tables[2]
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        # OverflowError (exit 1), a 7.28 TiB array request (exit 1), 9 s of O(n^2)
-        ["--duration-s", "1e200", "--rate-hz", "1e200"],
-        ["--duration-s", "1e6", "--rate-hz", "1e6"],
-        ["--duration-s", "1", "--rate-hz", str(2**18 + 1)],
-        # exit 3
-        ["--rate-hz", "0"],
-        ["--duration-s", "-8"],
-        ["--duration-s", "0.1"],
-        ["--duration-s", "1", "--rate-hz", "15"],
-        # two RuntimeWarnings on stderr, then exit 3
-        ["--waveform", "gaussian-pulse", "--width-s", "0"],
-        ["--width-s", "-1"],
-        # finite flags, non-finite waveform: two RuntimeWarnings on stderr, then exit 3
-        ["--waveform", "gaussian-pulse", "--width-s", "1e-200"],
-        ["--waveform", "cosine", "--frequency-hz", "1e308"],
-    ],
-    ids=["overflow", "huge", "cap-plus-one", "rate-zero", "duration-negative",
-         "few-samples", "fifteen-samples", "width-zero", "width-negative",
-         "width-underflow", "frequency-overflow"],
-)
-def test_cli_wkt_demo_rejects_bad_sampling(tmp_path, capsys, flags):
-    assert _run(["wkt-demo", "--waveform", "cosine", *flags, "--out", tmp_path / "d"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert not any(tmp_path.iterdir())
-
-
-def test_cli_wkt_demo_smallest_record(tmp_path):
-    assert _run(["wkt-demo", "--waveform", "cosine", "--duration-s", "1", "--rate-hz", "16",
-                 "--out", tmp_path / "d"]) == 0
-    rows = (tmp_path / "d.signal.csv").read_text().splitlines()
-    assert len([r for r in rows if r and not r.startswith("#")]) == 1 + 16
 
 
 def test_cli_center_wavelength_sets_the_pump(tmp_path):
@@ -672,9 +645,13 @@ _RUNS = {
     "estimate": (["--input", "in.csv", "--out", "e.json"], {"e.json", "e.correlation.csv"}),
     "fisher": (["--tau-ps", "0.3", "--out", "f.csv"], {"f.csv"}),
     "sweep": (["--tau-axis", "0.5", "--out", "w.csv"], {"w.csv", "w.monotonicity.json"}),
-    "wkt-demo": (["--waveform", "cosine", "--out", "d"],
-                 {"d.signal.csv", "d.autocorrelation.csv", "d.spectrum.csv"}),
 }
+
+
+def test_manifest_runs_cover_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(_RUNS) == set(subparsers.choices)
 
 
 def _simulate_input(name="in.csv"):

@@ -62,8 +62,15 @@ _FLAG_RUNS = {
     "estimate": ["--input", "in.csv", "--out", "e.json"],
     "fisher": ["--tau-ps", "0.3", "--out", "f.csv"],
     "sweep": ["--tau-axis", "0.5", "--out", "w.csv"],
-    "wkt-demo": ["--waveform", "gaussian-pulse", "--out", "d"],
 }
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_flag_runs_cover_every_subcommand():
+    assert set(_FLAG_RUNS) == set(_subcommands(build_parser()))
 
 
 @pytest.mark.parametrize("command", list(_FLAG_RUNS))
@@ -75,8 +82,7 @@ def test_every_cli_flag_is_read(tmp_path, monkeypatch, command):
     args = parser.parse_args([command, *_FLAG_RUNS[command]], namespace=_ReadRecorder())
     args._read.clear()  # reads made while parsing do not count
     assert args.func(args) == 0
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    dests = {a.dest for a in _subcommands(parser)[command]._actions if a.dest != "help"}
     assert not dests - args._read, f"{command} never reads {sorted(dests - args._read)}"
 
 

@@ -1,4 +1,4 @@
-"""Transform layer tests: grids, forward/inverse pair, classical baseline."""
+"""Transform layer tests: grids and the forward/inverse pair."""
 
 import math
 
@@ -14,7 +14,6 @@ from qwkt import (
     SpectralPattern,
     TemporalCorrelation,
     TemporalGrid,
-    classical_wkt,
     cross_correlation,
     default_frequency_grid,
     envelope_density,
@@ -207,38 +206,3 @@ def test_source_correlation_spectrum_consistency():
     keep = np.abs(g.values) <= 12.0 * src.sigma_spectral
     denom = np.maximum(expected[keep], 1e-8 * expected.max())
     assert np.max(np.abs(got[keep] - expected[keep]) / denom) < 1e-6
-
-
-# ------------------------------------------------------------- classical wkt
-
-
-def test_classical_wkt_cosine_peak():
-    rate = 100.0
-    t = np.arange(1024) / rate
-    x = np.cos(2.0 * math.pi * 5.0 * t)
-    res = classical_wkt(x, sample_rate=rate)
-    pos = res.freqs >= 0.0
-    peak = res.freqs[pos][np.argmax(res.psd[pos])]
-    assert abs(peak - 2.0 * math.pi * 5.0) < 2.0 * math.pi * rate / 1024
-
-
-def test_classical_wkt_parseval():
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=512)
-    res = classical_wkt(x, sample_rate=10.0)
-    dt = 1.0 / 10.0
-    # zero-lag autocorrelation equals the mean square; the spectrum must
-    # integrate back to it (the biased ACF spans 2n - 1 lags)
-    total = np.sum(res.psd) / (res.acf.size * dt)
-    assert total == pytest.approx(res.acf[res.acf.size // 2], rel=1e-10)
-
-
-def test_classical_wkt_validation():
-    with pytest.raises(InputDataError):
-        classical_wkt(np.ones(8))
-    bad = np.ones(32)
-    bad[3] = np.inf
-    with pytest.raises(InputDataError):
-        classical_wkt(bad)
-    with pytest.raises(ConfigurationError):
-        classical_wkt(np.ones(32), sample_rate=-1.0)
