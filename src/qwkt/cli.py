@@ -247,11 +247,12 @@ def cmd_estimate(args) -> int:
     def write_outputs() -> None:
         # only once the estimate stands or failed as exit 4: a run that
         # exits 2 or 3 leaves no files behind
+        with np.errstate(over="raise"):  # abs(complex)'s bits (np.abs differs) and overflow
+            modulus = np.hypot(correlation.values.real, correlation.values.imag)
         write_table(
             sidecar,
             ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),
-            (correlation.grid.values, correlation.values.real, correlation.values.imag,
-             np.array([abs(v) for v in correlation.values.tolist()])),  # np.abs: not bit-equal
+            (correlation.grid.values, correlation.values.real, correlation.values.imag, modulus),
             comments=(f"qwkt {__version__} estimate: inverted correlation",),
         )
         write_json(out, result)

@@ -18,7 +18,6 @@ import numpy as np
 from .biphoton import BiphotonSource, _fringe_rows, _layer_rows, envelope_density
 from .errors import (
     ConfigurationError,
-    EstimationError,
     InputDataError,
     MalformedSpectrumError,
     QuadratureError,
@@ -551,22 +550,103 @@ def _observed_information_errors(
     return stderr[:k], np.append(stderr[k:], math.sqrt(np.sum(cov[k:, k:]))), condition
 
 
-def _panel_sum(integrand, hi: float, step: float) -> float:
-    """Gauss-Legendre sum of ``integrand`` over [0, hi], one panel between
+def _fisher_integrand(variant: str, gamma: float, alpha: float):
+    """One cell's Fisher integrand of the nodes ``w``, the envelope density
+    ``env`` and the fringe ``c``, ``s`` (cos and sin of ``w tau``) there.
+    The two-port integrand does not depend on gamma."""
+    if variant == "two-port":
+        if alpha == 1.0:
+            return lambda w, env, c, s: env * w * w
+        return lambda w, env, c, s: env * alpha**2 * w * w * s * s / (1.0 - alpha**2 * c * c)
+    survive = (1.0 - gamma) ** 2
+
+    def integrand(w, env, c, s):
+        p_pair = (survive / 2.0) * env * (1.0 + alpha * c)
+        p_single = (1.0 - gamma**2) - p_pair
+        dp = (survive / 2.0) * env * alpha * w * s
+        if alpha == 1.0:
+            term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
+        else:
+            term_pair = np.divide(dp * dp, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
+        cut = p_single > 1e-13 * (1.0 - gamma**2)
+        term_single = np.divide(dp * dp, p_single, out=np.zeros_like(w), where=cut)
+        return (term_pair + term_single) / survive
+    return integrand
+
+
+def _panel_sums(integrands, hi: float, step: float, sigma: float, tau: float, fringe: bool):
+    """Gauss-Legendre sum of each integrand over [0, hi], one panel between
     consecutive multiples of ``step``, summed in groups of ``_SUM_PANELS``
-    panels and evaluated in blocks of ``_BLOCK_PANELS``."""
+    panels and evaluated in blocks of ``_BLOCK_PANELS``. A block's nodes,
+    envelope and (if ``fringe``) cos and sin of ``w tau`` are computed once."""
     n_panels = math.ceil(hi / step)
-    total = 0.0
+    totals = [0.0] * len(integrands)
     for first in range(0, n_panels, _SUM_PANELS):
         edges = np.minimum(step * np.arange(first, min(first + _SUM_PANELS, n_panels) + 1), hi)
         half = 0.5 * np.diff(edges)
         mid = edges[:-1] + half
-        rows = [slice(b, b + _BLOCK_PANELS) for b in range(0, half.size, _BLOCK_PANELS)]
-        panels = np.concatenate([
-            integrand(mid[r, None] + half[r, None] * _GL_NODES) @ _GL_WEIGHTS for r in rows
-        ])
-        total += float(half @ panels)
-    return total
+        panels = [np.empty(half.size) for _ in integrands]
+        for b in range(0, half.size, _BLOCK_PANELS):
+            r = slice(b, b + _BLOCK_PANELS)
+            w = mid[r, None] + half[r, None] * _GL_NODES
+            env = envelope_density(w, sigma)
+            s, c = (np.sin(w * tau), np.cos(w * tau)) if fringe else (None, None)
+            for out, integrand in zip(panels, integrands):
+                out[r] = integrand(w, env, c, s) @ _GL_WEIGHTS
+        totals = [total + float(half @ out) for total, out in zip(totals, panels)]
+    return totals
+
+
+def _fisher_pass(sigma: float, tau: float, models) -> list:
+    """``fisher_information`` of each model at one delay: a FisherReport or
+    the error that stopped it. Models with one integrand (two-port ones of
+    one alpha, at any gamma) share an integral; integrals of one panel layout
+    (omega_max, starting step) are halved together, each to its own stop test,
+    on blocks whose nodes, envelope and fringe are computed once."""
+    if not math.isfinite(tau):
+        return [ConfigurationError("tau must be finite") for _ in models]
+    # The outermost node sits (1 - max node)/2 of a panel from its edge;
+    # panels narrow enough to put it within the near-pole distance of the
+    # edge see the notch there, so halving can tell when it is resolved.
+    reach = (1.0 - _GL_NODES[-1]) / 2.0
+    keys = [(m.variant, 0.0 if m.variant == "two-port" else m.gamma, m.alpha, m.grid.omega_max)
+            for m in models]
+    integrands, layouts = {}, {}
+    for key in dict.fromkeys(keys):
+        variant, gamma, alpha, hi = key
+        fringe = not (variant == "two-port" and alpha == 1.0)  # reads cos and sin of omega tau
+        per_half_period = (
+            math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1)
+        step = hi / max(_MIN_PANELS, hi * (abs(tau) if fringe else 0.0) * per_half_period / math.pi)
+        integrands[key] = _fisher_integrand(variant, gamma, alpha), fringe
+        layouts.setdefault((hi, step), []).append(key)
+    floor = 1e-15 * sigma**2
+    value, error = dict.fromkeys(integrands, math.nan), dict.fromkeys(integrands, math.inf)
+
+    def done(key) -> bool:
+        return error[key] <= max(_QUAD_RTOL * abs(value[key]), floor)
+
+    for (hi, step), active in layouts.items():
+        while (active := [k for k in active if not done(k)]) and hi / step <= _MAX_PANELS:
+            fringe = any(integrands[k][1] for k in active)
+            sums = _panel_sums([integrands[k][0] for k in active], hi, step, sigma, tau, fringe)
+            for k, total in zip(active, sums):
+                previous, value[k] = value[k], 2.0 * total
+                error[k] = abs(value[k] - previous) if math.isfinite(previous) else math.inf
+            step /= 2.0
+    outcomes = []
+    for m, k in zip(models, keys):
+        survive = (1.0 - m.gamma) ** 2
+        g_omega = survive * value[k]
+        crb = 1.0 / math.sqrt(m.n_trials * g_omega) if g_omega > 0.0 else math.inf
+        outcomes.append(FisherReport(
+            g_omega=g_omega, crb=crb, variant=m.variant, sigma=sigma, tau=tau, gamma=m.gamma,
+            alpha=m.alpha, n_trials=m.n_trials, error_estimate=survive * error[k],
+        ) if done(k) else QuadratureError(
+            "Fisher information quadrature did not reach 1e-8 relative accuracy "
+            f"within {_MAX_PANELS} panels", value=value[k], error_estimate=error[k],
+        ))
+    return outcomes
 
 
 def fisher_information(
@@ -578,7 +658,8 @@ def fisher_information(
     ``(1-gamma)^2 integral env(omega) alpha^2 omega^2 sin^2(omega tau) /
     (1 - alpha^2 cos^2(omega tau)) domega`` over the grid window (the
     integrand collapses to ``env omega^2`` at unit visibility, giving
-    4 sigma^2 independent of tau).
+    4 sigma^2 independent of tau). The integral does not depend on gamma:
+    its stop test and a QuadratureError's value see it unscaled.
 
     trinomial: the summed per-outcome terms ``(dP)^2 / P`` in its canonical
     fringe convention, with the envelope entering as a normal density (the
@@ -593,66 +674,14 @@ def fisher_information(
     near-poles' real parts. Panels are halved until two sums agree to 1e-8
     relative (their difference is ``error_estimate``), or past 2^22 panels
     QuadratureError is raised.
+
+    This is the one-model case of ``_fisher_pass``, which ``sweep`` runs on
+    all cells of a (sigma, tau) point at once with the same bits per cell.
     """
-    sigma = source.sigma_spectral
-    gamma, alpha = model.gamma, model.alpha
-    survive = (1.0 - gamma) ** 2
-    if not math.isfinite(tau):
-        raise ConfigurationError("tau must be finite")
-    fringe = 0.0 if model.variant == "two-port" and alpha == 1.0 else abs(tau)
-
-    if model.variant == "two-port":
-        if alpha == 1.0:
-            def integrand(w: np.ndarray) -> np.ndarray:
-                return envelope_density(w, sigma) * w * w
-        else:
-            def integrand(w: np.ndarray) -> np.ndarray:
-                s = np.sin(w * tau)
-                c = np.cos(w * tau)
-                return (
-                    envelope_density(w, sigma)
-                    * alpha**2 * w * w * s * s
-                    / (1.0 - alpha**2 * c * c)
-                )
-    else:
-        def integrand(w: np.ndarray) -> np.ndarray:
-            env = envelope_density(w, sigma)
-            c = np.cos(w * tau)
-            s = np.sin(w * tau)
-            p_pair = (survive / 2.0) * env * (1.0 + alpha * c)
-            p_single = (1.0 - gamma**2) - p_pair
-            dp = (survive / 2.0) * env * alpha * w * s
-            if alpha == 1.0:
-                term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
-            else:
-                term_pair = np.divide(dp * dp, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
-            cut = p_single > 1e-13 * (1.0 - gamma**2)
-            term_single = np.divide(dp * dp, p_single, out=np.zeros_like(w), where=cut)
-            return (term_pair + term_single) / survive
-
-    hi = model.grid.omega_max
-    # The outermost node sits (1 - max node)/2 of a panel from its edge;
-    # panels narrow enough to put it within the near-pole distance of the
-    # edge see the notch there, so halving can tell when it is resolved.
-    reach = (1.0 - _GL_NODES[-1]) / 2.0
-    per_half_period = math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1
-    step = hi / max(_MIN_PANELS, hi * fringe * per_half_period / math.pi)
-    value, error = math.nan, math.inf
-    while not error <= max(_QUAD_RTOL * abs(value), 1e-15 * sigma**2):
-        if hi / step > _MAX_PANELS:
-            raise QuadratureError(
-                "Fisher information quadrature did not reach 1e-8 relative accuracy "
-                f"within {_MAX_PANELS} panels", value=value, error_estimate=error,
-            )
-        previous, value = value, 2.0 * _panel_sum(integrand, hi, step)
-        error = abs(value - previous) if math.isfinite(previous) else math.inf
-        step /= 2.0
-    g_omega = survive * value
-    crb = 1.0 / math.sqrt(model.n_trials * g_omega) if g_omega > 0.0 else math.inf
-    return FisherReport(
-        g_omega=g_omega, crb=crb, variant=model.variant, sigma=sigma, tau=tau, gamma=gamma,
-        alpha=alpha, n_trials=model.n_trials, error_estimate=survive * error,
-    )
+    (report,) = _fisher_pass(source.sigma_spectral, tau, [model])
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def quantum_fisher_information(source: BiphotonSource, n_trials: int) -> QfiReport:
@@ -704,9 +733,13 @@ def sweep(
 
     Evaluates every (sigma, tau, gamma, alpha) combination; numerical
     failures are recorded per cell instead of aborting the sweep. The
-    ``monotonicity`` map labels the Fisher information trend along each
-    axis as increasing / decreasing / constant / mixed, or unavailable when
-    errors prevent the comparison.
+    gamma x alpha cells of one (sigma, tau) point are integrated together
+    (``_fisher_pass``): they share the quadrature nodes, the envelope and
+    the fringe, two-port cells that differ only in gamma share one
+    integral, and every cell gets the bits a lone ``fisher_information``
+    call gives it. The ``monotonicity`` map labels the Fisher information
+    trend along each axis as increasing / decreasing / constant / mixed,
+    or unavailable when errors prevent the comparison.
     """
     axes = [
         np.atleast_1d(np.asarray(values, dtype=float))
@@ -719,26 +752,31 @@ def sweep(
             raise ConfigurationError(
                 f"{name} axis has {values.size} points, limit is {_MAX_AXIS_POINTS}"
             )
-
-    def evaluate(combo) -> SweepCell:
-        sigma, tau, gamma, alpha = (float(v) for v in combo)
-        g_omega = crb = error = None
-        try:
-            source = BiphotonSource(sigma_spectral=sigma)
-            grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
-            model = DetectionModel(grid, gamma=gamma, alpha=alpha, n_trials=n_trials, variant=variant)
-            report = fisher_information(source, tau, model)
-            g_omega, crb = report.g_omega, report.crb
-        except (ConfigurationError, EstimationError, InputDataError) as exc:
-            error = str(exc)
-        return SweepCell(
-            sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
-            g_omega=g_omega, crb=crb, error=error,
-        )
-
-    rows = tuple(evaluate(c) for c in itertools.product(*axes))
+    sigmas, taus, gammas, alphas = (values.tolist() for values in axes)
+    rows = []
+    for sigma, tau in itertools.product(sigmas, taus):
+        cells = []
+        for gamma, alpha in itertools.product(gammas, alphas):
+            try:
+                source = BiphotonSource(sigma_spectral=sigma)
+                grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
+                model = DetectionModel(grid, gamma, alpha, n_trials=n_trials, variant=variant)
+            except (ConfigurationError, InputDataError) as exc:
+                model = exc
+            cells.append((gamma, alpha, model))
+        models = [m for *_, m in cells if isinstance(m, DetectionModel)]
+        reports = iter(_fisher_pass(sigma, tau, models))
+        for gamma, alpha, outcome in cells:
+            if isinstance(outcome, DetectionModel):
+                outcome = next(reports)
+            ok = isinstance(outcome, FisherReport)
+            rows.append(SweepCell(
+                sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
+                g_omega=outcome.g_omega if ok else None, crb=outcome.crb if ok else None,
+                error=None if ok else str(outcome),
+            ))
     shape = tuple(values.size for values in axes)
-    return SweepResult(rows=rows, monotonicity=_monotonicity(rows, shape))
+    return SweepResult(rows=tuple(rows), monotonicity=_monotonicity(tuple(rows), shape))
 
 
 def _monotonicity(rows: tuple[SweepCell, ...], shape: tuple[int, ...]) -> dict:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.signal import find_peaks
@@ -25,6 +25,7 @@ from qwkt import (
     QuadratureError,
     SpectralPattern,
     TemporalGrid,
+    default_frequency_grid,
     envelope_density,
     extract_delays,
     fisher_information,
@@ -42,7 +43,7 @@ from qwkt.estimation import (
     _initial_layers,
     _Likelihood,
     _newton_ascent,
-    _panel_sum,
+    _panel_sums,
 )
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
@@ -813,28 +814,166 @@ def test_gauss_legendre_literals_equal_leggauss():
 
 
 def test_panel_sum_blocks_stay_small_and_keep_the_512_panel_sum():
-    # Blocks under 2^14 nodes keep the integrand's temporaries under 128 KiB;
-    # the panel sum still groups 512 panels, so its bits do not change.
+    # Blocks under 2^14 nodes keep the integrands' temporaries under 128 KiB;
+    # the panel sum still groups 512 panels, so its bits do not change, and
+    # integrands sharing a block's nodes, envelope and fringe each keep them.
     sizes = []
+    tau = 3e-13
 
-    def integrand(w):
+    def integrand(w, env, c, s):
         sizes.append(w.size)
-        s = np.sin(w * 3e-13)
-        return envelope_density(w, SIGMA) * w * w * s * s / (1.0 - 0.81 * (1.0 - s * s))
+        return env * w * w * s * s / (1.0 - 0.81 * c * c)
+
+    def other(w, env, c, s):
+        return env * w * (1.0 + 0.5 * c)
 
     hi = 12.0 * SIGMA
     step = hi / 1300.0  # two whole 512-panel groups and a partial one
-    value = _panel_sum(integrand, hi, step)
+    values = _panel_sums([integrand, other], hi, step, SIGMA, tau, True)
     assert max(sizes) < 2**14
 
     n_panels = math.ceil(hi / step)
-    expected = 0.0
-    for first in range(0, n_panels, 512):
-        edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
-        half = 0.5 * np.diff(edges)
-        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-        expected += float(half @ (integrand(nodes) @ _GL_WEIGHTS))
-    assert value == expected
+    for f, value in zip((integrand, other), values):
+        expected = 0.0
+        for first in range(0, n_panels, 512):
+            edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
+            half = 0.5 * np.diff(edges)
+            nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+            values_at_nodes = f(
+                nodes, envelope_density(nodes, SIGMA), np.cos(nodes * tau), np.sin(nodes * tau)
+            )
+            expected += float(half @ (values_at_nodes @ _GL_WEIGHTS))
+        assert value == expected
+
+
+def _lone_cell(sigma, tau, gamma, alpha, variant, n_trials, span_sd):
+    """(g_omega, crb, error) of one sweep cell from its own
+    ``fisher_information`` call."""
+    try:
+        source = BiphotonSource(sigma_spectral=sigma)
+        grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
+        model = DetectionModel(grid, gamma=gamma, alpha=alpha, n_trials=n_trials, variant=variant)
+        report = fisher_information(source, tau, model)
+    except (ConfigurationError, EstimationError, InputDataError) as exc:
+        return None, None, str(exc)
+    return report.g_omega, report.crb, None
+
+
+_SWEEP_ALPHAS = st.one_of(
+    st.sampled_from([0.0, 0.9, 0.999, 1.0 - 1e-13, 1.0, 1.5]), st.floats(0.0, 0.99)
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(["two-port", "trinomial"]),
+    sigmas=st.lists(st.sampled_from([SIGMA, 2.0 * SIGMA, 0.0, -SIGMA]), min_size=1, max_size=2),
+    taus=st.lists(
+        st.one_of(st.sampled_from([0.0, 1e-11]), st.floats(-5e-14, -1e-15)),
+        min_size=1, max_size=2,
+    ),
+    gammas=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=1, max_size=3,
+    ),
+    alphas=st.lists(_SWEEP_ALPHAS, min_size=1, max_size=3),
+    n_trials=st.sampled_from([1, 10_000]),
+)
+@example(  # at 10 ps alpha = 0.999 needs more halvings than 0.5 in the same layout
+    variant="trinomial", sigmas=[SIGMA], taus=[1e-11, 0.0], gammas=[0.0, 0.2],
+    alphas=[0.5, 0.999, 1.0 - 1e-13], n_trials=1,
+)
+def test_sweep_cells_equal_lone_fisher_calls_bit_for_bit(
+    variant, sigmas, taus, gammas, alphas, n_trials
+):
+    # cells sharing a quadrature pass (and two-port cells sharing one
+    # integral across gamma) keep the bits and errors of lone calls
+    res = sweep(sigmas, taus, gammas, alphas, variant=variant, n_trials=n_trials)
+    assert len(res.rows) == len(sigmas) * len(taus) * len(gammas) * len(alphas)
+    for row in res.rows:
+        lone = _lone_cell(row.sigma, row.tau, row.gamma, row.alpha, variant, n_trials, 6.0)
+        assert repr((row.g_omega, row.crb, row.error)) == repr(lone)
+
+
+def _per_cell_fisher(tau, model):
+    """(g_omega, error_estimate) by the quadrature of one cell alone, each
+    integrand computing its own envelope and fringe: the reference for the
+    bits of the shared pass."""
+    gamma, alpha, survive = model.gamma, model.alpha, (1.0 - model.gamma) ** 2
+
+    def integrand(w):
+        env, c, s = envelope_density(w, SIGMA), np.cos(w * tau), np.sin(w * tau)
+        if model.variant == "two-port":
+            if alpha == 1.0:
+                return env * w * w
+            return env * alpha**2 * w * w * s * s / (1.0 - alpha**2 * c * c)
+        p_pair = (survive / 2.0) * env * (1.0 + alpha * c)
+        p_single = (1.0 - gamma**2) - p_pair
+        dp = (survive / 2.0) * env * alpha * w * s
+        if alpha == 1.0:
+            term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
+        else:
+            term_pair = np.divide(dp * dp, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
+        cut = p_single > 1e-13 * (1.0 - gamma**2)
+        term_single = np.divide(dp * dp, p_single, out=np.zeros_like(w), where=cut)
+        return (term_pair + term_single) / survive
+
+    hi = model.grid.omega_max
+    fringe = 0.0 if model.variant == "two-port" and alpha == 1.0 else abs(tau)
+    reach = (1.0 - _GL_NODES[-1]) / 2.0
+    per_half_period = math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1
+    step = hi / max(64, hi * fringe * per_half_period / math.pi)
+    value, error = math.nan, math.inf
+    while not error <= max(1e-8 * abs(value), 1e-15 * SIGMA**2):
+        total, n_panels = 0.0, math.ceil(hi / step)
+        for first in range(0, n_panels, 512):
+            edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
+            half = 0.5 * np.diff(edges)
+            nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+            total += float(half @ (integrand(nodes) @ _GL_WEIGHTS))
+        previous, value = value, 2.0 * total
+        error = abs(value - previous) if math.isfinite(previous) else math.inf
+        step /= 2.0
+    return survive * value, survive * error
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+@pytest.mark.parametrize(
+    ("tau", "gamma", "alpha"),
+    [(5e-13, 0.2, 0.9), (0.0, 0.3, 0.5), (-2e-12, 0.0, 1.0), (1e-11, 0.2, 0.95), (3e-13, 0.5, 0.0)],
+)
+def test_fisher_keeps_the_bits_of_the_per_cell_quadrature(variant, tau, gamma, alpha):
+    model = DetectionModel(FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=16), gamma=gamma,
+                           alpha=alpha, variant=variant)
+    rep = fisher_information(SRC, tau, model)
+    assert repr((rep.g_omega, rep.error_estimate)) == repr(_per_cell_fisher(tau, model))
+
+
+def test_sweep_point_computes_the_envelope_once_per_block(monkeypatch):
+    # six trinomial cells of one (sigma, tau) point share one panel layout:
+    # the pass evaluates the envelope once per block, as often as its
+    # slowest cell alone, not once per cell
+    calls = []
+
+    def counted(w, sigma):
+        calls.append(w.size)
+        return envelope_density(w, sigma)
+
+    monkeypatch.setattr("qwkt.estimation.envelope_density", counted)
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=16)
+    cells = [(gamma, alpha) for gamma in (0.0, 0.2, 0.4) for alpha in (0.8, 0.9)]
+    lone = []
+    for gamma, alpha in cells:
+        calls.clear()
+        fisher_information(
+            SRC, 2e-12, DetectionModel(grid, gamma=gamma, alpha=alpha, variant="trinomial")
+        )
+        lone.append(len(calls))
+    calls.clear()
+    res = sweep([SIGMA], [2e-12], [0.0, 0.2, 0.4], [0.8, 0.9], variant="trinomial")
+    assert all(row.error is None for row in res.rows)
+    assert len(calls) == max(lone)
+    assert len(calls) < sum(lone)
 
 
 # ----------------------------------------------------------------- qfi/qcrb

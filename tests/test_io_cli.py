@@ -130,6 +130,23 @@ def test_written_floats_parse_back_bit_for_bit(tmp_path_factory, cells):
 _ROWS = [f"{800.0 + i!r},{i}" for i in range(20)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(parts=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=50))
+def test_hypot_is_abs_complex_bit_for_bit(parts):
+    # estimate's correlation_abs column is np.hypot(real, imag) under
+    # errstate(over="raise"): Python's abs(complex) bits, and an overflowing
+    # modulus raises rather than warns
+    real, imag = (np.array(column) for column in zip(*parts))
+    try:
+        expected = np.array([abs(complex(x, y)) for x, y in parts])
+    except OverflowError:
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            np.hypot(real, imag)
+        return
+    with np.errstate(over="raise"):
+        assert np.hypot(real, imag).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("bad, message", [
     ("801.5,5,6", "line 7: expected 2 columns, got 3"),
     ("abc,5", "line 7: non-numeric cell"),
@@ -382,7 +399,10 @@ def test_cli_simulate_ideal_then_estimate(tmp_path, capsys):
     assert len(delays) == 1
     step = payload["peaks"]["grid_resolution_s"]
     assert abs(delays[0]["tau_s"] - 0.364e-12) < 2.0 * step
-    assert (tmp_path / "est.correlation.csv").exists()
+    lines = (tmp_path / "est.correlation.csv").read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+    assert len(rows) == 4096
+    assert all(m == abs(complex(re, im)) for _, re, im, m in rows)
     assert "qcrb_s" in payload["crb"]
     row = payload["crb"]["per_delay"][0]
     assert 0.0 <= row["error_estimate"] <= 1e-8 * row["g_omega"]
