@@ -17,7 +17,6 @@ from .biphoton import (
     envelope_peak_normalized,
     fringe_factor,
     joint_spectral_intensity,
-    temporal_modes,
 )
 from .errors import (
     ConfigurationError,
@@ -78,7 +77,6 @@ __all__ = [
     "envelope_peak_normalized",
     "fringe_factor",
     "joint_spectral_intensity",
-    "temporal_modes",
     "ConfigurationError",
     "EstimationError",
     "InputDataError",

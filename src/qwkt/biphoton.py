@@ -1,5 +1,5 @@
-"""Biphoton source model: temporal modes, their cross-correlation, and the
-joint spectral intensity of a frequency-entangled photon pair.
+"""Biphoton source model: the two-photon cross-correlation and the joint
+spectral intensity of a frequency-entangled photon pair.
 
 The photons are degenerate: signal and idler share one center wavelength,
 and the pump sits at half of it. The difference-frequency axis ``omega``
@@ -120,23 +120,6 @@ class DelayProfile:
         return np.array([a for _, a in self.layers])
 
 
-def temporal_modes(source: BiphotonSource, profile: DelayProfile, t: np.ndarray):
-    """Signal and idler temporal mode envelopes on a time grid.
-
-    The signal mode is a single Gaussian ``exp(-delta^2 t^2 / 2)``; the idler
-    mode adds one delayed replica per layer, weighted by the layer weight.
-
-    Returns ``(f_signal, f_idler)`` as float arrays of the shape of ``t``.
-    """
-    t = np.asarray(t, dtype=float)
-    d2 = source.delta_temporal**2
-    f_signal = np.exp(-0.5 * d2 * t**2)
-    f_idler = np.exp(-0.5 * d2 * t**2)
-    for tau, weight in profile.layers:
-        f_idler = f_idler + weight * np.exp(-0.5 * d2 * (t + tau) ** 2)
-    return f_signal, f_idler
-
-
 def cross_correlation(source: BiphotonSource, profile: DelayProfile, t_values: np.ndarray) -> np.ndarray:
     """Two-photon cross-correlation function, main peak normalized to 1.
 
@@ -159,21 +142,18 @@ def cross_correlation(source: BiphotonSource, profile: DelayProfile, t_values: n
     return r
 
 
-def envelope_density(omega: np.ndarray, sigma: float) -> np.ndarray:
-    """Difference-frequency envelope as a unit-mass Gaussian density.
-
-    Normal density with RMS width ``2 sigma``:
-    ``exp(-omega^2 / 8 sigma^2) / sqrt(2 pi (2 sigma)^2)``.
-    """
-    omega = np.asarray(omega, dtype=float)
-    two_sigma = 2.0 * sigma
-    return np.exp(-(omega**2) / (8.0 * sigma**2)) / math.sqrt(2.0 * math.pi * two_sigma**2)
-
-
 def envelope_peak_normalized(omega: np.ndarray, sigma: float) -> np.ndarray:
-    """Same envelope with peak value 1 (dimensionless)."""
+    """Difference-frequency envelope ``exp(-omega^2 / 8 sigma^2)``, peak
+    value 1 (dimensionless)."""
     omega = np.asarray(omega, dtype=float)
     return np.exp(-(omega**2) / (8.0 * sigma**2))
+
+
+def envelope_density(omega: np.ndarray, sigma: float) -> np.ndarray:
+    """Same envelope as a unit-mass Gaussian density: normal with RMS width
+    ``2 sigma``, ``envelope_peak_normalized / sqrt(2 pi (2 sigma)^2)``.
+    """
+    return envelope_peak_normalized(omega, sigma) / math.sqrt(2.0 * math.pi * (2.0 * sigma) ** 2)
 
 
 def _fringe_rows(

@@ -116,6 +116,10 @@ def _trials(text: str) -> int:
     return int(value)
 
 
+_CRB_TRIALS_HELP = ("total trials for the CRB column (trinomial: spread by the normal-density "
+                    "envelope, while simulate --variant trinomial draws --trials per bin)")
+
+
 def _source_from_args(args) -> BiphotonSource:
     return BiphotonSource.from_bandwidth(args.sigma_nm * 1e-9, args.center_nm * 1e-9)
 
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_options(p)
     p.add_argument("--tau-ps", type=_finite, default=0.5, help="single delay, ps")
     p.add_argument("--tau-axis", default=None, help="delay axis start:stop:count[ps|s]")
-    p.add_argument("--trials", type=_trials, default=1, help="trials for the CRB column")
+    p.add_argument("--trials", type=_trials, default=1, help=_CRB_TRIALS_HELP)
     p.add_argument("--span-sd", type=_finite, default=6.0,
                    help="integration half window in units of 2*sigma")
     p.add_argument("--out", default="fisher.csv", help="output CSV path")
@@ -447,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-axis", default="0.5", help="delay axis start:stop:count[ps|s]")
     p.add_argument("--gamma-axis", default="0", help="loss axis start:stop:count")
     p.add_argument("--alpha-axis", default="1", help="visibility axis start:stop:count")
-    p.add_argument("--trials", type=_trials, default=1, help="trials for the CRB column")
+    p.add_argument("--trials", type=_trials, default=1, help=_CRB_TRIALS_HELP)
     p.add_argument("--span-sd", type=_finite, default=6.0,
                    help="integration half window in units of 2*sigma")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")

@@ -550,26 +550,26 @@ def _observed_information_errors(
     return stderr[:k], np.append(stderr[k:], math.sqrt(np.sum(cov[k:, k:]))), condition
 
 
-def _fisher_integrand(variant: str, gamma: float, alpha: float):
+def _fisher_integrand(model: DetectionModel):
     """One cell's Fisher integrand of the nodes ``w``, the envelope density
     ``env`` and the fringe ``c``, ``s`` (cos and sin of ``w tau``) there.
-    The two-port integrand does not depend on gamma."""
-    if variant == "two-port":
+    Two-port ignores gamma; trinomial reads ``_category_probabilities``."""
+    alpha = model.alpha
+    if model.variant == "two-port":
         if alpha == 1.0:
             return lambda w, env, c, s: env * w * w
         return lambda w, env, c, s: env * alpha**2 * w * w * s * s / (1.0 - alpha**2 * c * c)
-    survive = (1.0 - gamma) ** 2
+    survive = (1.0 - model.gamma) ** 2
 
     def integrand(w, env, c, s):
-        p_pair = (survive / 2.0) * env * (1.0 + alpha * c)
-        p_single = (1.0 - gamma**2) - p_pair
-        dp = (survive / 2.0) * env * alpha * w * s
+        p_pair, _, p_single, _ = _category_probabilities(model, env, c)
+        dp2 = ((survive / 2.0) * env * alpha * w * s) ** 2  # the slope squared
         if alpha == 1.0:
             term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
         else:
-            term_pair = np.divide(dp * dp, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
-        cut = p_single > 1e-13 * (1.0 - gamma**2)
-        term_single = np.divide(dp * dp, p_single, out=np.zeros_like(w), where=cut)
+            term_pair = np.divide(dp2, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
+        cut = p_single > 1e-13 * (1.0 - model.gamma**2)
+        term_single = np.divide(dp2, p_single, out=np.zeros_like(w), where=cut)
         return (term_pair + term_single) / survive
     return integrand
 
@@ -612,13 +612,13 @@ def _fisher_pass(sigma: float, tau: float, models) -> list:
     keys = [(m.variant, 0.0 if m.variant == "two-port" else m.gamma, m.alpha, m.grid.omega_max)
             for m in models]
     integrands, layouts = {}, {}
-    for key in dict.fromkeys(keys):
-        variant, gamma, alpha, hi = key
+    for key, model in dict(zip(keys, models)).items():
+        variant, _, alpha, hi = key
         fringe = not (variant == "two-port" and alpha == 1.0)  # reads cos and sin of omega tau
         per_half_period = (
             math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1)
         step = hi / max(_MIN_PANELS, hi * (abs(tau) if fringe else 0.0) * per_half_period / math.pi)
-        integrands[key] = _fisher_integrand(variant, gamma, alpha), fringe
+        integrands[key] = _fisher_integrand(model), fringe
         layouts.setdefault((hi, step), []).append(key)
     floor = 1e-15 * sigma**2
     value, error = dict.fromkeys(integrands, math.nan), dict.fromkeys(integrands, math.inf)
@@ -627,7 +627,8 @@ def _fisher_pass(sigma: float, tau: float, models) -> list:
         return error[key] <= max(_QUAD_RTOL * abs(value[key]), floor)
 
     for (hi, step), active in layouts.items():
-        while (active := [k for k in active if not done(k)]) and hi / step <= _MAX_PANELS:
+        while ((active := [k for k in active if not done(k)])
+               and step > 0.0 and hi / step <= _MAX_PANELS):
             fringe = any(integrands[k][1] for k in active)
             sums = _panel_sums([integrands[k][0] for k in active], hi, step, sigma, tau, fringe)
             for k, total in zip(active, sums):
@@ -661,19 +662,21 @@ def fisher_information(
     4 sigma^2 independent of tau). The integral does not depend on gamma:
     its stop test and a QuadratureError's value see it unscaled.
 
-    trinomial: the summed per-outcome terms ``(dP)^2 / P`` in its canonical
-    fringe convention, with the envelope entering as a normal density (the
-    sampling model peak-normalizes the same shape to get per-bin
-    probabilities; the two conventions are deliberately kept as published);
-    the no-click probability carries no delay dependence and adds nothing.
+    trinomial: the summed per-outcome terms ``(dP)^2 / P`` of the per-bin
+    outcome model, the envelope a normal density: the bound counts n_trials
+    in total, spread over frequency, where ``simulate --variant trinomial``
+    draws n_trials in every bin with the envelope peak-normalized (both
+    conventions kept as published). No-click carries no delay dependence.
 
     Both integrands are even: twice the integral over [0, omega_max] is
-    summed on 32-node Gauss-Legendre panels. Near-poles sit at omega |tau| =
-    m pi +/- i acosh(1/alpha), so panels are at most omega_max/64 wide and
-    start as one panel per fringe half-period pi/|tau|, with edges on the
-    near-poles' real parts. Panels are halved until two sums agree to 1e-8
-    relative (their difference is ``error_estimate``), or past 2^22 panels
-    QuadratureError is raised.
+    summed on 32-node Gauss-Legendre panels at most omega_max/64 wide, with
+    edges on the near-poles omega |tau| = m pi +/- i acosh(1/alpha): one
+    panel per fringe half-period pi/|tau| (``ceil(pi reach / acosh(1/alpha))``
+    for alpha above ~0.99999, reach the outer node's gap to its panel edge).
+    The two-port alpha = 1 integrand reads no fringe and starts at 64 panels.
+    Panels are halved until two sums differ by at most ``max(1e-8 |value|,
+    1e-15 sigma^2)`` (the difference is ``error_estimate``); past 2^22
+    panels, or if omega_max |tau| overflows, QuadratureError is raised.
 
     This is the one-model case of ``_fisher_pass``, which ``sweep`` runs on
     all cells of a (sigma, tau) point at once with the same bits per cell.

@@ -26,6 +26,18 @@ _IMAG_RESIDUE_RTOL = 1e-9
 _NEGATIVE_CLIP_RTOL = 1e-6
 
 
+def _check_bins(n_bins: int, axis: str) -> None:
+    if n_bins < 16:
+        raise ConfigurationError(f"{axis} grid needs at least 16 bins")
+    if n_bins % 2 != 0:
+        raise ConfigurationError("n_bins must be even")
+
+
+def _midpoints(n_bins: int, step: float) -> np.ndarray:
+    """Bin centers ``(k + 1/2 - n_bins/2) step``, symmetric about zero."""
+    return (np.arange(n_bins) + 0.5 - n_bins / 2.0) * step
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform difference-frequency grid, symmetric about zero.
@@ -41,10 +53,7 @@ class FrequencyGrid:
     def __post_init__(self):
         if not (self.omega_max > 0.0 and math.isfinite(self.span)):
             raise ConfigurationError("omega_max must be positive with a finite span")
-        if self.n_bins < 16:
-            raise ConfigurationError("frequency grid needs at least 16 bins")
-        if self.n_bins % 2 != 0:
-            raise ConfigurationError("n_bins must be even")
+        _check_bins(self.n_bins, "frequency")
 
     @property
     def span(self) -> float:
@@ -56,8 +65,7 @@ class FrequencyGrid:
 
     @cached_property
     def values(self) -> np.ndarray:
-        k = np.arange(self.n_bins)
-        return (k + 0.5 - self.n_bins / 2.0) * self.delta_omega
+        return _midpoints(self.n_bins, self.delta_omega)
 
     @cached_property
     def bin_edges(self) -> np.ndarray:
@@ -82,10 +90,7 @@ class TemporalGrid:
     def __post_init__(self):
         if self.delta_t <= 0.0 or not math.isfinite(self.delta_t):
             raise ConfigurationError("delta_t must be positive and finite")
-        if self.n_bins < 16:
-            raise ConfigurationError("temporal grid needs at least 16 bins")
-        if self.n_bins % 2 != 0:
-            raise ConfigurationError("n_bins must be even")
+        _check_bins(self.n_bins, "temporal")
 
     @classmethod
     def conjugate_of(cls, grid: FrequencyGrid) -> "TemporalGrid":
@@ -93,8 +98,7 @@ class TemporalGrid:
 
     @cached_property
     def values(self) -> np.ndarray:
-        j = np.arange(self.n_bins)
-        return (j + 0.5 - self.n_bins / 2.0) * self.delta_t
+        return _midpoints(self.n_bins, self.delta_t)
 
     @property
     def t_max(self) -> float:

@@ -19,7 +19,6 @@ from qwkt import (
     envelope_density,
     fringe_factor,
     joint_spectral_intensity,
-    temporal_modes,
 )
 from qwkt.biphoton import _fringe_rows
 
@@ -101,22 +100,11 @@ def test_delay_profile_normalized():
     assert prof.delays == pytest.approx([1e-13, 2e-13])
 
 
-def test_temporal_modes_forms():
-    src = BiphotonSource.from_bandwidth(10e-9)
-    prof = DelayProfile.normalized([(2e-13, 1.0)])
-    t = np.linspace(-5e-13, 5e-13, 101)
-    f_s, f_i = temporal_modes(src, prof, t)
-    d2 = src.delta_temporal**2
-    assert f_s == pytest.approx(np.exp(-0.5 * d2 * t**2), rel=1e-12)
-    assert f_i == pytest.approx(
-        np.exp(-0.5 * d2 * t**2) + np.exp(-0.5 * d2 * (t + 2e-13) ** 2), rel=1e-12
-    )
-
-
 def test_cross_correlation_matches_mode_overlap_oracle():
     # The closed form is the T-symmetrized overlap of Gaussian mode
-    # envelopes exp(-2 delta^2 t^2) (twice the temporal_modes rate),
-    # normalized to its T = 0 value. Trapezoid oracle on a dense grid.
+    # envelopes exp(-2 delta^2 t^2), the idler's with one delayed replica
+    # per layer, normalized to its T = 0 value. Trapezoid oracle on a
+    # dense grid.
     src = BiphotonSource.from_bandwidth(10e-9)
     prof = DelayProfile.normalized([(1.2e-13, 0.5), (2.67e-13, 0.5)])
     delta = src.delta_temporal

@@ -226,6 +226,17 @@ def test_mle_accepts_peak_report_init():
     assert abs(fit.layers[0][0] - 2.5e-13) <= 10.0 * fit.stderr_tau[0]
 
 
+def test_initial_layers_keep_the_strongest_peaks():
+    # a one-layer fit of a two-layer spectrum starts from the stronger
+    # peak, here the later one, pinned and with all the weight
+    prof = DelayProfile.normalized([(2e-13, 0.3), (4e-13, 0.7)])
+    counts, _ = _counts_table(prof, 1_000_000, seed=0)
+    layers, pinned = _initial_layers(counts, SRC, 1, None)
+    assert pinned == 1 and len(layers) == 1
+    assert abs(layers[0][0] - 4e-13) < 2e-14
+    assert layers[0][1] == 1.0
+
+
 def test_mle_trinomial_variant():
     tau = 2e-13
     counts, model = _counts_table(
@@ -766,6 +777,10 @@ def test_fisher_near_unit_visibility_raises_rather_than_miss_the_notch(variant):
         fisher_information(SRC, 1e-11, DetectionModel(grid, alpha=1.0 - 1e-13, variant=variant))
 
 
+# omega_max |tau| overflows here, so the starting panel width is 0
+_HUGE_TAU = 1e300
+
+
 @pytest.mark.parametrize("variant", ["two-port", "trinomial"])
 def test_fisher_edges(variant):
     grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
@@ -784,10 +799,25 @@ def test_fisher_edges(variant):
     assert nearly_lost.g_omega == pytest.approx(1e-12 * g(2e-12, alpha=0.9).g_omega, rel=1e-8)
     with pytest.raises(ConfigurationError):
         g(math.nan)
-    # visibility one ulp below 1 would need more panels than the cap
-    with pytest.raises(QuadratureError) as caught:
-        g(1e-11, alpha=math.nextafter(1.0, 0.0))
-    assert math.isnan(caught.value.value) and caught.value.error_estimate == math.inf
+    # visibility one ulp below 1 would need more panels than the cap, and a
+    # delay that overflows the starting panel width gets no panel at all
+    for tau, alpha in ((1e-11, math.nextafter(1.0, 0.0)), (_HUGE_TAU, 0.9)):
+        with pytest.raises(QuadratureError) as caught:
+            g(tau, alpha=alpha)
+        assert math.isnan(caught.value.value) and caught.value.error_estimate == math.inf
+
+
+def test_sweep_huge_delay_fails_only_the_fringe_cells():
+    for variant in ("two-port", "trinomial"):
+        res = sweep([SIGMA], [_HUGE_TAU], [0.0], [0.9, 1.0], variant=variant)
+        partial, unit = res.rows
+        assert partial.g_omega is None and "within 4194304 panels" in partial.error
+        if variant == "two-port":
+            # the unit-visibility integrand reads no fringe
+            assert unit.error is None
+            assert unit.g_omega == pytest.approx(FOUR_SIGMA_SQ, rel=1e-6)
+        else:
+            assert unit.error is not None and unit.g_omega is None
 
 
 def test_sweep_fisher_cells_raise_no_warning():
@@ -882,6 +912,10 @@ _SWEEP_ALPHAS = st.one_of(
 @example(  # at 10 ps alpha = 0.999 needs more halvings than 0.5 in the same layout
     variant="trinomial", sigmas=[SIGMA], taus=[1e-11, 0.0], gammas=[0.0, 0.2],
     alphas=[0.5, 0.999, 1.0 - 1e-13], n_trials=1,
+)
+@example(  # a delay whose starting panel width is 0
+    variant="two-port", sigmas=[SIGMA], taus=[_HUGE_TAU, 1e-11], gammas=[0.0, 0.2],
+    alphas=[0.9, 1.0], n_trials=1,
 )
 def test_sweep_cells_equal_lone_fisher_calls_bit_for_bit(
     variant, sigmas, taus, gammas, alphas, n_trials

@@ -310,6 +310,33 @@ def test_outcome_table_requires_some_coincidence_data():
         OutcomeTable(variant="two-port", grid=g, coincidence=np.full(16, 0.01))
 
 
+def _valid_table(variant):
+    g = _grid(n_bins=16)
+    model = DetectionModel(g, variant=variant)
+    return outcome_probabilities(model, SRC, DelayProfile.single(1e-13))
+
+
+@pytest.mark.parametrize("variant, change, error, message", [
+    ("two-port", {"variant": "three-port"}, ConfigurationError, "variant must be one of"),
+    ("two-port", {"bunching": None}, InputDataError, "need per-bin bunching"),
+    ("two-port", {"no_click": 0.5}, ConfigurationError, "outcome probabilities sum to"),
+    ("trinomial", {"bunching": np.zeros(16)}, ConfigurationError, "carry no bunching block"),
+    ("trinomial", {"single_click": 0.5}, InputDataError, "per-bin single-click"),
+    ("trinomial", {"no_click": 0.5}, ConfigurationError, "per-bin outcome probabilities must sum"),
+    ("two-port", {"counts_coincidence": np.zeros(8)}, InputDataError,
+     "coincidence counts must be per-bin"),
+])
+def test_outcome_table_rejects_each_bad_field(variant, change, error, message):
+    table = _valid_table(variant)
+    with pytest.raises(error, match=message):
+        replace(table, **change)
+
+
+def test_outcome_table_without_counts_has_no_total():
+    with pytest.raises(InputDataError, match="holds no counts"):
+        _valid_table("two-port").total_counts()
+
+
 def test_sample_counts_validates_trials():
     g = _grid(n_bins=32)
     model = DetectionModel(g, variant="two-port")

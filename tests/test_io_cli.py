@@ -32,6 +32,7 @@ from qwkt.io import (
     RunManifest,
     _parse_rows,
     _table_cell,
+    atomic_write_text,
     difference_frequency_from_wavelength,
     wavelength_from_difference_frequency,
     write_json,
@@ -320,6 +321,7 @@ def test_read_spectrum_loads_finite_or_raises_input_error(tmp_path_factory, text
     (WAVELENGTH_HEADER, (-5.0, 5.0), 0),  # was resampled onto a 7.6e17 rad/s grid
     (WAVELENGTH_HEADER, (0.0, 5.0), 0),  # was exit 2 plus a RuntimeWarning
     (OMEGA_HEADER, (math.inf, 5.0), -1),  # was exit 2 plus a RuntimeWarning
+    (WAVELENGTH_HEADER, (1e-300, 5.0), 0),  # 1/wavelength overflows float64
 ])
 def test_cli_estimate_rejects_bad_abscissa(tmp_path, capsys, header, row, at):
     rows = [(800.0 + i, 5.0) for i in range(32)]
@@ -330,7 +332,21 @@ def test_cli_estimate_rejects_bad_abscissa(tmp_path, capsys, header, row, at):
         warnings.simplefilter("error")
         assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "x.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+
+def test_atomic_write_cleans_up_after_a_failed_rename(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("before\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(target, "after\n")
+    assert target.read_text() == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_read_spectrum_counts_must_be_integers(tmp_path):
@@ -340,6 +356,9 @@ def test_read_spectrum_counts_must_be_integers(tmp_path):
     path.write_text("wavelength_nm,counts\n" + "\n".join(rows) + "\n")
     with pytest.raises(InputDataError):
         read_spectrum(path)
+    # through the CLI: exit 3, and no output file
+    assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["frac.csv"]
 
 
 # ---------------------------------------------------------------- manifest
@@ -723,6 +742,15 @@ def test_cli_estimate_failure_still_records_run(tmp_path, monkeypatch):
     assert payload["error"] and "peaks" not in payload
     manifest = _assert_manifest("e.json.manifest.json", "estimate", {"e.json", "e.correlation.csv"})
     assert manifest.input_digests == {"zero.csv": sha256_digest("zero.csv")}
+
+
+def test_cli_fisher_huge_delay_fails_with_exit_4(tmp_path, monkeypatch, capsys):
+    # omega_max |tau| overflows; the cell fails on its own, not with a traceback
+    monkeypatch.chdir(tmp_path)
+    assert _run(["fisher", "--tau-ps", "1e306", "--alpha", "0.9", "--out", "f.csv"]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+    rows = [r for r in Path("f.csv").read_text().splitlines() if r and not r.startswith("#")]
+    assert len(rows) == 2 and "panels" in rows[1]
 
 
 def test_cli_sweep_failure_still_records_run(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 """Checks on the repository itself: the README's library example runs, no
-module imports a name it does not use, every CLI flag is read, and the
-runtime needs numpy only."""
+module imports a name it does not use, the export list is the package's
+imports, every CLI flag is read, and the runtime needs numpy only."""
 
 import argparse
 import ast
@@ -41,6 +41,19 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+def test_export_list_is_the_imported_names():
+    # a name deleted from one of the two lists cannot linger in the other
+    import qwkt
+
+    tree = ast.parse((ROOT / "src" / "qwkt" / "__init__.py").read_text())
+    imported = [
+        a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    assert len(qwkt.__all__) == len(set(qwkt.__all__)) == len(imported)
+    assert set(qwkt.__all__) == set(imported)
 
 
 class _ReadRecorder(argparse.Namespace):
