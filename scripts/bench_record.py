@@ -6,7 +6,10 @@ write BENCH_<n>.json.
 
 Checkouts take turns per (seed, workload), the order reversing each seed, so
 all sides see the same host. Per checkout: git rev, src/ line count, tier-1
-wall time and pass, each run's end-to-end metrics and their medians per workload.
+wall time and pass, each run's end-to-end metrics and their medians per
+workload, and the per-layer metrics of one --trace 1 run per workload at the
+first seed (checkouts taking turns), which show where a change in the
+end-to-end figures comes from.
 """
 
 import argparse
@@ -25,6 +28,14 @@ def run(root, *argv):
     return subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=True).stdout
 
 
+def metrics(root, name, seed, trace):
+    """Metric name -> value of one benchmark/run.py run in root, and whether its checks passed."""
+    out = run(root, sys.executable, "benchmark/run.py", "--workload", name, "--seed", str(seed),
+              "--trace", str(trace))
+    result = json.loads(out.splitlines()[-1])
+    return {metric: m["value"] for metric, m in result["metrics"].items()}, result["correct"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -40,15 +51,16 @@ def main() -> int:
         sides.append({"git_rev": run(root, "git", "rev-parse", "HEAD").strip(), "src_lines": lines,
                       "tier1_wall_s": time.monotonic() - started,
                       "tier1_passed": tier1.returncode == 0,
-                      "runs": {name: [] for name in WORKLOADS}})
+                      "runs": {name: [] for name in WORKLOADS}, "trace": {}})
     for k, seed in enumerate(args.seeds):
         for name in WORKLOADS:
             for i in range(len(sides))[:: -1 if k % 2 else 1]:
-                out = run(args.checkouts[i], sys.executable, "benchmark/run.py", "--workload", name,
-                          "--seed", str(seed), "--trace", "0")
-                result = json.loads(out.splitlines()[-1])
-                sides[i]["runs"][name].append({"seed": seed, "correct": result["correct"], **{
-                    metric: m["value"] for metric, m in result["metrics"].items()}})
+                values, correct = metrics(args.checkouts[i], name, seed, 0)
+                sides[i]["runs"][name].append({"seed": seed, "correct": correct, **values})
+    for name in WORKLOADS:
+        for side, root in zip(sides, args.checkouts):
+            values, correct = metrics(root, name, args.seeds[0], 1)
+            side["trace"][name] = {"seed": args.seeds[0], "correct": correct, **values}
     for side in sides:
         side["median"] = {name: {metric: statistics.median(r[metric] for r in runs)
                                  for metric in runs[0] if metric not in ("seed", "correct")}

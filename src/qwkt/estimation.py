@@ -574,23 +574,48 @@ def _fisher_integrand(model: DetectionModel):
     return integrand
 
 
+def _cos_sin(phase):
+    return np.cos(phase), np.sin(phase)
+
+
+def _angle_sum(cm, sm, co, so):
+    """cos and sin of a + b from those of a (``cm``, ``sm``) and b (``co``, ``so``)."""
+    return cm * co - sm * so, sm * co + cm * so
+
+
 def _panel_sums(integrands, hi: float, step: float, sigma: float, tau: float, fringe: bool):
     """Gauss-Legendre sum of each integrand over [0, hi], one panel between
     consecutive multiples of ``step``, summed in groups of ``_SUM_PANELS``
-    panels and evaluated in blocks of ``_BLOCK_PANELS``. A block's nodes,
-    envelope and (if ``fringe``) cos and sin of ``w tau`` are computed once."""
+    panels and evaluated in blocks of ``_BLOCK_PANELS``. A block's nodes
+    ``w = mid + half x``, envelope and (if ``fringe``) cos and sin of the
+    phase are computed once.
+
+    The phase of node x_j is ``mid tau + (step/2) x_j tau``: its cos and sin
+    come by angle addition from one cos/sin pair per panel (``mid tau``) and
+    one per node offset, so trig runs on the panels and the 32 offsets, not
+    on every node. The range's final panel, narrower than ``step`` when
+    clipped at ``hi``, takes offsets from its own half-width."""
     n_panels = math.ceil(hi / step)
+    if fringe:
+        co, so = _cos_sin(_GL_NODES * (0.5 * step * tau))
+    c = s = None
     totals = [0.0] * len(integrands)
     for first in range(0, n_panels, _SUM_PANELS):
         edges = np.minimum(step * np.arange(first, min(first + _SUM_PANELS, n_panels) + 1), hi)
         half = 0.5 * np.diff(edges)
         mid = edges[:-1] + half
+        if fringe:
+            cm, sm = _cos_sin(mid[:, None] * tau)
         panels = [np.empty(half.size) for _ in integrands]
         for b in range(0, half.size, _BLOCK_PANELS):
             r = slice(b, b + _BLOCK_PANELS)
             w = mid[r, None] + half[r, None] * _GL_NODES
             env = envelope_density(w, sigma)
-            s, c = (np.sin(w * tau), np.cos(w * tau)) if fringe else (None, None)
+            if fringe:
+                c, s = _angle_sum(cm[r], sm[r], co, so)
+                if first + b + _BLOCK_PANELS >= n_panels:  # the block holds the final panel
+                    c[-1], s[-1] = _angle_sum(
+                        cm[-1], sm[-1], *_cos_sin(_GL_NODES * (half[-1] * tau)))
             for out, integrand in zip(panels, integrands):
                 out[r] = integrand(w, env, c, s) @ _GL_WEIGHTS
         totals = [total + float(half @ out) for total, out in zip(totals, panels)]
@@ -602,7 +627,8 @@ def _fisher_pass(sigma: float, tau: float, models) -> list:
     the error that stopped it. Models with one integrand (two-port ones of
     one alpha, at any gamma) share an integral; integrals of one panel layout
     (omega_max, starting step) are halved together, each to its own stop test,
-    on blocks whose nodes, envelope and fringe are computed once."""
+    on blocks whose nodes, envelope and fringe are computed once, the fringe
+    by angle addition (``_panel_sums``)."""
     if not math.isfinite(tau):
         return [ConfigurationError("tau must be finite") for _ in models]
     # The outermost node sits (1 - max node)/2 of a panel from its edge;
@@ -611,7 +637,7 @@ def _fisher_pass(sigma: float, tau: float, models) -> list:
     reach = (1.0 - _GL_NODES[-1]) / 2.0
     keys = [(m.variant, 0.0 if m.variant == "two-port" else m.gamma, m.alpha, m.grid.omega_max)
             for m in models]
-    integrands, layouts = {}, {}
+    integrands, layouts, no_panel = {}, {}, {}
     for key, model in dict(zip(keys, models)).items():
         variant, _, alpha, hi = key
         fringe = not (variant == "two-port" and alpha == 1.0)  # reads cos and sin of omega tau
@@ -620,6 +646,7 @@ def _fisher_pass(sigma: float, tau: float, models) -> list:
         step = hi / max(_MIN_PANELS, hi * (abs(tau) if fringe else 0.0) * per_half_period / math.pi)
         integrands[key] = _fisher_integrand(model), fringe
         layouts.setdefault((hi, step), []).append(key)
+        no_panel[key] = step == 0.0
     floor = 1e-15 * sigma**2
     value, error = dict.fromkeys(integrands, math.nan), dict.fromkeys(integrands, math.inf)
 
@@ -644,8 +671,11 @@ def _fisher_pass(sigma: float, tau: float, models) -> list:
             g_omega=g_omega, crb=crb, variant=m.variant, sigma=sigma, tau=tau, gamma=m.gamma,
             alpha=m.alpha, n_trials=m.n_trials, error_estimate=survive * error[k],
         ) if done(k) else QuadratureError(
-            "Fisher information quadrature did not reach 1e-8 relative accuracy "
-            f"within {_MAX_PANELS} panels", value=value[k], error_estimate=error[k],
+            "Fisher information quadrature evaluated no panels: omega_max |tau| overflows "
+            "the starting panel width" if no_panel[k] else
+            "Fisher information quadrature did not reach error <= max(1e-8 |value|, "
+            f"1e-15 sigma^2) within {_MAX_PANELS} panels",
+            value=value[k], error_estimate=error[k],
         ))
     return outcomes
 
@@ -674,9 +704,14 @@ def fisher_information(
     panel per fringe half-period pi/|tau| (``ceil(pi reach / acosh(1/alpha))``
     for alpha above ~0.99999, reach the outer node's gap to its panel edge).
     The two-port alpha = 1 integrand reads no fringe and starts at 64 panels.
-    Panels are halved until two sums differ by at most ``max(1e-8 |value|,
-    1e-15 sigma^2)`` (the difference is ``error_estimate``); past 2^22
-    panels, or if omega_max |tau| overflows, QuadratureError is raised.
+    The fringe at a node, cos and sin of ``omega tau``, comes by angle
+    addition from the cos and sin of its panel's midpoint phase and of its
+    offset from it, so trig runs once per panel and once per node offset;
+    the result agrees with cos and sin taken at every node to a few ulp of
+    the phase. Panels are halved until two sums differ by at most
+    ``max(1e-8 |value|, 1e-15 sigma^2)`` (the difference is
+    ``error_estimate``); past 2^22 panels, or if omega_max |tau| overflows
+    the starting panel width, QuadratureError is raised.
 
     This is the one-model case of ``_fisher_pass``, which ``sweep`` runs on
     all cells of a (sigma, tau) point at once with the same bits per cell.

@@ -97,7 +97,7 @@ def test_non_finite_parameters_are_rejected(build):
 def test_delay_profile_normalized():
     prof = DelayProfile.normalized([(1e-13, 2.0), (2e-13, 6.0)])
     assert prof.weights == pytest.approx([0.25, 0.75])
-    assert prof.delays == pytest.approx([1e-13, 2e-13])
+    assert prof.delays == pytest.approx([1e-13, 2e-13], abs=0.0)
 
 
 def test_cross_correlation_matches_mode_overlap_oracle():

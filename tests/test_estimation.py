@@ -39,7 +39,9 @@ from qwkt import (
 from qwkt.estimation import (
     _GL_NODES,
     _GL_WEIGHTS,
+    FisherReport,
     _find_peaks,
+    _fisher_pass,
     _initial_layers,
     _Likelihood,
     _newton_ascent,
@@ -811,7 +813,8 @@ def test_sweep_huge_delay_fails_only_the_fringe_cells():
     for variant in ("two-port", "trinomial"):
         res = sweep([SIGMA], [_HUGE_TAU], [0.0], [0.9, 1.0], variant=variant)
         partial, unit = res.rows
-        assert partial.g_omega is None and "within 4194304 panels" in partial.error
+        assert partial.g_omega is None
+        assert "evaluated no panels: omega_max |tau| overflows" in partial.error
         if variant == "two-port":
             # the unit-visibility integrand reads no fringe
             assert unit.error is None
@@ -843,12 +846,46 @@ def test_gauss_legendre_literals_equal_leggauss():
     assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
+def _angle_addition_fringe(w, mid, half, step, tau, final):
+    """cos and sin at the nodes ``w = mid + half x`` as ``_panel_sums`` forms
+    them: the phase ``mid tau + h x tau`` by angle addition, h = step/2, or
+    its own half-width for the range's final panel (where ``final`` is set)."""
+    h = np.where(final, half, 0.5 * step)[:, None]
+    a, b = mid[:, None] * tau, _GL_NODES * (h * tau)
+    return (np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b),
+            np.sin(a) * np.cos(b) + np.cos(a) * np.sin(b))
+
+
+def _direct_fringe(w, mid, half, step, tau, final):
+    """cos and sin of ``w tau`` at every node: the rule before angle addition."""
+    return np.cos(w * tau), np.sin(w * tau)
+
+
+def _reference_panel_sums(integrands, hi, step, sigma, tau, fringe):
+    """Each integrand summed over [0, hi] as ``_panel_sums`` sums it, but
+    evaluated a whole 512-panel group at a time, with the fringe from the
+    rule ``fringe``."""
+    n_panels = math.ceil(hi / step)
+    totals = [0.0] * len(integrands)
+    for first in range(0, n_panels, 512):
+        edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
+        half = 0.5 * np.diff(edges)
+        mid = edges[:-1] + half
+        w = mid[:, None] + half[:, None] * _GL_NODES
+        final = np.arange(first, first + half.size) == n_panels - 1
+        c, s = fringe(w, mid, half, step, tau, final)
+        env = envelope_density(w, sigma)
+        totals = [total + float(half @ (f(w, env, c, s) @ _GL_WEIGHTS))
+                  for total, f in zip(totals, integrands)]
+    return totals
+
+
 def test_panel_sum_blocks_stay_small_and_keep_the_512_panel_sum():
     # Blocks under 2^14 nodes keep the integrands' temporaries under 128 KiB;
     # the panel sum still groups 512 panels, so its bits do not change, and
     # integrands sharing a block's nodes, envelope and fringe each keep them.
     sizes = []
-    tau = 3e-13
+    tau = 1e-11  # here both the direct-trig fringe and one that skips the clipped panel differ
 
     def integrand(w, env, c, s):
         sizes.append(w.size)
@@ -858,22 +895,11 @@ def test_panel_sum_blocks_stay_small_and_keep_the_512_panel_sum():
         return env * w * (1.0 + 0.5 * c)
 
     hi = 12.0 * SIGMA
-    step = hi / 1300.0  # two whole 512-panel groups and a partial one
+    step = hi / 1300.4  # two whole 512-panel groups, a partial one and a clipped final panel
     values = _panel_sums([integrand, other], hi, step, SIGMA, tau, True)
     assert max(sizes) < 2**14
-
-    n_panels = math.ceil(hi / step)
-    for f, value in zip((integrand, other), values):
-        expected = 0.0
-        for first in range(0, n_panels, 512):
-            edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
-            half = 0.5 * np.diff(edges)
-            nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-            values_at_nodes = f(
-                nodes, envelope_density(nodes, SIGMA), np.cos(nodes * tau), np.sin(nodes * tau)
-            )
-            expected += float(half @ (values_at_nodes @ _GL_WEIGHTS))
-        assert value == expected
+    assert values == _reference_panel_sums(
+        [integrand, other], hi, step, SIGMA, tau, _angle_addition_fringe)
 
 
 def _lone_cell(sigma, tau, gamma, alpha, variant, n_trials, span_sd):
@@ -930,13 +956,12 @@ def test_sweep_cells_equal_lone_fisher_calls_bit_for_bit(
 
 
 def _per_cell_fisher(tau, model):
-    """(g_omega, error_estimate) by the quadrature of one cell alone, each
-    integrand computing its own envelope and fringe: the reference for the
+    """(g_omega, error_estimate) by the quadrature of one cell alone, with its
+    own integrand, envelope and angle-addition fringe: the reference for the
     bits of the shared pass."""
     gamma, alpha, survive = model.gamma, model.alpha, (1.0 - model.gamma) ** 2
 
-    def integrand(w):
-        env, c, s = envelope_density(w, SIGMA), np.cos(w * tau), np.sin(w * tau)
+    def integrand(w, env, c, s):
         if model.variant == "two-port":
             if alpha == 1.0:
                 return env * w * w
@@ -959,12 +984,7 @@ def _per_cell_fisher(tau, model):
     step = hi / max(64, hi * fringe * per_half_period / math.pi)
     value, error = math.nan, math.inf
     while not error <= max(1e-8 * abs(value), 1e-15 * SIGMA**2):
-        total, n_panels = 0.0, math.ceil(hi / step)
-        for first in range(0, n_panels, 512):
-            edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
-            half = 0.5 * np.diff(edges)
-            nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-            total += float(half @ (integrand(nodes) @ _GL_WEIGHTS))
+        (total,) = _reference_panel_sums([integrand], hi, step, SIGMA, tau, _angle_addition_fringe)
         previous, value = value, 2.0 * total
         error = abs(value - previous) if math.isfinite(previous) else math.inf
         step /= 2.0
@@ -981,6 +1001,51 @@ def test_fisher_keeps_the_bits_of_the_per_cell_quadrature(variant, tau, gamma, a
                            alpha=alpha, variant=variant)
     rep = fisher_information(SRC, tau, model)
     assert repr((rep.g_omega, rep.error_estimate)) == repr(_per_cell_fisher(tau, model))
+
+
+@pytest.mark.parametrize("tau", [1e-16, 5e-13, 1e-11, 1e-10, 1e-8])
+def test_angle_addition_fringe_stays_within_1e11_of_direct_trig(monkeypatch, tau):
+    # the same panel layout, halving and stop test with cos and sin of w tau
+    # at every node: the same cells fail and the rest agree to 1e-11; both
+    # variants' cells share one pass, so the direct fringe is taken once
+    grid = default_frequency_grid(SRC, n_bins=16)
+    models = [DetectionModel(grid, gamma, alpha, variant=variant)
+              for variant in ("two-port", "trinomial") for gamma in (0.0, 0.2)
+              for alpha in (0.5, 0.9, 0.999999)]
+    reports = _fisher_pass(SIGMA, tau, models)
+    monkeypatch.setattr(
+        "qwkt.estimation._panel_sums",
+        lambda fs, hi, step, sigma, tau, fringe: _reference_panel_sums(
+            fs, hi, step, sigma, tau, _direct_fringe),
+    )
+    direct = _fisher_pass(SIGMA, tau, models)
+    ok = [isinstance(r, FisherReport) for r in reports]
+    assert ok == [isinstance(r, FisherReport) for r in direct]
+    assert all(ok) == (tau < 1e-8)  # at 10 ns alpha = 0.999999 runs past the panel cap
+    for report, ref in zip(reports, direct):
+        if isinstance(report, FisherReport):
+            assert report.g_omega == pytest.approx(ref.g_omega, rel=1e-11, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    whole=st.integers(0, 1100),
+    fraction=st.floats(0.01, 1.0),
+    tau=st.one_of(st.floats(-1e-10, 1e-10), st.sampled_from([0.0, 1e-16, 5e-13])),
+)
+@example(whole=1300, fraction=0.4, tau=1e-11)  # a final panel clipped to 0.4 steps
+def test_angle_addition_fringe_matches_direct_trig_to_a_few_ulp(whole, fraction, tau):
+    # every node's fringe, the clipped final panel's included, is cos and
+    # sin of w tau to a few ulp of the largest phase
+    hi = 12.0 * SIGMA
+    step = hi / (whole + fraction)
+    seen = []
+    _panel_sums([lambda w, env, c, s: seen.append((w, c, s)) or w], hi, step, SIGMA, tau, True)
+    w, c, s = (np.concatenate(a) for a in zip(*seen))
+    assert w.shape == (math.ceil(hi / step), _GL_NODES.size)
+    tol = 8.0 * np.spacing(max(1.0, abs(hi * tau)))
+    assert np.max(np.abs(c - np.cos(w * tau))) <= tol
+    assert np.max(np.abs(s - np.sin(w * tau))) <= tol
 
 
 def test_sweep_point_computes_the_envelope_once_per_block(monkeypatch):
@@ -1036,10 +1101,10 @@ def test_qcrb_printed_form():
 def test_qcrb_scales_with_sigma_and_trials():
     wide = BiphotonSource.from_bandwidth(20e-9)
     assert quantum_fisher_information(wide, 1).qcrb == pytest.approx(
-        quantum_fisher_information(SRC, 1).qcrb / 2.0, rel=1e-12
+        quantum_fisher_information(SRC, 1).qcrb / 2.0, rel=1e-12, abs=0.0
     )
     assert quantum_fisher_information(SRC, 400).qcrb == pytest.approx(
-        quantum_fisher_information(SRC, 100).qcrb / 2.0, rel=1e-12
+        quantum_fisher_information(SRC, 100).qcrb / 2.0, rel=1e-12, abs=0.0
     )
 
 

@@ -59,11 +59,17 @@ def test_joint_amplitude_unit_norm():
 
 
 def test_joint_amplitude_symmetry_flag():
+    # points near the pump line, where the amplitude is not negligible,
+    # compared as fractions of its peak: the raw values sit far below
+    # pytest.approx's default absolute tolerance
     amp = JointAmplitude(SRC)
     rng = np.random.default_rng(13)
     ws = amp.sum_center / 2.0 + rng.normal(scale=2 * SRC.sigma_spectral, size=40)
-    wi = amp.sum_center / 2.0 + rng.normal(scale=2 * SRC.sigma_spectral, size=40)
-    assert amp(ws, wi) == pytest.approx(amp(wi, ws), rel=1e-12)
+    wi = amp.sum_center - ws + rng.normal(scale=amp.sum_bandwidth, size=40)
+    peak = amp(amp.sum_center / 2.0, amp.sum_center / 2.0)
+    scaled = amp(ws, wi) / peak
+    assert np.min(scaled) > 1e-6
+    assert scaled == pytest.approx(amp(wi, ws) / peak, rel=1e-12, abs=0.0)
 
 
 def test_antibunch_magnitude_swap_invariance():
