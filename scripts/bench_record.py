@@ -6,10 +6,11 @@ write BENCH_<n>.json.
 
 Checkouts take turns per (seed, workload), the order reversing each seed, so
 all sides see the same host. Per checkout: git rev, src/ line count, tier-1
-wall time and pass, each run's end-to-end metrics and their medians per
-workload, and the per-layer metrics of one --trace 1 run per workload at the
-first seed (checkouts taking turns), which show where a change in the
-end-to-end figures comes from.
+wall time and pass, each run's end-to-end metrics, check result and exit code,
+the metrics' medians per workload, and the per-layer metrics of one --trace 1
+run per workload at the first seed (checkouts taking turns), which show where
+a change in the end-to-end figures comes from. A run whose checks fail is
+recorded like any other; the script then exits 1 once the record is written.
 """
 
 import argparse
@@ -23,17 +24,16 @@ from pathlib import Path
 WORKLOADS = ("mle-campaign", "cli-pipeline", "fisher-sweep")
 
 
-def run(root, *argv):
-    """stdout of argv run in root; its stderr passes through, and a failure stops the record."""
-    return subprocess.run(argv, cwd=root, stdout=subprocess.PIPE, text=True, check=True).stdout
-
-
 def metrics(root, name, seed, trace):
-    """Metric name -> value of one benchmark/run.py run in root, and whether its checks passed."""
-    out = run(root, sys.executable, "benchmark/run.py", "--workload", name, "--seed", str(seed),
-              "--trace", str(trace))
-    result = json.loads(out.splitlines()[-1])
-    return {metric: m["value"] for metric, m in result["metrics"].items()}, result["correct"]
+    """One benchmark/run.py run in root: its metrics by name, whether its checks
+    passed and its exit code. A run whose checks fail exits 1 and is recorded
+    as such; a last stdout line that is not JSON stops the record."""
+    proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", name,
+                           "--seed", str(seed), "--trace", str(trace)],
+                          cwd=root, stdout=subprocess.PIPE, text=True, check=False)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"seed": seed, "correct": result["correct"], "exit_code": proc.returncode,
+            **{metric: m["value"] for metric, m in result["metrics"].items()}}
 
 
 def main() -> int:
@@ -48,25 +48,30 @@ def main() -> int:
         tier1 = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
                                cwd=root, capture_output=True, check=False)
         lines = sum(p.read_bytes().count(b"\n") for p in root.glob("src/**/*.py"))
-        sides.append({"git_rev": run(root, "git", "rev-parse", "HEAD").strip(), "src_lines": lines,
+        rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE,
+                             text=True, check=True).stdout.strip()
+        sides.append({"git_rev": rev, "src_lines": lines,
                       "tier1_wall_s": time.monotonic() - started,
                       "tier1_passed": tier1.returncode == 0,
                       "runs": {name: [] for name in WORKLOADS}, "trace": {}})
     for k, seed in enumerate(args.seeds):
         for name in WORKLOADS:
             for i in range(len(sides))[:: -1 if k % 2 else 1]:
-                values, correct = metrics(args.checkouts[i], name, seed, 0)
-                sides[i]["runs"][name].append({"seed": seed, "correct": correct, **values})
+                sides[i]["runs"][name].append(metrics(args.checkouts[i], name, seed, 0))
     for name in WORKLOADS:
         for side, root in zip(sides, args.checkouts):
-            values, correct = metrics(root, name, args.seeds[0], 1)
-            side["trace"][name] = {"seed": args.seeds[0], "correct": correct, **values}
+            side["trace"][name] = metrics(root, name, args.seeds[0], 1)
     for side in sides:
         side["median"] = {name: {metric: statistics.median(r[metric] for r in runs)
-                                 for metric in runs[0] if metric not in ("seed", "correct")}
+                                 for metric in runs[0]
+                                 if metric not in ("seed", "correct", "exit_code")}
                           for name, runs in side["runs"].items()}
     args.out.write_text(json.dumps({"seeds": args.seeds, "sides": sides}, indent=1) + "\n")
-    return 0
+    failed = [(side["git_rev"], name, r["seed"]) for side in sides for name in WORKLOADS
+              for r in [*side["runs"][name], side["trace"][name]] if not r["correct"]]
+    for rev, name, seed in failed:
+        print(f"checks failed: {rev[:12]} {name} seed {seed}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -590,15 +590,18 @@ def test_cli_bad_axis_spec(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("axis", "argv"),
+    ("argv", "error"),
     [
         # exited 2 only after linspace built the list: 125.6 MB peak RSS
-        ("tau", ["fisher", "--tau-axis", "0:1:2000000ps"]),
-        ("gamma", ["sweep", "--gamma-axis", "0:0.5:2000000"]),
+        (["fisher", "--tau-axis", "0:1:2000000ps"], "tau axis has 2000000 points, limit is 256"),
+        (["sweep", "--gamma-axis", "0:0.5:2000000"], "gamma axis has 2000000 points, limit is 256"),
+        # exited 1 with a numpy _ArrayMemoryError from FrequencyGrid.bin_edges
+        (["simulate", "--tau-ps", "0.5", "--bins", "1099511627776"],
+         "frequency grid has 1099511627776 bins, limit is 1048576"),
     ],
-    ids=["fisher-tau", "sweep-gamma"],
+    ids=["fisher-tau", "sweep-gamma", "simulate-bins"],
 )
-def test_cli_axis_count_is_bounded_before_allocating(tmp_path, capsys, axis, argv):
+def test_cli_axis_count_is_bounded_before_allocating(tmp_path, capsys, argv, error):
     tracemalloc.start()
     try:
         code = _run([*argv, "--out", tmp_path / "x.csv"])
@@ -607,7 +610,7 @@ def test_cli_axis_count_is_bounded_before_allocating(tmp_path, capsys, axis, arg
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {axis} axis has 2000000 points, limit is 256"]
+    assert err == [f"error: {error}"]
     assert peak < 2**20
     assert not any(tmp_path.iterdir())
 
