@@ -44,7 +44,7 @@ def bandwidth_nm_to_rads(delta_lambda: float, center_lambda: float) -> float:
         ``2 pi c delta_lambda / center_lambda**2``.
     """
     if not (0.0 < delta_lambda < math.inf and 0.0 < center_lambda < math.inf):
-        raise ValueError("bandwidth and center wavelength must be positive and finite")
+        raise ConfigurationError("bandwidth and center wavelength must be positive and finite")
     return 2.0 * math.pi * SPEED_OF_LIGHT * delta_lambda / center_lambda**2
 
 

@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputDataError as exc:

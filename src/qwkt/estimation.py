@@ -300,7 +300,6 @@ class _Likelihood:
             counts.counts_single,
             counts.counts_none,
         )
-        self.bunching = blocks[1] is not None
         # a category with one probability for every bin needs only its total
         self.terms = []
         for c, (block, p) in enumerate(zip(blocks, self._probabilities(np.zeros_like(self.env)))):
@@ -375,7 +374,7 @@ class _Likelihood:
         return value, jac.T @ g, hessian
 
     def _probabilities(self, x: np.ndarray) -> tuple:
-        return _category_probabilities(self.model, self.env, x, bunching=self.bunching)
+        return _category_probabilities(self.model, self.env, x)
 
     def _value(self, probs: tuple) -> np.ndarray:
         out = 0.0
@@ -545,8 +544,6 @@ def _observed_information_errors(
         return nan, nan, condition
     cov = (vec / lam) @ vec.T * np.outer(scale, scale)
     stderr = np.sqrt(np.diag(cov))
-    if k == 1:
-        return stderr, np.array([0.0]), condition
     return stderr[:k], np.append(stderr[k:], math.sqrt(np.sum(cov[k:, k:]))), condition
 
 
@@ -821,30 +818,18 @@ def _monotonicity(rows: tuple[SweepCell, ...], shape: tuple[int, ...]) -> dict:
     g = np.array(
         [row.g_omega if row.error is None else np.nan for row in rows], dtype=float
     ).reshape(shape)
-    ok = np.array([row.error is None for row in rows]).reshape(shape)
-    scale = float(np.nanmax(np.abs(g))) if np.any(ok) else 0.0
-    tol = 1e-12 * scale if scale > 0.0 else 0.0
+    tol = 1e-12 * float(np.max(np.abs(g[~np.isnan(g)]), initial=0.0))
     labels = {}
     for axis, name in enumerate(_SWEEP_AXES):
-        if shape[axis] < 2:
-            # a single point has no trend to violate
-            labels[name] = "constant"
-            continue
-        moved = np.moveaxis(g, axis, -1).reshape(-1, shape[axis])
-        moved_ok = np.moveaxis(ok, axis, -1).reshape(-1, shape[axis])
-        slice_labels = set()
-        for values, valid in zip(moved, moved_ok):
-            if not np.all(valid):
-                slice_labels.add("unavailable")
-                continue
-            diffs = np.diff(values)
-            if np.all(np.abs(diffs) <= tol):
-                slice_labels.add("constant")
-            elif np.all(diffs > tol):
-                slice_labels.add("increasing")
-            elif np.all(diffs < -tol):
-                slice_labels.add("decreasing")
-            else:
-                slice_labels.add("mixed")
-        labels[name] = slice_labels.pop() if len(slice_labels) == 1 else "mixed"
+        # A failed cell makes its steps nan. A single point has no steps, so
+        # no trend to violate: every test over them holds and it reads constant.
+        steps = np.diff(g, axis=axis)
+        slice_labels = np.select(
+            [np.isnan(steps).any(axis=axis), (np.abs(steps) <= tol).all(axis=axis),
+             (steps > tol).all(axis=axis), (steps < -tol).all(axis=axis)],
+            ["unavailable", "constant", "increasing", "decreasing"],
+            "mixed",
+        )
+        found = set(slice_labels.ravel().tolist())
+        labels[name] = found.pop() if len(found) == 1 else "mixed"
     return labels

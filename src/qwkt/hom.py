@@ -222,21 +222,14 @@ def _variant_envelope(model: DetectionModel, sigma: float) -> np.ndarray:
     return envelope_peak_normalized(model.grid.values, sigma)
 
 
-def _category_probabilities(
-    model: DetectionModel,
-    env: np.ndarray,
-    fringe: np.ndarray,
-    bunching: bool = True,
-) -> tuple:
+def _category_probabilities(model: DetectionModel, env: np.ndarray, fringe: np.ndarray) -> tuple:
     """Outcome probabilities for rows of the weighted fringe.
 
     Returns ``(coincidence, bunching, single_click, no_click)`` in the
     ``OutcomeTable`` layout. The per-bin blocks have the shape of
-    ``fringe`` (one row per candidate); ``bunching`` is None for the
-    trinomial variant, and for the two-port variant when ``bunching`` is
-    false (a likelihood over a table without bunch counts never reads it).
-    The categories that do not depend on the fringe are scalars. The fringe
-    brackets are clipped at zero.
+    ``fringe`` (one row per candidate); ``bunching`` is None only for the
+    trinomial variant. The categories that do not depend on the fringe are
+    scalars. The fringe brackets are clipped at zero.
     """
     gamma = model.gamma
     survive = (1.0 - gamma) ** 2
@@ -244,7 +237,7 @@ def _category_probabilities(
     if model.variant == "two-port":
         scaled = survive * env
         anti = scaled * np.maximum(1.0 - mod, 0.0) / 2.0
-        bunch = scaled * np.maximum(1.0 + mod, 0.0) / 2.0 if bunching else None
+        bunch = scaled * np.maximum(1.0 + mod, 0.0) / 2.0
         return anti, bunch, 2.0 * gamma * (1.0 - gamma), gamma**2
     pair = (survive / 2.0) * env * np.maximum(1.0 + mod, 0.0)
     return pair, None, (1.0 - gamma**2) - pair, gamma**2

@@ -26,13 +26,15 @@ import numpy as np
 
 from .biphoton import SPEED_OF_LIGHT
 from .errors import ConfigurationError, InputDataError
-from .transform import FrequencyGrid, SpectralPattern
+from .transform import _MAX_BINS, FrequencyGrid, SpectralPattern
 
 SCHEMA_VERSION = 1
 OMEGA_HEADER = ("omega_rad_per_s", "intensity")
 WAVELENGTH_HEADER = ("wavelength_nm", "counts")
 _SNAP_RTOL = 1e-9
 _MIN_ROWS = 16
+# the largest grid's bins, plus the row an odd-length axis drops (_to_midpoint_grid)
+_MAX_ROWS = _MAX_BINS + 1
 
 
 def sha256_digest(path) -> str:
@@ -117,7 +119,9 @@ def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
     _, header = next(rows, (0, None))
     if header is None:
         raise InputDataError("spectrum file is empty (no header line)")
-    body = [row for _, row in rows]
+    body = list(itertools.islice((row for _, row in rows), _MAX_ROWS + 1))
+    if len(body) > _MAX_ROWS:
+        raise InputDataError(f"spectrum has more than {_MAX_ROWS} data rows")
     with contextlib.suppress(ValueError):  # a non-numeric cell
         if set(map(len, body)) <= {2}:
             cells = np.fromiter(map(float, itertools.chain.from_iterable(body)), float)

@@ -48,9 +48,10 @@ def test_bandwidth_converter_scaling():
     "bad", [0.0, -1e-9, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
 )
 def test_bandwidth_converter_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
+    # a ConfigurationError, like every configuration check, and so a ValueError
+    with pytest.raises(ConfigurationError):
         bandwidth_nm_to_rads(bad, 810e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         bandwidth_nm_to_rads(10e-9, bad)
 
 

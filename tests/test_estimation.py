@@ -39,11 +39,14 @@ from qwkt import (
 from qwkt.estimation import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _SWEEP_AXES,
     FisherReport,
+    SweepCell,
     _find_peaks,
     _fisher_pass,
     _initial_layers,
     _Likelihood,
+    _monotonicity,
     _newton_ascent,
     _panel_sums,
 )
@@ -1147,6 +1150,77 @@ def test_sweep_rejects_empty_or_huge_axes():
         sweep([], [5e-13], [0.0], [1.0])
     with pytest.raises(ConfigurationError):
         sweep(list(np.linspace(SIGMA, 2 * SIGMA, 300)), [5e-13], [0.0], [1.0])
+
+
+def _monotonicity_reference(rows, shape):
+    """The labelling ``_monotonicity`` replaced: a failed-cell mask beside the
+    values, and each slice along each axis labelled on its own."""
+    g = np.array(
+        [row.g_omega if row.error is None else np.nan for row in rows], dtype=float
+    ).reshape(shape)
+    ok = np.array([row.error is None for row in rows]).reshape(shape)
+    scale = float(np.nanmax(np.abs(g))) if np.any(ok) else 0.0
+    tol = 1e-12 * scale if scale > 0.0 else 0.0
+    labels = {}
+    for axis, name in enumerate(_SWEEP_AXES):
+        if shape[axis] < 2:
+            labels[name] = "constant"
+            continue
+        moved = np.moveaxis(g, axis, -1).reshape(-1, shape[axis])
+        moved_ok = np.moveaxis(ok, axis, -1).reshape(-1, shape[axis])
+        slice_labels = set()
+        for values, valid in zip(moved, moved_ok):
+            if not np.all(valid):
+                slice_labels.add("unavailable")
+                continue
+            diffs = np.diff(values)
+            if np.all(np.abs(diffs) <= tol):
+                slice_labels.add("constant")
+            elif np.all(diffs > tol):
+                slice_labels.add("increasing")
+            elif np.all(diffs < -tol):
+                slice_labels.add("decreasing")
+            else:
+                slice_labels.add("mixed")
+        labels[name] = slice_labels.pop() if len(slice_labels) == 1 else "mixed"
+    return labels
+
+
+def _sweep_cells(shape, offsets, scale=1.0):
+    """Cells of a sweep grid: g_omega = scale (1 + offset), or failed where
+    the offset is None."""
+    return tuple(
+        SweepCell(sigma=SIGMA, tau=0.0, gamma=0.0, alpha=1.0, variant="two-port",
+                  g_omega=None if c is None else scale * (1.0 + c), crb=None,
+                  error="failed" if c is None else None)
+        for c in offsets
+    )
+
+
+# offsets tie, straddle the 1e-12-of-scale tolerance, or clear it
+_OFFSETS = st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 2e-12, -1e-12, -3e-12, 0.25, -0.5, 1.0])
+
+
+@st.composite
+def _sweep_grids(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=4, max_size=4)))
+    scale = draw(st.sampled_from([0.0, 1.0, FOUR_SIGMA_SQ, 1e-300, 1e300, -2.0]))
+    failed = draw(st.floats(0.0, 1.0))
+    offsets = draw(st.lists(
+        st.one_of(st.none(), _OFFSETS) if failed > 0.5 else _OFFSETS,
+        min_size=math.prod(shape), max_size=math.prod(shape),
+    ))
+    return _sweep_cells(shape, offsets, scale), shape
+
+
+@settings(max_examples=500, deadline=None)
+@given(grid=_sweep_grids())
+@example(grid=(_sweep_cells((2, 1, 3, 1), [None] * 6), (2, 1, 3, 1)))
+@example(grid=(_sweep_cells((3, 2, 1, 2), [0.0] * 12, 0.0), (3, 2, 1, 2)))
+@example(grid=(_sweep_cells((1, 1, 1, 1), [None]), (1, 1, 1, 1)))
+def test_monotonicity_matches_per_slice_reference(grid):
+    rows, shape = grid
+    assert _monotonicity(rows, shape) == _monotonicity_reference(rows, shape)
 
 
 def test_sweep_captures_cell_errors():

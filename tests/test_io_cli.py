@@ -25,6 +25,7 @@ from qwkt import (
     write_manifest,
     write_spectrum,
 )
+from qwkt import io as qwkt_io
 from qwkt.cli import build_parser, main
 from qwkt.io import (
     OMEGA_HEADER,
@@ -38,6 +39,7 @@ from qwkt.io import (
     write_json,
     write_table,
 )
+from qwkt.transform import _MAX_BINS
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
 SIGMA = SRC.sigma_spectral
@@ -359,6 +361,21 @@ def test_read_spectrum_counts_must_be_integers(tmp_path):
     # through the CLI: exit 3, and no output file
     assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
     assert [p.name for p in tmp_path.iterdir()] == ["frac.csv"]
+
+
+def test_read_spectrum_bounds_rows_before_converting(tmp_path, monkeypatch, capsys):
+    # the largest grid takes _MAX_BINS + 1 rows (an odd axis drops one); a
+    # file past the bound is refused before its first, non-numeric, cell is read
+    assert qwkt_io._MAX_ROWS == _MAX_BINS + 1
+    monkeypatch.setattr(qwkt_io, "_MAX_ROWS", 20)
+    path = tmp_path / "long.csv"
+    rows = [f"{800.0 + i!r},5" for i in range(20)]
+    path.write_text("wavelength_nm,counts\n" + "\n".join(rows) + "\n")
+    assert read_spectrum(path).grid.n_bins == 20
+    path.write_text("wavelength_nm,counts\nabc,5\n" + "\n".join(rows) + "\n")
+    assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
+    assert capsys.readouterr().err == "error: spectrum has more than 20 data rows\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["long.csv"]
 
 
 # ---------------------------------------------------------------- manifest
