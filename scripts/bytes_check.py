@@ -4,11 +4,12 @@ qwkt commands in each, and compare what they leave behind.
     python3 scripts/bytes_check.py PARENT CHANGE
 
 Each checkout runs the commands in its own temp dir, one process per command,
-with its own src/ on PYTHONPATH. Compared: every output file byte for byte,
-except the manifests (*.manifest.json), compared as JSON without
-duration_seconds; and each command's exit code and stderr (the checkout's path
-spelled <checkout>). Every difference is printed; the exit code is 1 if there
-is any, else 0.
+with its own src/ on PYTHONPATH; each temp dir starts with the same hand-made
+input files (a spectrum that is not UTF-8, one with a cell past csv's field
+limit). Compared: every output file byte for byte, except the manifests
+(*.manifest.json), compared as JSON without duration_seconds; and each
+command's exit code and stderr (the checkout's path spelled <checkout>).
+Every difference is printed; the exit code is 1 if there is any, else 0.
 """
 
 import argparse
@@ -22,6 +23,10 @@ from pathlib import Path
 _PIPELINE_MODEL = ["--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
 _ONE_LAYER = ["--sigma-nm", "10", "--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
 _TRINOMIAL = ["--variant", "trinomial", "--sigma-nm", "10", "--trials", "2000"]
+_INPUTS = {
+    "not-utf8.csv": b"wavelength_nm,counts\n\xff\xfe,1\n",
+    "long-cell.csv": b"wavelength_nm,counts\n" + b"8" * 2**17 + b".5,1\n",
+}
 
 
 def _commands() -> list[list[str]]:
@@ -46,9 +51,14 @@ def _commands() -> list[list[str]]:
          *_TRINOMIAL],
         ["simulate", "--ideal", "--tau-ps", "0.3", "--bins", "1024", "--out", "ideal.csv"],
         ["estimate", "--input", "ideal.csv", "--out", "ideal.json"],
-        ["fisher", "--tau-ps", "1e306", "--alpha", "0.9", "--out", "huge.csv"],  # exit 4
+        ["fisher", "--tau-axis", "1e306", "--alpha", "0.9", "--out", "huge.csv"],  # exit 4
         ["estimate", "--input", "missing.csv", "--out", "missing.json"],  # exit 3
         ["sweep", "--sigma-axis", "0:20:3", "--out", "zero-bandwidth.csv"],  # exit 2
+        ["estimate", "--input", "not-utf8.csv", "--out", "not-utf8.json"],  # exit 3
+        ["estimate", "--input", "long-cell.csv", "--out", "long-cell.json"],  # exit 3
+        # omega_max squared overflows: the cell fails (exit 4), and beside a computed cell
+        ["sweep", "--sigma-axis", "1.04e141", "--out", "wide.csv"],
+        ["sweep", "--sigma-axis", "1e140:1e142:2", "--out", "wider.csv"],
     ]
     for variant in ("two-port", "trinomial"):
         commands += [
@@ -69,6 +79,8 @@ def _commands() -> list[list[str]]:
 def run(root: Path, workdir: Path) -> list[tuple[int, str]]:
     """Run every command in workdir on root's src/: (exit code, stderr) each."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for name, content in _INPUTS.items():
+        (workdir / name).write_bytes(content)
     results = []
     for argv in _commands():
         proc = subprocess.run([sys.executable, "-m", "qwkt.cli", *argv], cwd=workdir, env=env,

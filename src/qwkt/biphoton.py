@@ -54,7 +54,8 @@ class BiphotonSource:
 
     ``sigma_spectral`` is the RMS spectral width of a single down-converted
     photon (rad/s) and ``center_wavelength`` the center of both photons
-    (m); ``delta_temporal`` is derived from sigma at construction.
+    (m), each positive with a finite square; ``delta_temporal`` is derived
+    from sigma at construction.
     """
 
     sigma_spectral: float
@@ -63,8 +64,9 @@ class BiphotonSource:
 
     def __post_init__(self):
         for name in ("sigma_spectral", "center_wavelength"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite")
+            value = getattr(self, name)
+            if not (0.0 < value and value * value < math.inf):
+                raise ConfigurationError(f"{name} must be positive with a finite square")
         object.__setattr__(self, "delta_temporal", DELTA_PER_SIGMA * self.sigma_spectral)
 
     @classmethod
@@ -162,42 +164,39 @@ def _fringe_rows(
     """Weighted fringes ``sum_i a_i cos(omega tau_i + phi)``, one row per candidate.
 
     ``taus`` and ``weights`` have shape (B, k), ``omega`` shape (n,); the
-    result has shape (B, n). Layers are summed in column order, so a single
-    row reproduces ``fringe_factor`` bit for bit.
+    result has shape (B, n). Layers are summed in column order from zeros,
+    so each row has the bits of that candidate's ``_layer_rows`` fringe.
 
     Each distinct delay in a column has its cosine row computed once per
     batch and gathered into every row that holds it. A padded-layer scan
     holds every other layer's delay fixed, so their columns hold one
     distinct delay, and repeats each of its own delays once per weight
-    fraction. The gathered rows are the same bits as rows computed one by
-    one. A single row skips the lookup.
+    fraction. Gathered rows have the bits of rows computed one by one.
     """
     out = np.zeros((taus.shape[0], omega.size))
     for tau, weight in zip(taus.T, weights.T):
-        if tau.size > 1:
-            distinct, index = np.unique(tau, return_inverse=True)
-            cos = np.cos(omega * distinct[:, None] + phi)[index]
-        else:
-            cos = np.cos(omega * tau[:, None] + phi)
-        out += weight[:, None] * cos
+        distinct, index = np.unique(tau, return_inverse=True)
+        out += weight[:, None] * np.cos(omega * distinct[:, None] + phi)[index]
     return out
 
 
-def _layer_rows(taus: np.ndarray, phi: float, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cos`` and ``sin`` of ``omega tau_i + phi`` for the k delays of one
-    candidate, each of shape (k, n). The cosine rows are the ones
-    ``_fringe_rows`` sums (same bits); the sine rows give its delay
-    derivatives."""
+def _layer_rows(taus, weights, phi: float, omega: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One candidate's fringe ``sum_i a_i cos(omega tau_i + phi)``, shape (n,),
+    summed in layer order from zeros (the bits of its ``_fringe_rows`` row),
+    and the ``cos`` and ``sin`` rows of its k delays, each (k, n); the sine
+    rows give the fringe's delay derivatives."""
     phase = omega * taus[:, None] + phi
-    return np.cos(phase), np.sin(phase)
+    cos = np.cos(phase)
+    fringe = sum((a * row for a, row in zip(weights, cos)), np.zeros(omega.size))
+    return fringe, cos, np.sin(phase)
 
 
 def fringe_factor(profile: DelayProfile, omega: np.ndarray, phi: float = 0.0) -> np.ndarray:
     """Weighted interference term ``sum_i a_i cos(omega tau_i + phi)``; the
     constant phase offset ``phi = pi`` flips every fringe."""
     omega = np.asarray(omega, dtype=float)
-    rows = _fringe_rows(profile.delays[None], profile.weights[None], phi, omega.ravel())
-    return rows.reshape(omega.shape)
+    fringe, _, _ = _layer_rows(profile.delays, profile.weights, phi, omega.ravel())
+    return fringe.reshape(omega.shape)
 
 
 def joint_spectral_intensity(

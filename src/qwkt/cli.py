@@ -367,11 +367,7 @@ def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> in
 def cmd_fisher(args) -> int:
     center = args.center_nm * 1e-9
     sigma_values = [bandwidth_nm_to_rads(args.sigma_nm * 1e-9, center)]
-    tau_values = (
-        _parse_axis(args.tau_axis, "tau")
-        if args.tau_axis is not None
-        else [args.tau_ps * 1e-12]
-    )
+    tau_values = _parse_axis(args.tau_axis, "tau")
     return _run_sweep(args, sigma_values, tau_values, [args.gamma], [args.alpha])
 
 
@@ -435,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fisher", cmd_fisher, "Fisher information along a delay axis")
     _add_source_options(p)
     _add_model_options(p)
-    p.add_argument("--tau-ps", type=_finite, default=0.5, help="single delay, ps")
-    p.add_argument("--tau-axis", default=None, help="delay axis start:stop:count[ps|s]")
+    p.add_argument("--tau-axis", default="0.5",
+                   help="delay axis start:stop:count[ps|s], or a single delay")
     p.add_argument("--trials", type=_trials, default=1, help=_CRB_TRIALS_HELP)
     p.add_argument("--span-sd", type=_finite, default=6.0,
                    help="integration half window in units of 2*sigma")

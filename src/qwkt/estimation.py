@@ -105,7 +105,7 @@ class MleResult:
     log_likelihood: float
     converged: bool
     iterations: int
-    evaluations: int  # likelihood rows evaluated, padded-layer scan plus Newton
+    evaluations: int  # padded-layer scan rows plus the points Newton scored
     hessian_condition: float  # of the balanced observed information
 
 
@@ -270,16 +270,17 @@ def _row_dot(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _Likelihood:
     """Multinomial log-likelihood of an outcome table under candidate layers.
 
-    Candidates come in rows; the outcome probabilities of every row come
-    from the forward model shared with ``outcome_probabilities``. The table
-    is read once into ``terms``, one (category, counts) pair per observed
-    block, the category indexing ``_category_probabilities``. Categories
-    absent from a two-port table (a spectrum file carries anti-bunch counts
-    only) are handled by conditioning on the observed categories: their
-    probabilities are renormalized by the observed total mass. A trinomial
-    table with pair counts only is fitted by the per-bin binomial marginal
-    with known trials, which no bin's pair count may exceed; its second
-    term, category None, is the 1 - pair rest.
+    ``log_likelihood`` takes candidates in rows (the padded-layer scan),
+    ``score`` one candidate (Newton); both read the forward model shared with
+    ``outcome_probabilities``. The table is read once into ``terms``, one
+    (category, counts) pair per observed block, the category indexing
+    ``_category_probabilities``. Categories absent from a two-port table (a
+    spectrum file carries anti-bunch counts only) are handled by
+    conditioning on the observed categories: their probabilities are
+    renormalized by the observed total mass. A trinomial table with pair
+    counts only is fitted by the per-bin binomial marginal with known
+    trials, which no bin's pair count may exceed; its second term, category
+    None, is the 1 - pair rest.
     """
 
     def __init__(
@@ -338,10 +339,7 @@ class _Likelihood:
         of x-slope m. Bins at the 1e-300 log floor contribute nothing.
         """
         k = taus.size
-        cos, sin = _layer_rows(taus, self.phi, self.omega)
-        x = np.zeros(self.omega.size)
-        for a, row in zip(weights, cos):
-            x += a * row
+        x, cos, sin = _layer_rows(taus, weights, self.phi, self.omega)
         probs = self._probabilities(x[None])
         value = float(self._value(probs)[0])
         probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
@@ -485,10 +483,11 @@ def _newton_ascent(
     and still an ascent step elsewhere (a surplus layer's ridge), where
     Newton would head for the saddle. The step is halved until the
     log-likelihood rises with every weight positive, or until the rise it
-    can still bring is below ``_NEWTON_TOL``. Converged means g^T step, twice
-    the predicted rise, is at most ``_NEWTON_TOL``; that step is still taken
-    if it rises. Returns the delays, weights, log-likelihood and Hessian
-    reached, the steps taken, convergence and the likelihood rows evaluated.
+    can still bring is below ``_NEWTON_TOL``; an accepted trial keeps its
+    ``score``. Converged means g^T step, twice the predicted rise, is at most
+    ``_NEWTON_TOL``; that step is still taken if it rises. Returns the delays,
+    weights, log-likelihood and Hessian reached, the steps taken,
+    convergence and the points scored.
     """
     k = taus.size
     value, gradient, hessian = like.score(taus, weights)
@@ -509,14 +508,14 @@ def _newton_ascent(
             trial_weights = np.append(trial[k:], 1.0 - np.sum(trial[k:]))
             if np.all(trial_weights > 0.0):
                 evaluations += 1
-                if like.log_likelihood(trial[None, :k], trial_weights[None])[0] > value:
+                scored = like.score(trial[:k], trial_weights)
+                if scored[0] > value:
                     break
             t = t / 2.0 if t * gain > 2.0 * _NEWTON_TOL else 0.0
         if t == 0.0:
             break
-        taus, weights = trial[:k], trial_weights
-        value, gradient, hessian = like.score(taus, weights)
-        iterations, evaluations = iterations + 1, evaluations + 1
+        taus, weights, (value, gradient, hessian) = trial[:k], trial_weights, scored
+        iterations += 1
     return taus, weights, value, hessian, iterations, converged, evaluations
 
 
@@ -800,7 +799,7 @@ def sweep(
                 model = exc
             cells.append((gamma, alpha, model))
         models = [m for *_, m in cells if isinstance(m, DetectionModel)]
-        reports = iter(_fisher_pass(sigma, tau, models))
+        reports = iter(_fisher_pass(sigma, tau, models) if models else ())
         for gamma, alpha, outcome in cells:
             if isinstance(outcome, DetectionModel):
                 outcome = next(reports)

@@ -102,37 +102,47 @@ def write_spectrum(
     write_table(path, WAVELENGTH_HEADER, (wavelength[order] * 1e9, counts), comments)
 
 
-def _data_rows(text: str):
-    """(line number, cells) of each csv row that is neither blank nor a comment."""
-    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if row and not row[0].lstrip().startswith("#"):
-            yield line_no, row
+def _data_rows(lines):
+    """(line number, cells) of each csv row that is neither blank nor a comment;
+    a row csv cannot parse, such as a cell past its field limit, raises
+    ``InputDataError``."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise InputDataError(f"line {reader.line_num}: {exc}") from exc
 
 
 def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The header's cells and the body as an (n, 2) float64 array."""
+    """The header's cells and the body as an (n, 2) float64 array. Rows are
+    read from the open file, and reading stops past ``_MAX_ROWS`` of them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = _data_rows(handle)
+            _, header = next(rows, (0, None))
+            body = list(itertools.islice((row for _, row in rows), _MAX_ROWS + 1))
     except OSError as exc:
         raise InputDataError(f"cannot read spectrum file {path}: {exc}") from exc
-    rows = _data_rows(text)
-    _, header = next(rows, (0, None))
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"spectrum file {path} is not UTF-8 text: {exc.reason}") from exc
     if header is None:
         raise InputDataError("spectrum file is empty (no header line)")
-    body = list(itertools.islice((row for _, row in rows), _MAX_ROWS + 1))
     if len(body) > _MAX_ROWS:
         raise InputDataError(f"spectrum has more than {_MAX_ROWS} data rows")
     with contextlib.suppress(ValueError):  # a non-numeric cell
         if set(map(len, body)) <= {2}:
             cells = np.fromiter(map(float, itertools.chain.from_iterable(body)), float)
             return tuple(c.strip() for c in header), cells.reshape(-1, 2)
-    for line_no, row in itertools.islice(_data_rows(text), 1, None):  # name the first bad line
-        if len(row) != 2:
-            raise InputDataError(f"line {line_no}: expected 2 columns, got {len(row)}")
-        try:
-            float(row[0]), float(row[1])
-        except ValueError as exc:
-            raise InputDataError(f"line {line_no}: non-numeric cell") from exc
+    with open(path, encoding="utf-8", newline="") as handle:  # name the first bad line
+        for line_no, row in itertools.islice(_data_rows(handle), 1, None):
+            if len(row) != 2:
+                raise InputDataError(f"line {line_no}: expected 2 columns, got {len(row)}")
+            try:
+                float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise InputDataError(f"line {line_no}: non-numeric cell") from exc
     raise AssertionError("the batch conversion failed on no line")
 
 
@@ -236,17 +246,11 @@ def write_json(path, payload: dict) -> None:
 
 
 def _table_cell(cell) -> str:
-    """One ``write_table`` cell; floats first, the common case. ``%.17g``
-    spells non-finite floats ``inf``, ``-inf`` and ``nan``, as ``str`` does."""
-    if isinstance(cell, float):
-        return "%.17g" % cell
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
+    """One ``write_table`` cell: None is empty, a string is itself and a number
+    is ``%.17g``, which spells non-finite floats ``inf``, ``-inf`` and ``nan``."""
     if cell is None:
         return ""
-    return "%.17g" % float(cell)
+    return cell if isinstance(cell, str) else "%.17g" % cell
 
 
 def write_table(path, header: tuple[str, ...], columns, comments: tuple[str, ...] = ()) -> None:

@@ -45,17 +45,18 @@ def _midpoints(n_bins: int, step: float) -> np.ndarray:
 class FrequencyGrid:
     """Uniform difference-frequency grid, symmetric about zero.
 
-    Bin centers are ``-omega_max + (k + 1/2) delta_omega``; ``n_bins`` must
-    be even and at least 16 so the grid has no on-axis bin and enough
-    resolution for the paired transform, and at most 2^20.
+    Bin centers are ``-omega_max + (k + 1/2) delta_omega``; ``omega_max``
+    must be positive with a finite square (no bin's omega^2 overflows), and
+    ``n_bins`` even and at least 16 so the grid has no on-axis bin and
+    enough resolution for the paired transform, and at most 2^20.
     """
 
     omega_max: float
     n_bins: int = 4096
 
     def __post_init__(self):
-        if not (self.omega_max > 0.0 and math.isfinite(self.span)):
-            raise ConfigurationError("omega_max must be positive with a finite span")
+        if not (self.omega_max > 0.0 and math.isfinite(self.omega_max * self.omega_max)):
+            raise ConfigurationError("omega_max must be positive with a finite square")
         _check_bins(self.n_bins, "frequency")
 
     @property

@@ -399,6 +399,36 @@ def test_mle_scans_the_padded_layer(seed):
         assert abs(tau - true) <= 10.0 * err
 
 
+def test_newton_scores_each_point_once(monkeypatch):
+    # the padded-layer scan is the only log_likelihood caller; Newton scores
+    # every trial point once, so evaluations is the scanned rows plus the
+    # score calls
+    calls = {"rows": 0, "scores": 0}
+    batch, score = _Likelihood.log_likelihood, _Likelihood.score
+
+    def counted_batch(self, taus, weights):
+        assert calls["scores"] == 0, "log_likelihood called after Newton's first score"
+        calls["rows"] += taus.shape[0]
+        return batch(self, taus, weights)
+
+    def counted_score(self, taus, weights):
+        calls["scores"] += 1
+        return score(self, taus, weights)
+
+    monkeypatch.setattr(_Likelihood, "log_likelihood", counted_batch)
+    monkeypatch.setattr(_Likelihood, "score", counted_score)
+    pinned = DelayProfile.normalized([(1.2e-13, 0.5), (2.0e-13, 0.5)])
+    merged = DelayProfile.normalized([(1.2e-13, 0.5), (1.5e-13, 0.5)])
+    # both peaks pinned: no scan; one peak for two layers: one 400-row scan
+    for profile, rows in ((pinned, 0), (merged, 400)):
+        calls.update(rows=0, scores=0)
+        counts, model = _counts_table(profile, 100_000, seed=1)
+        fit = mle_fit(counts, model, SRC, k_layers=2)
+        assert calls["rows"] == rows
+        assert fit.iterations >= 1
+        assert fit.evaluations == rows + calls["scores"]
+
+
 def test_mle_validates_inputs():
     counts, model = _counts_table(DelayProfile.single(2e-13), 10_000, seed=0, n_bins=64)
     with pytest.raises(ConfigurationError):

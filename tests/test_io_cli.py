@@ -107,11 +107,14 @@ def _table_columns(draw):
 @settings(max_examples=200, deadline=None)
 @given(columns=_table_columns())
 def test_write_table_matches_per_cell_rows(tmp_path_factory, columns):
-    # the reference spells every cell of the transposed rows through _table_cell
+    # the reference spells every cell of the transposed rows on its own: an
+    # int64 array's cells with %d (exact past 2^53), any other through _table_cell
     path = tmp_path_factory.getbasetemp() / "columns.csv"
     header = tuple(f"c{i}" for i in range(len(columns)))
     write_table(path, header, columns, comments=("note",))
-    rows = [",".join(map(_table_cell, row)) for row in zip(*columns)]
+    integer = [getattr(column, "dtype", None) == np.int64 for column in columns]
+    rows = [",".join("%d" % cell if i else _table_cell(cell) for i, cell in zip(integer, row))
+            for row in zip(*columns)]
     assert path.read_bytes() == "\n".join(["# note", ",".join(header), *rows, ""]).encode()
 
 
@@ -273,7 +276,8 @@ def test_read_spectrum_validation(tmp_path):
 
 
 def _spectrum_text(header, rows):
-    return "\n".join([",".join(header), *(f"{a!r},{v!r}" for a, v in rows)]) + "\n"
+    # a float's str is its repr; a str cell is written as it is
+    return "\n".join([",".join(header), *(f"{a},{v}" for a, v in rows)]) + "\n"
 
 
 _BAD_CELLS = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -324,12 +328,16 @@ def test_read_spectrum_loads_finite_or_raises_input_error(tmp_path_factory, text
     (WAVELENGTH_HEADER, (0.0, 5.0), 0),  # was exit 2 plus a RuntimeWarning
     (OMEGA_HEADER, (math.inf, 5.0), -1),  # was exit 2 plus a RuntimeWarning
     (WAVELENGTH_HEADER, (1e-300, 5.0), 0),  # 1/wavelength overflows float64
+    # bytes 0xff 0xfe, not UTF-8: was exit 2 with the codec's text
+    pytest.param(WAVELENGTH_HEADER, ("\udcff\udcfe", 5.0), 0, id="not-utf8"),
+    # past csv's 131,072-character field limit: was a _csv.Error traceback, exit 1
+    pytest.param(WAVELENGTH_HEADER, ("8" * 2**17 + ".5", 5.0), 0, id="over-long-cell"),
 ])
 def test_cli_estimate_rejects_bad_abscissa(tmp_path, capsys, header, row, at):
     rows = [(800.0 + i, 5.0) for i in range(32)]
     rows[at] = row
     path = tmp_path / "bad.csv"
-    path.write_text(_spectrum_text(header, rows))
+    path.write_text(_spectrum_text(header, rows), errors="surrogateescape")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
@@ -702,7 +710,7 @@ _RUNS = {
     "simulate": (["--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "s.csv"],
                  {"s.csv"}),
     "estimate": (["--input", "in.csv", "--out", "e.json"], {"e.json", "e.correlation.csv"}),
-    "fisher": (["--tau-ps", "0.3", "--out", "f.csv"], {"f.csv"}),
+    "fisher": (["--tau-axis", "0.3", "--out", "f.csv"], {"f.csv"}),
     "sweep": (["--tau-axis", "0.5", "--out", "w.csv"], {"w.csv", "w.monotonicity.json"}),
 }
 
@@ -767,10 +775,29 @@ def test_cli_estimate_failure_still_records_run(tmp_path, monkeypatch):
 def test_cli_fisher_huge_delay_fails_with_exit_4(tmp_path, monkeypatch, capsys):
     # omega_max |tau| overflows; the cell fails on its own, not with a traceback
     monkeypatch.chdir(tmp_path)
-    assert _run(["fisher", "--tau-ps", "1e306", "--alpha", "0.9", "--out", "f.csv"]) == 4
+    assert _run(["fisher", "--tau-axis", "1e306", "--alpha", "0.9", "--out", "f.csv"]) == 4
     assert capsys.readouterr().err.startswith("error:")
     rows = [r for r in Path("f.csv").read_text().splitlines() if r and not r.startswith("#")]
     assert len(rows) == 2 and "panels" in rows[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # was exit 0 with g_omega 0 and a leaked overflow warning
+    (["sweep", "--sigma-axis", "1.04e141"], 4),
+    (["fisher", "--sigma-nm", "1.04e141"], 4),
+    # was an OverflowError traceback, exit 1
+    (["sweep", "--sigma-axis", "1e140:1e142:2"], 0),
+])
+def test_cli_huge_bandwidth_fails_its_cell(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([*argv, "--out", "w.csv"]) == code
+    rows = [r.split(",") for r in Path("w.csv").read_text().splitlines()
+            if r and not r.startswith("#")]
+    *computed, huge = rows[1:]
+    assert huge[5:7] == ["", ""] and huge[7].endswith("must be positive with a finite square")
+    assert [row[5] for row in computed] == ["3.297015780901648e+305"] * len(computed)
 
 
 def test_cli_sweep_failure_still_records_run(tmp_path, monkeypatch):

@@ -73,7 +73,7 @@ class _ReadRecorder(argparse.Namespace):
 _FLAG_RUNS = {
     "simulate": ["--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "in.csv"],
     "estimate": ["--input", "in.csv", "--out", "e.json"],
-    "fisher": ["--tau-ps", "0.3", "--out", "f.csv"],
+    "fisher": ["--tau-axis", "0.3", "--out", "f.csv"],
     "sweep": ["--tau-axis", "0.5", "--out", "w.csv"],
 }
 
@@ -112,7 +112,7 @@ from qwkt.cli import main
 runs = [
     ["simulate", "--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "in.csv"],
     ["estimate", "--input", "in.csv", "--mle", "--layers", "1", "--out", "e.json"],
-    ["fisher", "--tau-ps", "0.3", "--alpha", "0.9", "--out", "f.csv"],
+    ["fisher", "--tau-axis", "0.3", "--alpha", "0.9", "--out", "f.csv"],
     ["sweep", "--tau-axis", "0.05:10:3ps", "--alpha-axis", "0.9:1:2", "--out", "w.csv"],
 ]
 for argv in runs:
