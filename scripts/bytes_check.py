@@ -51,6 +51,15 @@ def _commands() -> list[list[str]]:
          *_TRINOMIAL],
         ["simulate", "--ideal", "--tau-ps", "0.3", "--bins", "1024", "--out", "ideal.csv"],
         ["estimate", "--input", "ideal.csv", "--out", "ideal.json"],
+        # a wide window: 3-digit exponents and half-integer cells in the spectrum
+        ["simulate", "--ideal", "--tau-ps", "0.3", "--bins", "4096", "--span-sd", "30",
+         "--out", "ideal-wide.csv"],
+        ["estimate", "--input", "ideal-wide.csv", "--out", "ideal-wide.json"],
+        # the grid holds no envelope mass at this bandwidth: exit 2
+        ["simulate", "--tau-ps", "0.3", "--bins", "256", "--sigma-nm", "10", "--trials", "10000",
+         "--seed", "6", "--out", "narrow.csv"],
+        ["estimate", "--input", "narrow.csv", "--mle", "--layers", "1", "--sigma-nm", "1.04e141",
+         "--out", "narrow.json"],
         ["fisher", "--tau-axis", "1e306", "--alpha", "0.9", "--out", "huge.csv"],  # exit 4
         ["estimate", "--input", "missing.csv", "--out", "missing.json"],  # exit 3
         ["sweep", "--sigma-axis", "0:20:3", "--out", "zero-bandwidth.csv"],  # exit 2

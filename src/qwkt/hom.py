@@ -205,11 +205,18 @@ def binned_envelope(grid: FrequencyGrid, sigma: float) -> np.ndarray:
     folds the out-of-window tail (~1e-9 for the default window) back in
     so the outcome model is an exact probability distribution. The result
     is cached per (grid, sigma) and read-only, since every caller shares it.
+    Bins that hold no envelope mass at all, as at a bandwidth so wide that
+    every edge's CDF rounds to 1/2, raise ``ConfigurationError``.
     """
     z = grid.bin_edges / (2.0 * sigma)
     cdf = np.array([0.5 * math.erfc(-x * _SQRT_HALF) for x in z.tolist()])
     mass = np.diff(cdf)
-    env = mass / np.sum(mass)
+    total = np.sum(mass)
+    if not total > 0.0:
+        raise ConfigurationError(
+            f"the frequency grid holds no envelope mass at sigma = {sigma:g} rad/s"
+        )
+    env = mass / total
     env.flags.writeable = False
     return env
 

@@ -5,14 +5,21 @@ Spectra travel as two-column CSV with a header naming the schema:
 rad/s) or ``wavelength_nm,counts`` for sampled spectra on a spectrometer
 axis; comment lines start with '#'. Every CSV goes through ``write_table``,
 which takes columns and spells each with one field (floats at 17
-significant digits, so write-then-read is lossless); every file goes to a
-temp file in the target directory and is renamed into place.
+significant digits, so write-then-read is lossless). Float columns are
+spelled by a numpy kernel whose bytes equal ``"%.17g" % x``: a
+double-double product x * 10**(16 - k) gives the 17 digits, and a
+per-exponent layout table with a keep-mask gives the ``%g`` text. A cell
+the kernel cannot decide, or that lies outside its range, is spelled by
+``"%.17g" % x`` itself. Every file goes to a temp file in the target
+directory, a CSV in blocks of rows that hold at most ``_BLOCK_FLOATS``
+float cells, and is renamed into place.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -35,19 +42,32 @@ _SNAP_RTOL = 1e-9
 _MIN_ROWS = 16
 # the largest grid's bins, plus the row an odd-length axis drops (_to_midpoint_grid)
 _MAX_ROWS = _MAX_BINS + 1
+_BLOCK_FLOATS = 2048
 
 
 def sha256_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of the file, read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via temp file in the same directory, then rename into place."""
+    """Write text as UTF-8 through ``_atomic_write``."""
+    _atomic_write(path, (text.encode("utf-8"),))
+
+
+def _atomic_write(path, chunks) -> None:
+    """Write the byte chunks to a temp file in the same directory, then rename
+    it into place; on any failure the temp file goes and the target stays."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -254,14 +274,221 @@ def _table_cell(cell) -> str:
 
 
 def write_table(path, header: tuple[str, ...], columns, comments: tuple[str, ...] = ()) -> None:
-    """CSV from equal-length columns: a float ndarray is spelled ``%.17g``, an
-    integer ndarray ``%d``, any other sequence cell by cell via ``_table_cell``."""
-    fields, cells = [], []
-    for column in columns:
-        field = {"f": "%.17g", "i": "%d", "u": "%d"}.get(getattr(column, "dtype", np.dtype("O")).kind)
-        fields.append(field or "%s")
-        cells.append(column.tolist() if field else [_table_cell(c) for c in column])
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines += map(",".join(fields).__mod__, zip(*cells, strict=True))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV from equal-length columns: a float ndarray is spelled ``%.17g`` (by
+    ``_spell_floats``), an integer ndarray ``%d``, any other sequence cell by
+    cell via ``_table_cell``.
+
+    Rows go out in blocks that hold at most ``_BLOCK_FLOATS`` float cells,
+    which bounds the kernel's working set; each block's bytes
+    (``_block_rows``) go straight to the temp file of ``_atomic_write``.
+    """
+    columns = list(columns)
+    kinds = [getattr(column, "dtype", np.dtype("O")).kind for column in columns]
+    columns = [column if kind in "fiu" else [_table_cell(c).encode() for c in column]
+               for column, kind in zip(columns, kinds)]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("write_table columns differ in length")
+    n_rows = len(columns[0]) if columns else 0
+    step = max(_BLOCK_FLOATS // max(kinds.count("f"), 1), 1)
+
+    def chunks():
+        yield ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n").encode()
+        for start in range(0, n_rows, step):
+            yield _block_rows([column[start:start + step] for column in columns], kinds)
+
+    _atomic_write(path, chunks())
+
+
+def _block_rows(block, kinds) -> bytes:
+    """The CSV rows of one block of equal-length column slices. The float
+    columns are spelled in one ``_spell_floats`` call and the others packed
+    in one ``_pack`` call, row by row; the cells then go into one byte matrix
+    in header order, with a comma after each and a newline at the row's end.
+    A block without float columns is joined as bytes instead: on the small
+    tables that have none, numpy's fixed costs exceed the work."""
+    n_rows = len(block[0])
+    floats = [i for i, kind in enumerate(kinds) if kind == "f"]
+    texts = [i for i, kind in enumerate(kinds) if kind != "f"]
+    cells = [[b"%d" % c for c in block[i].tolist()] if kinds[i] in "iu" else block[i]
+             for i in texts]
+    if not floats:
+        return b"".join(b",".join(row) + b"\n" for row in zip(*cells))
+    spelled = _spell_floats(np.stack([block[i] for i in floats], axis=1, dtype=np.float64))
+    groups = [(floats, spelled)]
+    if texts:
+        groups.append((texts, _pack(list(itertools.chain.from_iterable(zip(*cells))))))
+    parts = [None] * len(block)
+    for columns, (data, keep) in groups:
+        data = data.reshape(n_rows, len(columns), -1)
+        keep = keep.reshape(data.shape)
+        for j, i in enumerate(columns):
+            parts[i] = data[:, j], keep[:, j]
+    comma = np.full((n_rows, 1), ord(","), np.uint8)
+    always = np.ones((n_rows, 1), bool)
+    data = np.concatenate([a for d, _ in parts for a in (d, comma)], axis=1)
+    keep = np.concatenate([a for _, k in parts for a in (k, always)], axis=1)
+    data[:, -1] = ord("\n")
+    return np.extract(keep, data).tobytes()
+
+
+def _pack(cells: list[bytes], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The cells left-aligned in a (len(cells), width) byte matrix, at least as
+    wide as the longest, and the mask of their bytes. The mask comes from the
+    lengths, so a NUL byte of a cell's own stays."""
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+    width = max(width, int(lengths.max(initial=1)))
+    data = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width)
+    return data, np.arange(width) < lengths[:, None]
+
+
+# The float kernel. A finite x with 1e-250 <= |x| <= 1e250 has decimal
+# exponent k in [-251, 250]; the tables cover one more on each side for the
+# correction of k. For these, 10**(16 - k) and the products stay normal.
+_K_LOW, _K_COUNT = -252, 504
+_KERNEL_MIN, _KERNEL_MAX = 1e-250, 1e250
+# A fraction this close to 1/2 is left to "%.17g" unless 10**(16 - k) is exact:
+# the double-double product is good to about 1e-14 at 1e17.
+_TIE_MARGIN = 1e-9
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of a into two halves of 26 and 27 bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double nearest a * b and the exact rest (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """10**(16 - k) for k = _K_LOW, _K_LOW + 1, ... as double-doubles hi + lo,
+    with lo = 0 exactly when the power is a double. A positive power is
+    rounded from its integer; 10**-q is 1 / 10**q and its Newton correction."""
+    hi, lo, n = [], [], 1
+    for _ in range(17 - _K_LOW):  # 10**0 .. 10**(16 - _K_LOW)
+        hi.append(float(n))
+        lo.append(float(n - int(hi[-1])))
+        n *= 10
+    hi, lo = np.array(hi), np.array(lo)
+    q_max = _K_LOW + _K_COUNT - 17  # 10**-1 .. 10**-q_max
+    big_hi, big_lo = hi[1:q_max + 1], lo[1:q_max + 1]
+    inverse = 1.0 / big_hi
+    p, p_rest = _two_product(big_hi, inverse)
+    residual = ((1.0 - p) - p_rest) - big_lo * inverse  # 1 - 10**q * inverse
+    return np.concatenate((hi[::-1], inverse)), np.concatenate((lo[::-1], inverse * residual))
+
+
+def _digit_quads() -> np.ndarray:
+    """The 4 ASCII digits of 0000..9999, each as one 4-byte item (moved, never shifted)."""
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        quads[..., place] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - place))
+    return quads.view(np.uint32).reshape(10000)
+
+
+# Every layout of "%.17g" is a subsequence of one row: the sign, "0.000" for
+# fixed notation below 1, the 17 digits with a point candidate after each of
+# the first 16, and the exponent "e+ddd". Byte i of a layout is kept when the
+# number of significant digits (17 less the trailing zeros) exceeds the
+# threshold of k at i: 0 keeps it always, _NEVER drops it.
+_DIGIT0, _EXPONENT = 6, 39  # columns of the first digit and of the "e"
+_WIDTH = _EXPONENT + 5
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000", np.uint8)
+_NEVER = np.uint8(99)
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Keep thresholds (_K_COUNT, _WIDTH) and exponent bytes (_K_COUNT, 5) per k."""
+    k = np.arange(_K_LOW, _K_LOW + _K_COUNT, dtype=np.int16)[:, None]
+    fixed = (0 <= k) & (k < 17)  # %g: fixed notation for -4 <= k < 17
+    small = (-4 <= k) & (k < 0)
+    scientific = ~fixed & ~small
+    j = np.arange(17, dtype=np.int16)
+    threshold = np.full((_K_COUNT, _WIDTH), _NEVER, np.uint8)
+    threshold[:, 1:3] = np.where(small, 0, _NEVER)
+    threshold[:, 3:6] = np.where(small & (j[:3] < -k - 1), 0, _NEVER)
+    threshold[:, _DIGIT0:_EXPONENT:2] = np.where((j == 0) | (fixed & (j <= k)), 0, j)
+    threshold[:, _DIGIT0 + 1:_EXPONENT:2] = np.where(
+        fixed & (j[:16] == k), k + 1, np.where(scientific & (j[:16] == 0), 1, _NEVER))
+    threshold[:, _EXPONENT:] = np.where(scientific, 0, _NEVER)
+    threshold[:, _EXPONENT + 2] = np.where(scientific[:, 0] & (np.abs(k[:, 0]) >= 100), 0, _NEVER)
+    exponent = np.empty((_K_COUNT, 5), np.uint8)
+    exponent[:, 0] = ord("e")
+    exponent[:, 1] = np.where(k[:, 0] < 0, ord("-"), ord("+"))
+    exponent[:, 2:] = np.abs(k) // np.array([100, 10, 1], np.int16) % 10 + ord("0")
+    return threshold, exponent
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """Powers of ten (hi, lo), digit quads, keep thresholds and exponent bytes,
+    built at the kernel's first use, so a process that writes no float column
+    never builds them; read-only, since every call shares them."""
+    tables = (*_powers_of_ten(), _digit_quads(), *_layouts())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of a * (hi + lo): the exact product of a and
+    hi, plus a * lo."""
+    p, rest = _two_product(a, hi)
+    rest += a * lo
+    p_int = np.floor(p)
+    t = (p - p_int) + rest
+    t_int = np.floor(t)
+    return p_int.astype(np.int64) + t_int.astype(np.int64), t - t_int
+
+
+def _spell_floats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.17g" % v`` for each v of the float64 array x: row i of a
+    (x.size, _WIDTH) byte matrix, at the bytes its keep-mask marks.
+
+    k = floor(log10|v|), corrected from the integer part of the scaled
+    product; the 17 digits are that product rounded half-even. Zero,
+    non-finite values, |v| outside [1e-250, 1e250] and a fraction within
+    _TIE_MARGIN of 1/2 at an inexact power of ten are spelled by ``%``.
+    """
+    pow_hi, pow_lo, quads, thresholds, exponents = _kernel_tables()
+    x = x.ravel()
+    a = np.abs(x)
+    fast = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
+    a[~fast] = 1.0
+    row = np.floor(np.log10(a)).astype(np.intp) - _K_LOW
+    whole, frac = _scaled(a, pow_hi.take(row), pow_lo.take(row))
+    shift = (whole >= 10**17).astype(np.intp) - (whole < 10**16)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        row[moved] += shift[moved]
+        whole[moved], frac[moved] = _scaled(a[moved], pow_hi.take(row[moved]),
+                                            pow_lo.take(row[moved]))
+    fast &= (pow_lo.take(row) == 0.0) | (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    whole += (frac > 0.5) | ((frac == 0.5) & (whole % 2 == 1))
+    carry = whole == 10**17
+    whole[carry] = 10**16
+    row[carry] += 1
+
+    data = np.empty((x.size, _WIDTH), np.uint8)
+    data[:] = _TEMPLATE
+    lead, rest = np.divmod(whole, 10**16)
+    data[:, _DIGIT0] = lead + ord("0")
+    halves = np.stack(np.divmod(rest, 10**8), axis=1)
+    digits = quads.take(np.stack(np.divmod(halves, 10**4), axis=2))  # digits 2-5, 6-9, ...
+    data[:, _DIGIT0 + 2:_EXPONENT:2] = digits.view(np.uint8).reshape(x.size, 16)
+    data[:, _EXPONENT:] = exponents.take(row, axis=0)
+    trailing_zeros = np.argmax(data[:, _EXPONENT - 1:_DIGIT0 - 1:-2] != ord("0"), axis=1)
+    significant = (17 - trailing_zeros).astype(np.uint8)
+    keep = significant[:, None] > thresholds.take(row, axis=0)
+    keep[:, 0] = np.signbit(x)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        data[slow], keep[slow] = _pack([b"%.17g" % v for v in x[slow].tolist()], _WIDTH)
+    return data, keep

@@ -1,16 +1,18 @@
 """File formats and command-line entry points."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwkt import (
@@ -32,6 +34,7 @@ from qwkt.io import (
     WAVELENGTH_HEADER,
     RunManifest,
     _parse_rows,
+    _spell_floats,
     _table_cell,
     atomic_write_text,
     difference_frequency_from_wavelength,
@@ -116,6 +119,51 @@ def test_write_table_matches_per_cell_rows(tmp_path_factory, columns):
     rows = [",".join("%d" % cell if i else _table_cell(cell) for i, cell in zip(integer, row))
             for row in zip(*columns)]
     assert path.read_bytes() == "\n".join(["# note", ",".join(header), *rows, ""]).encode()
+
+
+def _spelled(values):
+    data, keep = _spell_floats(np.array(values, dtype=np.float64))
+    return [bytes(row[mask]).decode() for row, mask in zip(data, keep)]
+
+
+# signed zeros, non-finite values, the subnormal and normal limits; powers of
+# ten where %g switches notation, and 9.9999999999999998e-13, which stays that
+# (not 1e-12) only through the k correction; an exact tie at an exact power
+# (half-even: .62 and .88); two fractions within 1e-18 of 1/2 at an inexact
+# power, which only the fallback to "%.17g" spells right
+_PINNED_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 1e16, 1e17, 9.9999999999999998e-13, 1e-5, 0.0001,
+                  123456789012345.625, 123456789012345.875,
+                  6.324027154591757e-75, 1.7706146115181413e137]
+_FLOAT64_BITS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0])
+
+
+@settings(max_examples=1000, deadline=None)
+@example(values=_PINNED_FLOATS)
+@given(values=st.lists(st.one_of(_FLOAT64_BITS, st.floats()), min_size=1, max_size=32))
+def test_float_kernel_matches_percent_17g(values):
+    assert _spelled(values) == ["%.17g" % x for x in values]
+
+
+def test_write_table_streams_a_float_table_in_under_1mb(tmp_path):
+    # the 4096 x 4 shape of estimate's correlation sidecar
+    rng = np.random.default_rng(0)
+    columns = tuple(rng.normal(size=4096) for _ in range(4))
+    write_table(tmp_path / "warm.csv", tuple("abcd"), columns)
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "table.csv", tuple("abcd"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_sha256_digest_reads_past_one_chunk(tmp_path):
+    path = tmp_path / "blob.bin"
+    payload = np.random.default_rng(0).bytes(3 * 2**16 + 5)
+    path.write_bytes(payload)
+    assert sha256_digest(path) == hashlib.sha256(payload).hexdigest()
 
 
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -608,6 +656,22 @@ def test_cli_main_repeated_calls_leave_no_garbage(tmp_path):
     finally:
         tracemalloc.stop()
     assert grown <= 0.2 * 2**20
+
+
+def test_estimate_exits_2_when_no_bin_holds_envelope_mass(tmp_path, capsys):
+    # at 1.04e141 nm every bin edge's normal CDF rounds to 1/2: mass 0 in every bin
+    spectrum = tmp_path / "narrow.csv"
+    assert _run(["simulate", "--tau-ps", "0.3", "--bins", "256", "--sigma-nm", "10",
+                 "--trials", "10000", "--out", spectrum]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["estimate", "--input", spectrum, "--mle", "--layers", "1",
+                     "--sigma-nm", "1.04e141", "--out", tmp_path / "x.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "envelope mass" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.csv", "narrow.csv.manifest.json"]
 
 
 def test_cli_bad_axis_spec(tmp_path):
