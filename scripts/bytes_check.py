@@ -60,7 +60,8 @@ def _commands() -> list[list[str]]:
          "--seed", "6", "--out", "narrow.csv"],
         ["estimate", "--input", "narrow.csv", "--mle", "--layers", "1", "--sigma-nm", "1.04e141",
          "--out", "narrow.json"],
-        ["fisher", "--tau-axis", "1e306", "--alpha", "0.9", "--out", "huge.csv"],  # exit 4
+        # omega_max |tau| overflows: the long-delay limit
+        ["fisher", "--tau-axis", "1e306", "--alpha", "0.9", "--out", "huge.csv"],
         ["estimate", "--input", "missing.csv", "--out", "missing.json"],  # exit 3
         ["sweep", "--sigma-axis", "0:20:3", "--out", "zero-bandwidth.csv"],  # exit 2
         ["estimate", "--input", "not-utf8.csv", "--out", "not-utf8.json"],  # exit 3
@@ -77,10 +78,13 @@ def _commands() -> list[list[str]]:
             ["sweep", "--variant", variant, "--sigma-axis", "5:20:3", "--tau-axis", "0:2:4ps",
              "--gamma-axis", "0:1:3", "--alpha-axis", "0.8:1:3",
              "--out", f"sweep-{variant}-a.csv"],
-            # negative alpha cells fail to build, the 1e300 s delay fails to integrate
+            # negative alpha cells fail to build, the 1e300 s delay gets the long-delay limit
             ["sweep", "--variant", variant, "--sigma-axis", "10", "--tau-axis", "1e-13:1e300:3s",
              "--gamma-axis", "0.2", "--alpha-axis=-0.5:1:4",
              "--out", f"sweep-{variant}-b.csv"],
+            # high visibility out to 10 ns: many series terms
+            ["sweep", "--variant", variant, "--alpha-axis", "0.999999", "--tau-axis",
+             "1e-9:1e-8:2s", "--out", f"sweep-{variant}-c.csv"],
         ]
     return commands
 

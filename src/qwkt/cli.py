@@ -227,6 +227,9 @@ def cmd_estimate(args) -> int:
     pattern = read_spectrum(in_path, center_wavelength=args.center_nm * 1e-9)
     if args.mle and pattern.kind != "counts":
         raise InputDataError("--mle needs a counts spectrum; this file is an ideal density")
+    if args.mle and pattern.resampled:
+        raise InputDataError("--mle cannot fit this file: its axis is not uniform in "
+                             "difference frequency, so it was resampled")
     out = Path(args.out)
     sidecar = out.parent / (out.stem + ".correlation.csv")
     result: dict = {"schema_version": SCHEMA_VERSION, "command": "estimate", "input": str(in_path)}

@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, unreadable or schema-violating input data with 3, and estimation
-or quadrature failures with 4.
+or Fisher series failures with 4.
 """
 
 
@@ -23,7 +23,7 @@ class MalformedSpectrumError(EstimationError):
 
 
 class QuadratureError(EstimationError):
-    """Numerical integration failed to reach the required accuracy."""
+    """The Fisher information series did not meet its stop test within its term cap."""
 
     def __init__(self, message: str, value: float, error_estimate: float):
         super().__init__(f"{message} (value={value!r}, error_estimate={error_estimate!r})")

@@ -9,15 +9,17 @@ quantum bound set by the source bandwidth alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import BiphotonSource, _fringe_rows, _layer_rows, envelope_density
+from .biphoton import BiphotonSource, _fringe_rows, _layer_rows
 from .errors import (
     ConfigurationError,
+    EstimationError,
     InputDataError,
     MalformedSpectrumError,
     QuadratureError,
@@ -39,37 +41,15 @@ _COARSE_SPAN_STEPS = 10.0
 # Newton ascent stops once g^T step, the squared distance to the optimum in
 # standard errors, is at most this.
 _NEWTON_TOL = 1e-6
-_QUAD_RTOL = 1e-8
-# Fisher information panel rule, as fisher_information describes it: the
-# positive half of np.polynomial.legendre.leggauss(32), which is exactly
-# symmetric, written out so no process pays for a LAPACK eigensolve.
-_GL_HALF_NODES = np.array([
-    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
-    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
-    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
-    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
-])
-_GL_HALF_WEIGHTS = np.array([
-    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
-    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
-    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
-    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
-])
-_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
-_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
-_MIN_PANELS = 64
-_MAX_PANELS = 2**22
 # Likelihood rows are evaluated in chunks of at most this many (row, bin)
 # cells, so a 400-row padded-layer scan never holds more than ~0.1 MB per
 # temporary array.
 _CHUNK_CELLS = 2**14
-# Fisher panel sums are accumulated in groups of _SUM_PANELS panels (the
-# grouping fixes the bits of the sum); the integrand runs on blocks of
-# _BLOCK_PANELS panels, 8192 nodes, so its temporaries (64 KiB) stay below
-# the C allocator's 128 KiB mmap threshold and are not mapped and unmapped
-# on every call.
-_SUM_PANELS = 512
-_BLOCK_PANELS = 256
+# The Fisher series' stop test (relative part) and term cap; its blocks of at
+# most 4096 terms keep complex temporaries (64 KiB) under the mmap threshold.
+_SERIES_RTOL = 1e-12
+_MAX_TERMS = 2**20
+_BLOCK_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -121,7 +101,7 @@ class FisherReport:
     gamma: float
     alpha: float
     n_trials: int
-    error_estimate: float  # estimated absolute error of g_omega
+    error_estimate: float  # bound on the terms g_omega leaves out, absolute
 
 
 @dataclass(frozen=True)
@@ -546,134 +526,38 @@ def _observed_information_errors(
     return stderr[:k], np.append(stderr[k:], math.sqrt(np.sum(cov[k:, k:]))), condition
 
 
-def _fisher_integrand(model: DetectionModel):
-    """One cell's Fisher integrand of the nodes ``w``, the envelope density
-    ``env`` and the fringe ``c``, ``s`` (cos and sin of ``w tau``) there.
-    Two-port ignores gamma; trinomial reads ``_category_probabilities``."""
-    alpha = model.alpha
-    if model.variant == "two-port":
-        if alpha == 1.0:
-            return lambda w, env, c, s: env * w * w
-        return lambda w, env, c, s: env * alpha**2 * w * w * s * s / (1.0 - alpha**2 * c * c)
-    survive = (1.0 - model.gamma) ** 2
-
-    def integrand(w, env, c, s):
-        p_pair, _, p_single, _ = _category_probabilities(model, env, c)
-        dp2 = ((survive / 2.0) * env * alpha * w * s) ** 2  # the slope squared
-        if alpha == 1.0:
-            term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
-        else:
-            term_pair = np.divide(dp2, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
-        cut = p_single > 1e-13 * (1.0 - model.gamma**2)
-        term_single = np.divide(dp2, p_single, out=np.zeros_like(w), where=cut)
-        return (term_pair + term_single) / survive
-    return integrand
+@functools.cache
+def _weideman() -> tuple[float, np.ndarray]:
+    """Scale and coefficients (highest first) of Weideman's 36-term rational Faddeeva
+    approximation (SIAM J. Numer. Anal. 31, 1497, 1994) by the cosine sum its FFT
+    reduces to; 32 terms lose digits where a narrow window's tail cancels."""
+    scale, k = math.sqrt(36.0 / math.sqrt(2.0)), np.arange(-71, 72)
+    t = scale * np.tan(k * (math.pi / 144.0))
+    weight = np.exp(-t * t) * (scale * scale + t * t)
+    return scale, np.cos(np.outer(np.arange(36, 0, -1), k) * (math.pi / 72.0)) @ weight / 144.0
 
 
-def _cos_sin(phase):
-    return np.cos(phase), np.sin(phase)
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-i z) for Im z >= 0, by Weideman's approximation."""
+    scale, coefficients = _weideman()
+    d = scale - 1j * z
+    p = np.polyval(coefficients, (scale + 1j * z) / d)
+    return (2.0 * p / d + 1.0 / math.sqrt(math.pi)) / d
 
 
-def _angle_sum(cm, sm, co, so):
-    """cos and sin of a + b from those of a (``cm``, ``sm``) and b (``co``, ``so``)."""
-    return cm * co - sm * so, sm * co + cm * so
-
-
-def _panel_sums(integrands, hi: float, step: float, sigma: float, tau: float, fringe: bool):
-    """Gauss-Legendre sum of each integrand over [0, hi], one panel between
-    consecutive multiples of ``step``, summed in groups of ``_SUM_PANELS``
-    panels and evaluated in blocks of ``_BLOCK_PANELS``. A block's nodes
-    ``w = mid + half x``, envelope and (if ``fringe``) cos and sin of the
-    phase are computed once.
-
-    The phase of node x_j is ``mid tau + (step/2) x_j tau``: its cos and sin
-    come by angle addition from one cos/sin pair per panel (``mid tau``) and
-    one per node offset, so trig runs on the panels and the 32 offsets, not
-    on every node. The range's final panel, narrower than ``step`` when
-    clipped at ``hi``, takes offsets from its own half-width."""
-    n_panels = math.ceil(hi / step)
-    if fringe:
-        co, so = _cos_sin(_GL_NODES * (0.5 * step * tau))
-    c = s = None
-    totals = [0.0] * len(integrands)
-    for first in range(0, n_panels, _SUM_PANELS):
-        edges = np.minimum(step * np.arange(first, min(first + _SUM_PANELS, n_panels) + 1), hi)
-        half = 0.5 * np.diff(edges)
-        mid = edges[:-1] + half
-        if fringe:
-            cm, sm = _cos_sin(mid[:, None] * tau)
-        panels = [np.empty(half.size) for _ in integrands]
-        for b in range(0, half.size, _BLOCK_PANELS):
-            r = slice(b, b + _BLOCK_PANELS)
-            w = mid[r, None] + half[r, None] * _GL_NODES
-            env = envelope_density(w, sigma)
-            if fringe:
-                c, s = _angle_sum(cm[r], sm[r], co, so)
-                if first + b + _BLOCK_PANELS >= n_panels:  # the block holds the final panel
-                    c[-1], s[-1] = _angle_sum(
-                        cm[-1], sm[-1], *_cos_sin(_GL_NODES * (half[-1] * tau)))
-            for out, integrand in zip(panels, integrands):
-                out[r] = integrand(w, env, c, s) @ _GL_WEIGHTS
-        totals = [total + float(half @ out) for total, out in zip(totals, panels)]
-    return totals
-
-
-def _fisher_pass(sigma: float, tau: float, models) -> list:
-    """``fisher_information`` of each model at one delay: a FisherReport or
-    the error that stopped it. Models with one integrand (two-port ones of
-    one alpha, at any gamma) share an integral; integrals of one panel layout
-    (omega_max, starting step) are halved together, each to its own stop test,
-    on blocks whose nodes, envelope and fringe are computed once, the fringe
-    by angle addition (``_panel_sums``)."""
-    if not math.isfinite(tau):
-        return [ConfigurationError("tau must be finite") for _ in models]
-    # The outermost node sits (1 - max node)/2 of a panel from its edge;
-    # panels narrow enough to put it within the near-pole distance of the
-    # edge see the notch there, so halving can tell when it is resolved.
-    reach = (1.0 - _GL_NODES[-1]) / 2.0
-    keys = [(m.variant, 0.0 if m.variant == "two-port" else m.gamma, m.alpha, m.grid.omega_max)
-            for m in models]
-    integrands, layouts, no_panel = {}, {}, {}
-    for key, model in dict(zip(keys, models)).items():
-        variant, _, alpha, hi = key
-        fringe = not (variant == "two-port" and alpha == 1.0)  # reads cos and sin of omega tau
-        per_half_period = (
-            math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1)
-        step = hi / max(_MIN_PANELS, hi * (abs(tau) if fringe else 0.0) * per_half_period / math.pi)
-        integrands[key] = _fisher_integrand(model), fringe
-        layouts.setdefault((hi, step), []).append(key)
-        no_panel[key] = step == 0.0
-    floor = 1e-15 * sigma**2
-    value, error = dict.fromkeys(integrands, math.nan), dict.fromkeys(integrands, math.inf)
-
-    def done(key) -> bool:
-        return error[key] <= max(_QUAD_RTOL * abs(value[key]), floor)
-
-    for (hi, step), active in layouts.items():
-        while ((active := [k for k in active if not done(k)])
-               and step > 0.0 and hi / step <= _MAX_PANELS):
-            fringe = any(integrands[k][1] for k in active)
-            sums = _panel_sums([integrands[k][0] for k in active], hi, step, sigma, tau, fringe)
-            for k, total in zip(active, sums):
-                previous, value[k] = value[k], 2.0 * total
-                error[k] = abs(value[k] - previous) if math.isfinite(previous) else math.inf
-            step /= 2.0
-    outcomes = []
-    for m, k in zip(models, keys):
-        survive = (1.0 - m.gamma) ** 2
-        g_omega = survive * value[k]
-        crb = 1.0 / math.sqrt(m.n_trials * g_omega) if g_omega > 0.0 else math.inf
-        outcomes.append(FisherReport(
-            g_omega=g_omega, crb=crb, variant=m.variant, sigma=sigma, tau=tau, gamma=m.gamma,
-            alpha=m.alpha, n_trials=m.n_trials, error_estimate=survive * error[k],
-        ) if done(k) else QuadratureError(
-            "Fisher information quadrature evaluated no panels: omega_max |tau| overflows "
-            "the starting panel width" if no_panel[k] else
-            "Fisher information quadrature did not reach error <= max(1e-8 |value|, "
-            f"1e-15 sigma^2) within {_MAX_PANELS} panels",
-            value=value[k], error_estimate=error[k],
-        ))
-    return outcomes
+def _window_moments(kappa: np.ndarray, h: float) -> tuple[float, np.ndarray]:
+    """m(0) and the defects m(0) - m(kappa) (kappa >= 0) of the window moment
+    m(kappa) = integral of phi(u) u^2 cos(kappa u) over |u| <= h, phi the
+    standard normal density: the full-line moment, whose defect is formed
+    without cancellation, less twice the tail past h, by parts phi(h) Re of
+    e^(i kappa h) (h + i kappa + (1 - kappa^2) sqrt(pi/2) w(z)) with
+    z = (kappa + i h)/sqrt 2."""
+    k, k2 = np.append(0.0, kappa), kappa * kappa
+    w = _faddeeva((k + 1j * h) / math.sqrt(2.0))
+    tail = (np.exp(1j * k * h) * ((1.0 - k * k) * math.sqrt(math.pi / 2.0) * w + h + 1j * k)).real
+    tail *= math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+    full = k2 * np.exp(-0.5 * k2) - np.expm1(-0.5 * k2)  # 1 - (1 - kappa^2) e^(-kappa^2/2)
+    return 1.0 - 2.0 * tail[0], full - 2.0 * (tail[0] - tail[1:])
 
 
 def fisher_information(
@@ -683,39 +567,83 @@ def fisher_information(
 
     two-port: closed-form reduction of the per-bin information to
     ``(1-gamma)^2 integral env(omega) alpha^2 omega^2 sin^2(omega tau) /
-    (1 - alpha^2 cos^2(omega tau)) domega`` over the grid window (the
-    integrand collapses to ``env omega^2`` at unit visibility, giving
-    4 sigma^2 independent of tau). The integral does not depend on gamma:
-    its stop test and a QuadratureError's value see it unscaled.
+    (1 - alpha^2 cos^2(omega tau)) domega`` over the grid window (4 sigma^2
+    at unit visibility, independent of tau).
 
-    trinomial: the summed per-outcome terms ``(dP)^2 / P`` of the per-bin
-    outcome model, the envelope a normal density: the bound counts n_trials
-    in total, spread over frequency, where ``simulate --variant trinomial``
-    draws n_trials in every bin with the envelope peak-normalized (both
-    conventions kept as published). No-click carries no delay dependence.
+    trinomial: the pair channel's ``(dP)^2 / P``, ``(1-gamma)^2 / 2 integral
+    env alpha^2 omega^2 sin^2(omega tau) / (1 + alpha cos(omega tau))``, the
+    envelope a normal density: the bound counts n_trials in total, spread
+    over frequency, where ``simulate --variant trinomial`` draws n_trials in
+    every bin with the envelope peak-normalized (both conventions kept as
+    published). The single-click term, smaller by a factor of order env, is
+    left out, and its closed-form bound added to ``error_estimate``.
 
-    Both integrands are even: twice the integral over [0, omega_max] is
-    summed on 32-node Gauss-Legendre panels at most omega_max/64 wide, with
-    edges on the near-poles omega |tau| = m pi +/- i acosh(1/alpha): one
-    panel per fringe half-period pi/|tau| (``ceil(pi reach / acosh(1/alpha))``
-    for alpha above ~0.99999, reach the outer node's gap to its panel edge).
-    The two-port alpha = 1 integrand reads no fringe and starts at 64 panels.
-    The fringe at a node, cos and sin of ``omega tau``, comes by angle
-    addition from the cos and sin of its panel's midpoint phase and of its
-    offset from it, so trig runs once per panel and once per node offset;
-    the result agrees with cos and sin taken at every node to a few ulp of
-    the phase. Panels are halved until two sums differ by at most
-    ``max(1e-8 |value|, 1e-15 sigma^2)`` (the difference is
-    ``error_estimate``); past 2^22 panels, or if omega_max |tau| overflows
-    the starting panel width, QuadratureError is raised.
-
-    This is the one-model case of ``_fisher_pass``, which ``sweep`` runs on
-    all cells of a (sigma, tau) point at once with the same bits per cell.
+    With r = sqrt(1 - alpha^2) and beta = alpha / (1 + r), the factors are
+    ``1 - r - 2 r sum_n beta^2n cos 2nx`` and ``1 - r - alpha cos x - 2 r
+    sum_n (-beta)^n cos nx`` in x = omega tau, so the integral is a sum of
+    closed-form window moments (``_window_moments``). Terms are added in
+    blocks until a bound on the rest, ``error_estimate``, is at most
+    ``max(1e-12 |value|, 1e-15 sigma^2)``, value unscaled by gamma; none is
+    evaluated when the bound starts below that, so a delay whose
+    omega_max |tau| overflows gets the long-delay limit. Past 2^20 terms
+    QuadratureError is raised. alpha = 0 gives exactly 0, and so does
+    tau = 0 but at two-port unit visibility.
     """
-    (report,) = _fisher_pass(source.sigma_spectral, tau, [model])
-    if isinstance(report, Exception):
-        raise report
-    return report
+    if not math.isfinite(tau):
+        raise ConfigurationError("tau must be finite")
+    s, h = 2.0 * source.sigma_spectral, model.grid.omega_max / (2.0 * source.sigma_spectral)
+    alpha, gamma, two_port = model.alpha, model.gamma, model.variant == "two-port"
+    r = math.sqrt((1.0 - alpha) * (1.0 + alpha))
+    beta = alpha / (1.0 + r)  # (1 - r) / alpha without 0/0 at alpha = 0
+    # factor = alpha beta - sum_n (2 r ratio^n + extra [n = 1]) cos(n step omega / s),
+    # and the weights from n on sum to at most tail |ratio|^n + extra [n = 1]
+    half, ratio, extra, step = ((1.0, beta * beta, 0.0, 2.0 * abs(tau) * s) if two_port
+                                else (0.5, -beta, alpha, abs(tau) * s))
+    one_minus = (1.0 + r - alpha) / (1.0 + r) * (1.0 + beta if two_port else 1.0)
+    tail = 2.0 * r / one_minus if r > 0.0 else 0.0  # 2 r / (1 - |ratio|)
+    # |moment| <= (1 + k^2) e^(-k^2/2) at k = max(kappa, 1), plus the window edge's
+    # 4 max_{u>=h} u^2 phi(u) / kappa: both fall with kappa = n step
+    edge = 4.0 * (h * (h * math.exp(-0.5 * h * h)) if h >= math.sqrt(2.0) else 2.0 / math.e)
+
+    def rest(n: int) -> float:  # bound on the terms from n on; |moment| <= m(0) <= 1
+        kappa = n * step
+        k = min(max(kappa, 1.0), 40.0)
+        bound = (1.0 + k * k) * math.exp(-0.5 * k * k) + edge / (math.sqrt(2.0 * math.pi) * kappa)
+        return (tail * abs(ratio) ** n + extra * (n == 1)) * min(bound, 1.0)
+
+    # the weights sum to alpha beta, so value = sum_n w_n (m(0) - m(n step)), which
+    # keeps its digits at small kappa: the defects summed, plus m(0) times the weights
+    # from n on (signed_tail ratio^n), less the terms rest(n) bounds, so clipped at 0
+    m0, error = float(_window_moments(np.zeros(0), h)[0]), 0.0
+    value, signed_tail = alpha * beta * m0, tail if two_port else 2.0 * r / (1.0 + beta)
+    if step == 0.0 and not (two_port and alpha == 1.0):
+        value = 0.0  # sin(omega tau) vanishes; the two-port factor is 1 at unit visibility
+    elif step > 0.0:
+        n, size, defects, error = 1, 64, 0.0, rest(1)
+        while error > max(_SERIES_RTOL * abs(value), 0.25e-15 / half):  # 1e-15 sigma^2 in s^2
+            if n > _MAX_TERMS:
+                raise QuadratureError(
+                    "Fisher information series did not bound its omitted terms by max(1e-12 "
+                    f"|value|, 1e-15 sigma^2) within {_MAX_TERMS} terms",
+                    value=half * s * s * value, error_estimate=half * s * s * error)
+            terms = np.arange(n, min(n + size, _MAX_TERMS + 1))
+            defects += float((2.0 * r * ratio**terms + extra * (terms == 1))
+                             @ _window_moments(terms * step, h)[1])
+            n, size = n + terms.size, min(2 * size, _BLOCK_TERMS)
+            value, error = max(defects + m0 * signed_tail * ratio**n, 0.0), rest(n)
+    survive = (1.0 - gamma) ** 2
+    g_omega, error = survive * half * s * s * value, survive * half * s * s * error
+    if not two_port:
+        # (dP)^2 <= (survive env alpha omega / 2)^2, integral env^2 omega^2 <= s / (4 sqrt pi)
+        # and P_single >= 1 - gamma^2 - survive max(env)
+        room = (1.0 + gamma) - (1.0 - gamma) / (math.sqrt(2.0 * math.pi) * s)
+        error += ((1.0 - gamma) ** 3 * alpha**2 * s / (16.0 * math.sqrt(math.pi) * room)
+                  if room > 0.0 else math.inf)
+    crb = 1.0 / math.sqrt(model.n_trials * g_omega) if g_omega > 0.0 else math.inf
+    return FisherReport(
+        g_omega=g_omega, crb=crb, variant=model.variant, sigma=source.sigma_spectral, tau=tau,
+        gamma=gamma, alpha=alpha, n_trials=model.n_trials, error_estimate=error,
+    )
 
 
 def quantum_fisher_information(source: BiphotonSource, n_trials: int) -> QfiReport:
@@ -765,15 +693,12 @@ def sweep(
 ) -> SweepResult:
     """Fisher information over a Cartesian parameter grid.
 
-    Evaluates every (sigma, tau, gamma, alpha) combination; numerical
-    failures are recorded per cell instead of aborting the sweep. The
-    gamma x alpha cells of one (sigma, tau) point are integrated together
-    (``_fisher_pass``): they share the quadrature nodes, the envelope and
-    the fringe, two-port cells that differ only in gamma share one
-    integral, and every cell gets the bits a lone ``fisher_information``
-    call gives it. The ``monotonicity`` map labels the Fisher information
-    trend along each axis as increasing / decreasing / constant / mixed,
-    or unavailable when errors prevent the comparison.
+    Evaluates every (sigma, tau, gamma, alpha) combination with one
+    ``fisher_information`` call each; a cell whose model cannot be built or
+    whose series fails records its error instead of aborting the sweep. The
+    ``monotonicity`` map labels the Fisher information trend along each axis
+    as increasing / decreasing / constant / mixed, or unavailable when
+    errors prevent the comparison.
     """
     axes = [
         np.atleast_1d(np.asarray(values, dtype=float))
@@ -786,29 +711,19 @@ def sweep(
             raise ConfigurationError(
                 f"{name} axis has {values.size} points, limit is {_MAX_AXIS_POINTS}"
             )
-    sigmas, taus, gammas, alphas = (values.tolist() for values in axes)
     rows = []
-    for sigma, tau in itertools.product(sigmas, taus):
-        cells = []
-        for gamma, alpha in itertools.product(gammas, alphas):
-            try:
-                source = BiphotonSource(sigma_spectral=sigma)
-                grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
-                model = DetectionModel(grid, gamma, alpha, n_trials=n_trials, variant=variant)
-            except (ConfigurationError, InputDataError) as exc:
-                model = exc
-            cells.append((gamma, alpha, model))
-        models = [m for *_, m in cells if isinstance(m, DetectionModel)]
-        reports = iter(_fisher_pass(sigma, tau, models) if models else ())
-        for gamma, alpha, outcome in cells:
-            if isinstance(outcome, DetectionModel):
-                outcome = next(reports)
-            ok = isinstance(outcome, FisherReport)
-            rows.append(SweepCell(
-                sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
-                g_omega=outcome.g_omega if ok else None, crb=outcome.crb if ok else None,
-                error=None if ok else str(outcome),
-            ))
+    for sigma, tau, gamma, alpha in itertools.product(*(values.tolist() for values in axes)):
+        try:
+            source = BiphotonSource(sigma_spectral=sigma)
+            grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
+            model = DetectionModel(grid, gamma, alpha, n_trials=n_trials, variant=variant)
+            report = fisher_information(source, tau, model)
+        except (ConfigurationError, InputDataError, EstimationError) as exc:
+            g_omega, crb, error = None, None, str(exc)
+        else:
+            g_omega, crb, error = report.g_omega, report.crb, None
+        rows.append(SweepCell(sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
+                              g_omega=g_omega, crb=crb, error=error))
     shape = tuple(values.size for values in axes)
     return SweepResult(rows=tuple(rows), monotonicity=_monotonicity(tuple(rows), shape))
 

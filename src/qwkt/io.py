@@ -175,8 +175,9 @@ def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
     difference frequency first. An axis that already is a symmetric uniform
     midpoint grid (to 1e-9 relative) is adopted exactly; anything else is
     resampled by linear interpolation onto such a grid (counts rounded back
-    to integers), zero-filled outside the data. Every bad file raises
-    ``InputDataError``, also one whose axis overflows float64 on the way.
+    to integers), zero-filled outside the data, and marked ``resampled``.
+    Every bad file raises ``InputDataError``, also one whose axis overflows
+    float64 on the way.
     """
     header, body = _parse_rows(path)
     if header == OMEGA_HEADER:
@@ -205,15 +206,14 @@ def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
                 omega = difference_frequency_from_wavelength(abscissa * 1e-9, center_wavelength)
                 order = np.argsort(omega)
                 omega, values = omega[order], values[order]
-            grid, resampled = _to_midpoint_grid(omega, values, kind)
+            return _to_midpoint_grid(omega, values, kind)
     except (FloatingPointError, ConfigurationError) as exc:
         raise InputDataError(f"spectrum axis gives no usable frequency grid: {exc}") from exc
-    return SpectralPattern(grid=grid, values=resampled, kind=kind)
 
 
 def _to_midpoint_grid(
     omega: np.ndarray, values: np.ndarray, kind: str
-) -> tuple[FrequencyGrid, np.ndarray]:
+) -> SpectralPattern:
     n = omega.size if omega.size % 2 == 0 else omega.size - 1
     diffs = np.diff(omega)
     step = float(np.mean(diffs))
@@ -222,13 +222,13 @@ def _to_midpoint_grid(
     symmetric = float(np.max(np.abs(omega + omega[::-1]))) <= _SNAP_RTOL * span
     if uniform and symmetric and omega.size % 2 == 0:
         grid = FrequencyGrid(omega_max=0.5 * step * omega.size, n_bins=omega.size)
-        return grid, values.copy()
+        return SpectralPattern(grid, values.copy(), kind)
     omega_max = float(np.max(np.abs(omega)))
     grid = FrequencyGrid(omega_max=omega_max, n_bins=n)
     resampled = np.interp(grid.values, omega, values, left=0.0, right=0.0)
     if kind == "counts":
         resampled = np.rint(resampled)
-    return grid, resampled
+    return SpectralPattern(grid, resampled, kind, resampled=True)
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,14 @@ class SpectralPattern:
     """Per-bin nonnegative spectral values on a frequency grid.
 
     ``kind`` distinguishes an ideal intensity density from integer photon
-    counts.
+    counts. ``resampled`` marks values that ``read_spectrum`` interpolated
+    onto the grid from a file axis not uniform in difference frequency.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
     kind: str = "ideal-density"
+    resampled: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.signal import find_peaks
-from scipy.special import xlogy
+from scipy.special import wofz, xlogy
 
 from qwkt import (
     BiphotonSource,
@@ -26,7 +26,6 @@ from qwkt import (
     SpectralPattern,
     TemporalGrid,
     default_frequency_grid,
-    envelope_density,
     extract_delays,
     fisher_information,
     joint_spectral_intensity,
@@ -37,18 +36,15 @@ from qwkt import (
     sweep,
 )
 from qwkt.estimation import (
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _MAX_TERMS,
     _SWEEP_AXES,
-    FisherReport,
     SweepCell,
+    _faddeeva,
     _find_peaks,
-    _fisher_pass,
     _initial_layers,
     _Likelihood,
     _monotonicity,
     _newton_ascent,
-    _panel_sums,
 )
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
@@ -755,9 +751,9 @@ def test_fisher_fifty_picoseconds(variant):
     assert rep.g_omega == pytest.approx(_long_delay_limit(variant, 0.0, 0.9), rel=1e-8)
 
 
-def _quad_oracle(variant, tau, gamma, alpha, omega_max):
-    """The Fisher integrand written out per point, integrated over the
-    whole window by adaptive quadrature."""
+def _oracle_integrand(variant, tau, gamma, alpha):
+    """The Fisher integrand written out per point, the trinomial
+    single-click term included."""
     survive = (1.0 - gamma) ** 2
 
     def f(w):
@@ -768,7 +764,12 @@ def _quad_oracle(variant, tau, gamma, alpha, omega_max):
         p_pair = survive / 2.0 * env * (1.0 + alpha * c)
         dp = survive / 2.0 * env * alpha * w * s
         return dp * dp / p_pair + dp * dp / (1.0 - gamma**2 - p_pair)
+    return f
 
+
+def _quad_oracle(variant, tau, gamma, alpha, omega_max):
+    """The integrand integrated over the whole window by adaptive quadrature."""
+    f = _oracle_integrand(variant, tau, gamma, alpha)
     limit = int(max(800, 32 * math.ceil(tau * omega_max / math.pi)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # only a converged oracle counts
@@ -777,6 +778,22 @@ def _quad_oracle(variant, tau, gamma, alpha, omega_max):
         )
     assert error <= 1e-10 * value
     return value
+
+
+def _panel_split_oracle(variant, tau, gamma, alpha, omega_max):
+    """The integrand integrated by adaptive quadrature on each fringe
+    half-period, whose edges hold the notches, to quad's tightest relative
+    tolerance, and the panels summed exactly."""
+    f = _oracle_integrand(variant, tau, gamma, alpha)
+    edges = np.append(np.arange(0.0, omega_max, math.pi / tau), omega_max)
+    panels = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in zip(edges[:-1], edges[1:]):
+            value, error = integrate.quad(f, a, b, limit=200, epsabs=0.0, epsrel=1.2e-14)
+            assert error <= 1e-13 * value
+            panels.append(value)
+    return 2.0 * math.fsum(panels)
 
 
 @pytest.mark.parametrize("variant", ["two-port", "trinomial"])
@@ -803,16 +820,54 @@ def test_fisher_high_visibility_short_delay(variant):
 
 
 @pytest.mark.parametrize("variant", ["two-port", "trinomial"])
-def test_fisher_near_unit_visibility_raises_rather_than_miss_the_notch(variant):
-    # at alpha = 1 - 1e-13 the integrand dips to 0 within 4.5e-7 rad of each
-    # fringe zero; with one panel per half-period no halving under the cap
-    # puts a node in the dip, and two sums agreed on a value 4.5e-7 too high
+@pytest.mark.parametrize("alpha", [0.99, 0.999])
+@pytest.mark.parametrize("tau", [2e-12, 1e-11])
+def test_fisher_matches_panel_split_oracle(variant, alpha, tau):
+    # the stop test at 1e-12 holds the series within 1e-12 of the oracle,
+    # and within its own error estimate
     grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
-    with pytest.raises(QuadratureError):
-        fisher_information(SRC, 1e-11, DetectionModel(grid, alpha=1.0 - 1e-13, variant=variant))
+    rep = fisher_information(SRC, tau, DetectionModel(grid, 0.1, alpha, variant=variant))
+    oracle = _panel_split_oracle(variant, tau, 0.1, alpha, grid.omega_max)
+    assert rep.g_omega == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert abs(rep.g_omega - oracle) <= rep.error_estimate + 1e-13 * rep.g_omega
 
 
-# omega_max |tau| overflows here, so the starting panel width is 0
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_fisher_near_unit_visibility_reaches_the_long_delay_limit(variant):
+    # at alpha = 1 - 1e-13 the integrand dips to 0 within 4.5e-7 rad of each
+    # fringe zero, a notch the panel quadrature missed; the series holds it,
+    # and lands 4.5e-7 below the value that missed it
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    for alpha in (1.0 - 1e-13, math.nextafter(1.0, 0.0)):
+        rep = fisher_information(SRC, 1e-11, DetectionModel(grid, alpha=alpha, variant=variant))
+        assert rep.g_omega == pytest.approx(_long_delay_limit(variant, 0.0, alpha), rel=1e-8)
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_fisher_ten_nanoseconds_at_high_visibility(variant):
+    # the panel quadrature ran past its cap here
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    rep = fisher_information(SRC, 1e-8, DetectionModel(grid, alpha=0.999999, variant=variant))
+    assert rep.g_omega == pytest.approx(_long_delay_limit(variant, 0.0, 0.999999), rel=1e-8)
+
+
+def test_fisher_series_term_cap_raises():
+    # 1e-19 s at alpha = 1 - 1e-13 needs far more than 2^20 terms
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64)
+    model = DetectionModel(grid, alpha=1.0 - 1e-13, variant="trinomial")
+    with pytest.raises(QuadratureError, match=f"within {_MAX_TERMS} terms") as caught:
+        fisher_information(SRC, 1e-19, model)
+    assert caught.value.error_estimate > 1e-12 * abs(caught.value.value)
+
+
+def test_faddeeva_matches_scipy_wofz():
+    x = np.concatenate([[0.0], np.logspace(-8, 14, 200)])
+    y = np.logspace(-6, math.log10(200.0), 150)
+    z = (x[:, None] + 1j * y).ravel()
+    assert np.max(np.abs(_faddeeva(z) / wofz(z) - 1.0)) <= 5e-14
+
+
+# omega_max |tau| overflows here
 _HUGE_TAU = 1e300
 
 
@@ -829,31 +884,29 @@ def test_fisher_edges(variant):
     assert g(0.0, alpha=0.9).g_omega == 0.0
     if variant == "trinomial":
         assert g(0.0).g_omega == 0.0
+    else:  # the two-port factor is 1 at unit visibility: the window moment
+        assert g(0.0).g_omega == pytest.approx(_long_delay_limit(variant, 0.0, 1.0), rel=1e-12)
+    # a delay near 0 keeps its digits, though the moments then all near m(0)
+    oracle = _quad_oracle(variant, 1e-18, 0.0, 0.9, grid.omega_max)
+    assert g(1e-18, alpha=0.9).g_omega == pytest.approx(oracle, rel=1e-12)
     # near-total loss scales the information by the surviving pair fraction
     nearly_lost = g(2e-12, alpha=0.9, gamma=1.0 - 1e-6)
     assert nearly_lost.g_omega == pytest.approx(1e-12 * g(2e-12, alpha=0.9).g_omega, rel=1e-8)
     with pytest.raises(ConfigurationError):
         g(math.nan)
-    # visibility one ulp below 1 would need more panels than the cap, and a
-    # delay that overflows the starting panel width gets no panel at all
-    for tau, alpha in ((1e-11, math.nextafter(1.0, 0.0)), (_HUGE_TAU, 0.9)):
-        with pytest.raises(QuadratureError) as caught:
-            g(tau, alpha=alpha)
-        assert math.isnan(caught.value.value) and caught.value.error_estimate == math.inf
+    # a delay whose omega_max |tau| overflows evaluates no fringe moment
+    huge = g(_HUGE_TAU, alpha=0.9)
+    assert huge.g_omega == pytest.approx(_long_delay_limit(variant, 0.0, 0.9), rel=1e-12)
+    assert huge.error_estimate >= 0.0
 
 
-def test_sweep_huge_delay_fails_only_the_fringe_cells():
+def test_sweep_huge_delay_gets_the_long_delay_limit():
     for variant in ("two-port", "trinomial"):
         res = sweep([SIGMA], [_HUGE_TAU], [0.0], [0.9, 1.0], variant=variant)
-        partial, unit = res.rows
-        assert partial.g_omega is None
-        assert "evaluated no panels: omega_max |tau| overflows" in partial.error
-        if variant == "two-port":
-            # the unit-visibility integrand reads no fringe
-            assert unit.error is None
-            assert unit.g_omega == pytest.approx(FOUR_SIGMA_SQ, rel=1e-6)
-        else:
-            assert unit.error is not None and unit.g_omega is None
+        for row in res.rows:
+            assert row.error is None
+            assert row.g_omega == pytest.approx(
+                _long_delay_limit(variant, 0.0, row.alpha), rel=1e-12)
 
 
 def test_sweep_fisher_cells_raise_no_warning():
@@ -871,68 +924,6 @@ def test_fisher_reports_inputs():
     rep = fisher_information(SRC, 3e-13, DetectionModel(grid, gamma=0.2, alpha=0.8))
     assert (rep.sigma, rep.tau, rep.gamma, rep.alpha) == (SIGMA, 3e-13, 0.2, 0.8)
     assert rep.variant == "two-port"
-
-
-def test_gauss_legendre_literals_equal_leggauss():
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    assert _GL_NODES.tobytes() == nodes.tobytes()
-    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
-
-
-def _angle_addition_fringe(w, mid, half, step, tau, final):
-    """cos and sin at the nodes ``w = mid + half x`` as ``_panel_sums`` forms
-    them: the phase ``mid tau + h x tau`` by angle addition, h = step/2, or
-    its own half-width for the range's final panel (where ``final`` is set)."""
-    h = np.where(final, half, 0.5 * step)[:, None]
-    a, b = mid[:, None] * tau, _GL_NODES * (h * tau)
-    return (np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b),
-            np.sin(a) * np.cos(b) + np.cos(a) * np.sin(b))
-
-
-def _direct_fringe(w, mid, half, step, tau, final):
-    """cos and sin of ``w tau`` at every node: the rule before angle addition."""
-    return np.cos(w * tau), np.sin(w * tau)
-
-
-def _reference_panel_sums(integrands, hi, step, sigma, tau, fringe):
-    """Each integrand summed over [0, hi] as ``_panel_sums`` sums it, but
-    evaluated a whole 512-panel group at a time, with the fringe from the
-    rule ``fringe``."""
-    n_panels = math.ceil(hi / step)
-    totals = [0.0] * len(integrands)
-    for first in range(0, n_panels, 512):
-        edges = np.minimum(step * np.arange(first, min(first + 512, n_panels) + 1), hi)
-        half = 0.5 * np.diff(edges)
-        mid = edges[:-1] + half
-        w = mid[:, None] + half[:, None] * _GL_NODES
-        final = np.arange(first, first + half.size) == n_panels - 1
-        c, s = fringe(w, mid, half, step, tau, final)
-        env = envelope_density(w, sigma)
-        totals = [total + float(half @ (f(w, env, c, s) @ _GL_WEIGHTS))
-                  for total, f in zip(totals, integrands)]
-    return totals
-
-
-def test_panel_sum_blocks_stay_small_and_keep_the_512_panel_sum():
-    # Blocks under 2^14 nodes keep the integrands' temporaries under 128 KiB;
-    # the panel sum still groups 512 panels, so its bits do not change, and
-    # integrands sharing a block's nodes, envelope and fringe each keep them.
-    sizes = []
-    tau = 1e-11  # here both the direct-trig fringe and one that skips the clipped panel differ
-
-    def integrand(w, env, c, s):
-        sizes.append(w.size)
-        return env * w * w * s * s / (1.0 - 0.81 * c * c)
-
-    def other(w, env, c, s):
-        return env * w * (1.0 + 0.5 * c)
-
-    hi = 12.0 * SIGMA
-    step = hi / 1300.4  # two whole 512-panel groups, a partial one and a clipped final panel
-    values = _panel_sums([integrand, other], hi, step, SIGMA, tau, True)
-    assert max(sizes) < 2**14
-    assert values == _reference_panel_sums(
-        [integrand, other], hi, step, SIGMA, tau, _angle_addition_fringe)
 
 
 def _lone_cell(sigma, tau, gamma, alpha, variant, n_trials, span_sd):
@@ -986,126 +977,6 @@ def test_sweep_cells_equal_lone_fisher_calls_bit_for_bit(
     for row in res.rows:
         lone = _lone_cell(row.sigma, row.tau, row.gamma, row.alpha, variant, n_trials, 6.0)
         assert repr((row.g_omega, row.crb, row.error)) == repr(lone)
-
-
-def _per_cell_fisher(tau, model):
-    """(g_omega, error_estimate) by the quadrature of one cell alone, with its
-    own integrand, envelope and angle-addition fringe: the reference for the
-    bits of the shared pass."""
-    gamma, alpha, survive = model.gamma, model.alpha, (1.0 - model.gamma) ** 2
-
-    def integrand(w, env, c, s):
-        if model.variant == "two-port":
-            if alpha == 1.0:
-                return env * w * w
-            return env * alpha**2 * w * w * s * s / (1.0 - alpha**2 * c * c)
-        p_pair = (survive / 2.0) * env * (1.0 + alpha * c)
-        p_single = (1.0 - gamma**2) - p_pair
-        dp = (survive / 2.0) * env * alpha * w * s
-        if alpha == 1.0:
-            term_pair = (survive / 2.0) * env * w * w * (1.0 - c)
-        else:
-            term_pair = np.divide(dp * dp, p_pair, out=np.zeros_like(w), where=p_pair > 0.0)
-        cut = p_single > 1e-13 * (1.0 - gamma**2)
-        term_single = np.divide(dp * dp, p_single, out=np.zeros_like(w), where=cut)
-        return (term_pair + term_single) / survive
-
-    hi = model.grid.omega_max
-    fringe = 0.0 if model.variant == "two-port" and alpha == 1.0 else abs(tau)
-    reach = (1.0 - _GL_NODES[-1]) / 2.0
-    per_half_period = math.ceil(math.pi * reach / math.acosh(1.0 / alpha)) if 0 < alpha < 1 else 1
-    step = hi / max(64, hi * fringe * per_half_period / math.pi)
-    value, error = math.nan, math.inf
-    while not error <= max(1e-8 * abs(value), 1e-15 * SIGMA**2):
-        (total,) = _reference_panel_sums([integrand], hi, step, SIGMA, tau, _angle_addition_fringe)
-        previous, value = value, 2.0 * total
-        error = abs(value - previous) if math.isfinite(previous) else math.inf
-        step /= 2.0
-    return survive * value, survive * error
-
-
-@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
-@pytest.mark.parametrize(
-    ("tau", "gamma", "alpha"),
-    [(5e-13, 0.2, 0.9), (0.0, 0.3, 0.5), (-2e-12, 0.0, 1.0), (1e-11, 0.2, 0.95), (3e-13, 0.5, 0.0)],
-)
-def test_fisher_keeps_the_bits_of_the_per_cell_quadrature(variant, tau, gamma, alpha):
-    model = DetectionModel(FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=16), gamma=gamma,
-                           alpha=alpha, variant=variant)
-    rep = fisher_information(SRC, tau, model)
-    assert repr((rep.g_omega, rep.error_estimate)) == repr(_per_cell_fisher(tau, model))
-
-
-@pytest.mark.parametrize("tau", [1e-16, 5e-13, 1e-11, 1e-10, 1e-8])
-def test_angle_addition_fringe_stays_within_1e11_of_direct_trig(monkeypatch, tau):
-    # the same panel layout, halving and stop test with cos and sin of w tau
-    # at every node: the same cells fail and the rest agree to 1e-11; both
-    # variants' cells share one pass, so the direct fringe is taken once
-    grid = default_frequency_grid(SRC, n_bins=16)
-    models = [DetectionModel(grid, gamma, alpha, variant=variant)
-              for variant in ("two-port", "trinomial") for gamma in (0.0, 0.2)
-              for alpha in (0.5, 0.9, 0.999999)]
-    reports = _fisher_pass(SIGMA, tau, models)
-    monkeypatch.setattr(
-        "qwkt.estimation._panel_sums",
-        lambda fs, hi, step, sigma, tau, fringe: _reference_panel_sums(
-            fs, hi, step, sigma, tau, _direct_fringe),
-    )
-    direct = _fisher_pass(SIGMA, tau, models)
-    ok = [isinstance(r, FisherReport) for r in reports]
-    assert ok == [isinstance(r, FisherReport) for r in direct]
-    assert all(ok) == (tau < 1e-8)  # at 10 ns alpha = 0.999999 runs past the panel cap
-    for report, ref in zip(reports, direct):
-        if isinstance(report, FisherReport):
-            assert report.g_omega == pytest.approx(ref.g_omega, rel=1e-11, abs=0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    whole=st.integers(0, 1100),
-    fraction=st.floats(0.01, 1.0),
-    tau=st.one_of(st.floats(-1e-10, 1e-10), st.sampled_from([0.0, 1e-16, 5e-13])),
-)
-@example(whole=1300, fraction=0.4, tau=1e-11)  # a final panel clipped to 0.4 steps
-def test_angle_addition_fringe_matches_direct_trig_to_a_few_ulp(whole, fraction, tau):
-    # every node's fringe, the clipped final panel's included, is cos and
-    # sin of w tau to a few ulp of the largest phase
-    hi = 12.0 * SIGMA
-    step = hi / (whole + fraction)
-    seen = []
-    _panel_sums([lambda w, env, c, s: seen.append((w, c, s)) or w], hi, step, SIGMA, tau, True)
-    w, c, s = (np.concatenate(a) for a in zip(*seen))
-    assert w.shape == (math.ceil(hi / step), _GL_NODES.size)
-    tol = 8.0 * np.spacing(max(1.0, abs(hi * tau)))
-    assert np.max(np.abs(c - np.cos(w * tau))) <= tol
-    assert np.max(np.abs(s - np.sin(w * tau))) <= tol
-
-
-def test_sweep_point_computes_the_envelope_once_per_block(monkeypatch):
-    # six trinomial cells of one (sigma, tau) point share one panel layout:
-    # the pass evaluates the envelope once per block, as often as its
-    # slowest cell alone, not once per cell
-    calls = []
-
-    def counted(w, sigma):
-        calls.append(w.size)
-        return envelope_density(w, sigma)
-
-    monkeypatch.setattr("qwkt.estimation.envelope_density", counted)
-    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=16)
-    cells = [(gamma, alpha) for gamma in (0.0, 0.2, 0.4) for alpha in (0.8, 0.9)]
-    lone = []
-    for gamma, alpha in cells:
-        calls.clear()
-        fisher_information(
-            SRC, 2e-12, DetectionModel(grid, gamma=gamma, alpha=alpha, variant="trinomial")
-        )
-        lone.append(len(calls))
-    calls.clear()
-    res = sweep([SIGMA], [2e-12], [0.0, 0.2, 0.4], [0.8, 0.9], variant="trinomial")
-    assert all(row.error is None for row in res.rows)
-    assert len(calls) == max(lone)
-    assert len(calls) < sum(lone)
 
 
 # ----------------------------------------------------------------- qfi/qcrb

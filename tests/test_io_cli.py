@@ -548,6 +548,26 @@ def test_cli_trinomial_estimate_requires_trials(tmp_path, capsys):
     assert abs(layer["tau_s"] - 0.2e-12) <= 10.0 * layer["stderr_tau_s"]
 
 
+def test_cli_estimate_mle_refuses_a_resampled_axis(tmp_path, capsys):
+    # pixels uniform in wavelength are resampled onto a difference-frequency
+    # grid; fitted as counts they gave 97 of 100 delays wrong at 0.5 ps
+    lam = np.linspace(790.0, 830.0, 256)
+    omega = difference_frequency_from_wavelength(lam * 1e-9, 810e-9)
+    shape = np.exp(-0.5 * (omega / (2.0 * SIGMA)) ** 2) * (1.0 - 0.9 * np.cos(omega * 0.5e-12))
+    rows = [f"{x!r},{c}" for x, c in zip(lam.tolist(), np.rint(1000.0 * shape).astype(int))]
+    path = tmp_path / "lambda.csv"
+    path.write_text("wavelength_nm,counts\n" + "\n".join(rows) + "\n")
+    assert read_spectrum(path).resampled
+    fit = ["estimate", "--input", path, "--sigma-nm", "10", "--out", tmp_path / "x.json"]
+    capsys.readouterr()
+    assert _run([*fit, "--mle"]) == 3
+    assert "not uniform in difference frequency" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+    # the peak report only seeds a fit, so it still reads the file
+    assert _run(fit) == 0
+    assert "peaks" in json.loads((tmp_path / "x.json").read_text())
+
+
 def test_cli_estimate_mle_requires_counts(tmp_path):
     out = tmp_path / "ideal.csv"
     assert _run(["simulate", "--tau-ps", "0.2", "--ideal", "--out", out]) == 0
@@ -836,13 +856,16 @@ def test_cli_estimate_failure_still_records_run(tmp_path, monkeypatch):
     assert manifest.input_digests == {"zero.csv": sha256_digest("zero.csv")}
 
 
-def test_cli_fisher_huge_delay_fails_with_exit_4(tmp_path, monkeypatch, capsys):
-    # omega_max |tau| overflows; the cell fails on its own, not with a traceback
+def test_cli_fisher_term_cap_fails_with_exit_4(tmp_path, monkeypatch, capsys):
+    # 1e-19 s at alpha = 1 - 1e-13 needs more series terms than the cap; the
+    # cell fails on its own, not with a traceback, and says why
     monkeypatch.chdir(tmp_path)
-    assert _run(["fisher", "--tau-axis", "1e306", "--alpha", "0.9", "--out", "f.csv"]) == 4
+    argv = ["fisher", "--variant", "trinomial", "--alpha", "0.9999999999999",
+            "--tau-axis", "1e-7", "--out", "f.csv"]
+    assert _run(argv) == 4
     assert capsys.readouterr().err.startswith("error:")
     rows = [r for r in Path("f.csv").read_text().splitlines() if r and not r.startswith("#")]
-    assert len(rows) == 2 and "panels" in rows[1]
+    assert len(rows) == 2 and "within 1048576 terms" in rows[1]
 
 
 @pytest.mark.parametrize("argv, code", [
