@@ -5,10 +5,13 @@ qwkt commands in each, and compare what they leave behind.
 
 Each checkout runs the commands in its own temp dir, one process per command,
 with its own src/ on PYTHONPATH; each temp dir starts with the same hand-made
-input files (a spectrum that is not UTF-8, one with a cell past csv's field
-limit). Compared: every output file byte for byte, except the manifests
-(*.manifest.json), compared as JSON without duration_seconds; and each
-command's exit code and stderr (the checkout's path spelled <checkout>).
+input files: a spectrum that is not UTF-8, one with a cell past csv's field
+limit, and spectra for both readers (a plain one with comment, blank and CRLF
+lines; quoted cells; a 1_0 cell that only float() reads; a \\x1c5 cell that
+only np.loadtxt would read; a whitespace-only line). Compared: every output
+file byte for byte, except the manifests (*.manifest.json), compared as JSON
+without duration_seconds; and each command's exit code and stderr (the
+checkout's path spelled <checkout>).
 Every difference is printed; the exit code is 1 if there is any, else 0.
 """
 
@@ -23,9 +26,23 @@ from pathlib import Path
 _PIPELINE_MODEL = ["--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
 _ONE_LAYER = ["--sigma-nm", "10", "--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
 _TRINOMIAL = ["--variant", "trinomial", "--sigma-nm", "10", "--trials", "2000"]
+_ROWS = [f"{800.0 + 0.5 * i!r},{37 * i % 101}" for i in range(64)]
+
+
+def _spectrum(lines, end="\n") -> bytes:
+    return (end.join(["wavelength_nm,counts", *lines]) + end).encode()
+
+
 _INPUTS = {
     "not-utf8.csv": b"wavelength_nm,counts\n\xff\xfe,1\n",
     "long-cell.csv": b"wavelength_nm,counts\n" + b"8" * 2**17 + b".5,1\n",
+    # plain files go to np.loadtxt, all others to csv
+    "plain-crlf.csv": b"# hand-made\r\n\r\n" + _spectrum(
+        [*_ROWS[:20], "", "# mid", *_ROWS[20:]], "\r\n"),
+    "quoted.csv": _spectrum('"{}","{}"'.format(*row.split(",")) for row in _ROWS),
+    "underscore.csv": _spectrum([*_ROWS[:-1], _ROWS[-1].split(",")[0] + ",1_0"]),
+    "fs-cell.csv": _spectrum(["\x1c" + _ROWS[0], *_ROWS[1:]]),  # exit 3
+    "space-line.csv": _spectrum([*_ROWS[:30], "  ", *_ROWS[30:]]),  # exit 3
 }
 
 
@@ -66,6 +83,8 @@ def _commands() -> list[list[str]]:
         ["sweep", "--sigma-axis", "0:20:3", "--out", "zero-bandwidth.csv"],  # exit 2
         ["estimate", "--input", "not-utf8.csv", "--out", "not-utf8.json"],  # exit 3
         ["estimate", "--input", "long-cell.csv", "--out", "long-cell.json"],  # exit 3
+        *(["estimate", "--input", f"{name}.csv", "--out", f"{name}.json"]
+          for name in ("plain-crlf", "quoted", "underscore", "fs-cell", "space-line")),
         # omega_max squared overflows: the cell fails (exit 4), and beside a computed cell
         ["sweep", "--sigma-axis", "1.04e141", "--out", "wide.csv"],
         ["sweep", "--sigma-axis", "1e140:1e142:2", "--out", "wider.csv"],

@@ -29,6 +29,7 @@ from .hom import (
     OutcomeTable,
     _category_probabilities,
     _category_slopes,
+    _slope_rows,
     _variant_envelope,
 )
 from .transform import SpectralPattern, TemporalGrid, default_frequency_grid, inverse_qwkt
@@ -274,6 +275,7 @@ class _Likelihood:
         self.phi = phi
         self.omega = model.grid.values
         self.env = _variant_envelope(model, source.sigma_spectral)
+        self.slope_rows = _slope_rows(model, self.env)
         two_port = model.variant == "two-port"
         blocks = (
             counts.counts_coincidence,
@@ -323,7 +325,7 @@ class _Likelihood:
         probs = self._probabilities(x[None])
         value = float(self._value(probs)[0])
         probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
-        slopes = _category_slopes(self.model, self.env, probs)
+        slopes = _category_slopes(self.slope_rows, probs)
         terms = [
             (1.0 - probs[0], n, -slopes[0]) if c is None else (probs[c], n, slopes[c])
             for c, n in self.terms

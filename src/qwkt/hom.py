@@ -250,24 +250,33 @@ def _category_probabilities(model: DetectionModel, env: np.ndarray, fringe: np.n
     return pair, None, (1.0 - gamma**2) - pair, gamma**2
 
 
-def _category_slopes(model: DetectionModel, env: np.ndarray, probs: tuple) -> tuple:
+def _slope_rows(model: DetectionModel, env: np.ndarray) -> tuple:
     """Derivatives by the fringe x of the ``_category_probabilities`` blocks
-    ``probs`` of one fringe row.
+    where no bracket clips.
 
     The blocks are affine in x and no bracket clips for |x| <= 1, so a
     per-bin block's slope is its value at x = 1 minus its value at x = 0;
-    scalar blocks have slope 0. A block whose bracket has clipped holds
-    exactly 0 and stops moving; so does the trinomial single-click block,
-    the pair block's complement.
+    scalar blocks have slope 0.
     """
     at_one, at_zero = (
         _category_probabilities(model, env, np.full(env.shape, x)) for x in (1.0, 0.0)
     )
+    return tuple(
+        one - zero if isinstance(one, np.ndarray) else 0.0 for one, zero in zip(at_one, at_zero)
+    )
+
+
+def _category_slopes(slope_rows: tuple, probs: tuple) -> tuple:
+    """The ``_slope_rows`` at the ``_category_probabilities`` blocks ``probs``
+    of one fringe row. A block whose bracket has clipped holds exactly 0 and
+    stops moving; so does the trinomial single-click block, the pair block's
+    complement.
+    """
     stopped = [isinstance(p, np.ndarray) and p == 0.0 for p in probs[:2]]
     stopped += [stopped[0], False]
     return tuple(
-        np.where(stop, 0.0, one - zero) if isinstance(p, np.ndarray) else 0.0
-        for p, one, zero, stop in zip(probs, at_one, at_zero, stopped)
+        np.where(stop, 0.0, slope) if isinstance(p, np.ndarray) else 0.0
+        for p, slope, stop in zip(probs, slope_rows, stopped)
     )
 
 

@@ -3,7 +3,11 @@
 Spectra travel as two-column CSV with a header naming the schema:
 ``omega_rad_per_s,intensity`` for ideal densities (difference frequency in
 rad/s) or ``wavelength_nm,counts`` for sampled spectra on a spectrometer
-axis; comment lines start with '#'. Every CSV goes through ``write_table``,
+axis; comment lines start with '#'. A plain spectrum file, which holds
+no quote and no character in its data lines that ``write_table`` does not
+spell numbers with, is converted by ``np.loadtxt``; every other file, and a
+plain one ``loadtxt`` refuses, by ``csv`` and ``float()``. Both give the
+same values and the same errors. Every CSV goes through ``write_table``,
 which takes columns and spells each with one field (floats at 17
 significant digits, so write-then-read is lossless). Float columns are
 spelled by a numpy kernel whose bytes equal ``"%.17g" % x``: a
@@ -43,6 +47,9 @@ _MIN_ROWS = 16
 # the largest grid's bins, plus the row an odd-length axis drops (_to_midpoint_grid)
 _MAX_ROWS = _MAX_BINS + 1
 _BLOCK_FLOATS = 2048
+# the characters of the numbers write_table spells, and of line ends
+_PLAIN = b"0123456789+-.eEinfaINFA,\r\n"
+_BLANK = ("\n", "\r\n", "\r")
 
 
 def sha256_digest(path) -> str:
@@ -135,14 +142,86 @@ def _data_rows(lines):
         raise InputDataError(f"line {reader.line_num}: {exc}") from exc
 
 
+def _plain_table(handle, lines: list) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The header's cells and the body of a plain file, converted by
+    ``np.loadtxt``; None for any other file. Every line read is appended to
+    ``lines``. Reading stops past ``_MAX_ROWS`` data lines, or past as many
+    blank and comment lines besides, where csv streams on.
+
+    A file is plain when csv splits each of its lines at the commas and
+    nowhere else: no line holds a quote or a NUL or passes csv's field
+    limit, and each line after the header is blank, a comment, or holds
+    only characters that ``write_table`` spells numbers with (``_PLAIN``).
+    Blank and comment lines go by csv's rules, as in ``_data_rows``. A body
+    outside ``_MIN_ROWS``..``_MAX_ROWS`` rows is not converted, nor is one
+    that ``loadtxt`` refuses or reads with other than 2 columns: csv then
+    says why.
+    """
+    limit = csv.field_size_limit()
+    budget = 2 * (_MAX_ROWS + 1)
+
+    def opaque(line):  # csv might not split it at its commas
+        return '"' in line or "\x00" in line or len(line) > limit
+
+    def skipped(line):  # blank, or a comment
+        return line in _BLANK or line.lstrip().startswith("#")
+
+    for line in itertools.islice(handle, budget):
+        lines.append(line)
+        if opaque(line):
+            return None
+        if not skipped(line):
+            header = tuple(c.strip() for c in line.rstrip("\r\n").split(","))
+            break
+    else:
+        return None
+    body, n_rows = [], 0
+    while n_rows <= _MAX_ROWS:
+        if len(lines) >= budget:
+            return None
+        chunk = list(itertools.islice(handle, min(_MAX_ROWS + 1 - n_rows, budget - len(lines))))
+        if not chunk:
+            break
+        lines += chunk
+        if "".join(chunk).encode().translate(None, _PLAIN):  # a comment, or not plain
+            if not all(skipped(line) and not opaque(line)
+                       or not line.encode().translate(None, _PLAIN) for line in chunk):
+                return None
+            chunk = [line for line in chunk if "#" not in line]
+        if max(map(len, chunk), default=0) > limit:
+            return None
+        body += chunk
+        n_rows += len(chunk) - sum(map(chunk.count, _BLANK))
+    if not _MIN_ROWS <= n_rows <= _MAX_ROWS:
+        return None
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return (header, cells) if cells.shape == (n_rows, 2) else None
+
+
 def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The header's cells and the body as an (n, 2) float64 array. Rows are
-    read from the open file, and reading stops past ``_MAX_ROWS`` of them."""
+    """The header's cells and the body as an (n, 2) float64 array, from
+    ``_plain_table`` for a plain file and from ``_data_rows`` for any other.
+    The csv rows are read on from where ``_plain_table`` stopped, and only up
+    to ``_MAX_ROWS`` + 1 of them; if their batch conversion fails, the first
+    bad row is named by its line."""
+    lines = []
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            rows = _data_rows(handle)
+            try:
+                table = _plain_table(handle, lines)
+            except UnicodeDecodeError:
+                # _plain_table decodes whole chunks of lines, past the line
+                # where csv may stop with an error of its own: csv starts anew
+                handle.seek(0)
+                lines, table = [], None
+            if table is not None:
+                return table
+            rows = _data_rows(itertools.chain(lines, handle))
             _, header = next(rows, (0, None))
-            body = list(itertools.islice((row for _, row in rows), _MAX_ROWS + 1))
+            body = list(itertools.islice(rows, _MAX_ROWS + 1))
     except OSError as exc:
         raise InputDataError(f"cannot read spectrum file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -151,26 +230,28 @@ def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
         raise InputDataError("spectrum file is empty (no header line)")
     if len(body) > _MAX_ROWS:
         raise InputDataError(f"spectrum has more than {_MAX_ROWS} data rows")
+    rows = [row for _, row in body]
     with contextlib.suppress(ValueError):  # a non-numeric cell
-        if set(map(len, body)) <= {2}:
-            cells = np.fromiter(map(float, itertools.chain.from_iterable(body)), float)
+        if set(map(len, rows)) <= {2}:
+            cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
             return tuple(c.strip() for c in header), cells.reshape(-1, 2)
-    with open(path, encoding="utf-8", newline="") as handle:  # name the first bad line
-        for line_no, row in itertools.islice(_data_rows(handle), 1, None):
-            if len(row) != 2:
-                raise InputDataError(f"line {line_no}: expected 2 columns, got {len(row)}")
-            try:
-                float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise InputDataError(f"line {line_no}: non-numeric cell") from exc
+    for line_no, row in body:  # name the first bad line
+        if len(row) != 2:
+            raise InputDataError(f"line {line_no}: expected 2 columns, got {len(row)}")
+        try:
+            float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise InputDataError(f"line {line_no}: non-numeric cell") from exc
     raise AssertionError("the batch conversion failed on no line")
 
 
 def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
     """Read a spectrum CSV onto a symmetric uniform frequency grid.
 
-    The header names the schema. Abscissas must be finite and strictly
-    increasing, wavelengths positive, and values finite and nonnegative
+    A plain file (``_plain_table``) is converted by ``np.loadtxt``, any
+    other by ``csv`` and ``float()``: the values and messages are the same
+    either way. The header names the schema. Abscissas must be finite and
+    strictly increasing, wavelengths positive, and values finite and nonnegative
     (counts additionally integral). Wavelength axes are converted to
     difference frequency first. An axis that already is a symmetric uniform
     midpoint grid (to 1e-9 relative) is adopted exactly; anything else is

@@ -462,9 +462,14 @@ def _model_cases(draw, bins=(64, 4096), alphas=st.floats(0.0, 1.0)):
         variant=draw(st.sampled_from(["two-port", "trinomial"])),
     )
     phi = draw(st.floats(-math.pi, math.pi))
+    return _sampled_case(model, profile, phi, draw(st.integers(0, 2**32 - 1)))
+
+
+def _sampled_case(model, profile, phi, seed):
+    """A ``_model_cases`` draw: the model, profile and phase, and counts
+    sampled from them with ``seed``."""
     table = outcome_probabilities(model, SRC, profile, phi)
-    counts = sample_counts(table, _PROPERTY_TRIALS, seed=draw(st.integers(0, 2**32 - 1)))
-    return model, profile, phi, counts
+    return model, profile, phi, sample_counts(table, _PROPERTY_TRIALS, seed=seed)
 
 
 def _without_bunch_counts(counts):
@@ -577,10 +582,11 @@ def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi
 def _central_differences(like, x0, k, h):
     """Gradient and Hessian of ``log_likelihood`` at the natural point
     ``x0`` (k delays, first k-1 weights) by fourth-order central
-    differences with steps ``h``, all stencil points in one batch."""
+    differences with steps ``h``, all stencil points in one batch; the
+    gradient is Richardson-extrapolated from steps h and 2h."""
     d = x0.size
     unit = np.diag(h)
-    offsets = [m * unit[i] for i in range(d) for m in (1, -1, 2, -2)]
+    offsets = [m * unit[i] for i in range(d) for m in (1, -1, 2, -2, 4, -4)]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     offsets += [
         m * (a * unit[i] + b * unit[j])
@@ -589,8 +595,11 @@ def _central_differences(like, x0, k, h):
     points = x0 + np.array([np.zeros(d), *offsets])
     weights = np.column_stack([points[:, k:], 1.0 - np.sum(points[:, k:], axis=1)])
     f = like.log_likelihood(points[:, :k], weights)
-    f0, axis, mixed = f[0], f[1 : 1 + 4 * d].reshape(d, 4), f[1 + 4 * d :].reshape(-1, 2, 4)
-    gradient = (8.0 * (axis[:, 0] - axis[:, 1]) - (axis[:, 2] - axis[:, 3])) / (12.0 * h)
+    f0, axis, mixed = f[0], f[1 : 1 + 6 * d].reshape(d, 6), f[1 + 6 * d :].reshape(-1, 2, 4)
+    # the five-point differences at steps h and 2h, and their extrapolation
+    g_near = (8.0 * (axis[:, 0] - axis[:, 1]) - (axis[:, 2] - axis[:, 3])) / (12.0 * h)
+    g_far = (8.0 * (axis[:, 2] - axis[:, 3]) - (axis[:, 4] - axis[:, 5])) / (24.0 * h)
+    gradient = (16.0 * g_near - g_far) / 15.0
     hessian = np.diag(
         (16.0 * (axis[:, 0] + axis[:, 1]) - (axis[:, 2] + axis[:, 3]) - 30.0 * f0) / (12.0 * h * h)
     )
@@ -610,6 +619,14 @@ def _central_differences(like, x0, k, h):
     shape=st.sampled_from(_TABLE_SHAPES),
     phi=st.sampled_from([0.0, 0.7 - math.pi]),
     seed=st.integers(0, 2**32 - 1),
+)
+@example(  # one layer at zero delay: the five-point gradient alone was 1.24e-6 off
+    case=_sampled_case(
+        DetectionModel(FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=64), gamma=0.0,
+                       alpha=0.8999999999999999, n_trials=_PROPERTY_TRIALS),
+        DelayProfile.normalized([(0.0, 1.0)]), 0.0, 0,
+    ),
+    shape="complete", phi=0.0, seed=0,
 )
 def test_score_matches_central_differences(case, shape, phi, seed):
     # all four likelihoods: two-port complete, or conditioned on the mass of

@@ -9,6 +9,7 @@ import struct
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,6 +233,95 @@ def test_read_spectrum_quoted_cells_load_as_plain(tmp_path):
     assert a.values.tobytes() == b.values.tobytes()
 
 
+def test_plain_files_take_the_loadtxt_path(tmp_path):
+    # a write_spectrum file, and one with CRLF endings, blank lines and
+    # comments between its rows, are read by np.loadtxt as csv reads them
+    path = tmp_path / "plain.csv"
+    write_spectrum(path, _pattern("counts"), comments=("note, with a comma",))
+    lines = path.read_text().splitlines()
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes("\r\n".join([*lines[:9], "", " # mid", *lines[9:], ""]).encode())
+    for file in (path, edited):
+        with open(file, encoding="utf-8", newline="") as handle:
+            header, body = qwkt_io._plain_table(handle, [])
+        assert header == WAVELENGTH_HEADER
+        with mock.patch.object(qwkt_io, "_plain_table", lambda handle, lines: None):
+            assert _parse_rows(file)[1].tobytes() == body.tobytes()
+
+
+def test_read_spectrum_names_a_long_cell_before_a_later_non_utf8_byte(tmp_path):
+    # the plain reader decodes lines ahead of csv, which stops at the long
+    # cell before it reaches the byte that is not UTF-8
+    path = tmp_path / "both.csv"
+    path.write_bytes(b"wavelength_nm,counts\n" + b"8" * 2**17 + b".5,1\n"
+                     + b"800.5,1\n" * 2000 + b"\xff,1\n")
+    with pytest.raises(InputDataError) as err:
+        read_spectrum(path)
+    assert str(err.value) == "line 2: field larger than field limit (131072)"
+
+
+_PLAIN_CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-5, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "NaN", "+nan", "1e400", "-0", "1E5", ".5"]),
+)
+_ODD_CELLS = st.sampled_from([
+    "", " 5", "5 ", '"5"', '"1,5"', "1_0", "\u0661", "\x1c5", "5\x1f", "\t5", "abc", "#x",
+    "\x005", "1e5e", "infinity", "5#", '" #x"', '"#x"',
+])
+_ODD_LINES = st.sampled_from([
+    "", "   ", "\t", "# note", "  # note, with a comma", "#", '"#x",1', "1,#2", '# a,"b',
+    "\x00", "# \x00", '"a\nb",1',
+])
+
+
+@st.composite
+def _reader_files(draw):
+    """Spectrum-like text around both readers' edges: row counts either side
+    of _MIN_ROWS and of a _MAX_ROWS of 20; plain rows with none, one or up
+    to four odd lines or rows (1 to 3 cells, quoted, spaced or non-numeric)
+    among them; LF, CRLF or CR line ends, with or without a last one."""
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    head = draw(st.lists(st.sampled_from(["", "# comment", "  # x,y", '# "q"']), max_size=2))
+    header = draw(st.sampled_from([
+        "wavelength_nm,counts", "omega_rad_per_s,intensity", '"wavelength_nm","counts"',
+        " wavelength_nm , counts", "volts", "",
+    ]))
+    n = draw(st.one_of(st.integers(16, 20), st.integers(12, 24)))
+    rows = draw(st.lists(st.tuples(_PLAIN_CELLS, _PLAIN_CELLS).map(",".join),
+                         min_size=n, max_size=n))
+    odd_rows = st.lists(st.one_of(_PLAIN_CELLS, _ODD_CELLS), min_size=1, max_size=3).map(",".join)
+    for at, line, replace in draw(st.lists(
+            st.tuples(st.integers(0, len(rows)), st.one_of(_ODD_LINES, odd_rows), st.booleans()),
+            max_size=draw(st.sampled_from([0, 1, 4])))):
+        rows[at:at + replace] = [line]
+    last = ending if draw(st.booleans()) else ""
+    return ending.join([*head, header, *rows]) + last
+
+
+def _read_outcome(path):
+    try:
+        header, body = _parse_rows(path)
+    except InputDataError as exc:
+        return str(exc)
+    return header, body.dtype, body.shape, body.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@example(text="wavelength_nm,counts\n" + "".join(f"{800 + i},5\n" for i in range(16))
+         + "\x1c5,1\n")  # float() refuses what loadtxt reads as a space and a 5
+@example(text="wavelength_nm,counts\n" + "5\n" * 16)  # loadtxt reads one column
+@given(text=_reader_files())
+def test_plain_reader_matches_the_csv_reader(tmp_path_factory, text):
+    # the same header and body bits, or the same error, with and without
+    # the loadtxt path
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(qwkt_io, "_MAX_ROWS", 20):
+        plain = _read_outcome(path)
+        with mock.patch.object(qwkt_io, "_plain_table", lambda handle, lines: None):
+            assert plain == _read_outcome(path)
+
+
 def test_wavelength_frequency_roundtrip():
     lam = np.linspace(760e-9, 860e-9, 101)
     omega = difference_frequency_from_wavelength(lam, 810e-9)
@@ -433,6 +523,31 @@ def test_read_spectrum_bounds_rows_before_converting(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == "error: spectrum has more than 20 data rows\n"
     assert [p.name for p in tmp_path.iterdir()] == ["long.csv"]
 
+
+def test_read_spectrum_stops_reading_past_the_row_bound(tmp_path, monkeypatch):
+    # a plain file past the bound is refused without being read to its end,
+    # whose last byte is not UTF-8
+    monkeypatch.setattr(qwkt_io, "_MAX_ROWS", 20)
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"wavelength_nm,counts\n" + b"800.5,5\n" * 10**4 + b"\xff\n")
+    with pytest.raises(InputDataError) as err:
+        read_spectrum(path)
+    assert str(err.value) == "spectrum has more than 20 data rows"
+
+
+
+def test_plain_reader_leaves_a_long_run_of_blank_lines_to_csv(tmp_path, monkeypatch):
+    # the plain reader keeps the lines it reads, so it stops after as many
+    # blank or comment lines as data rows fit; csv streams on without keeping them
+    monkeypatch.setattr(qwkt_io, "_MAX_ROWS", 20)
+    path = tmp_path / "blank.csv"
+    rows = "".join(f"{800 + i},5\n" for i in range(20))
+    path.write_text("# note\n" + "\n" * 100 + "wavelength_nm,counts\n" + rows)
+    lines = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert qwkt_io._plain_table(handle, lines) is None
+    assert len(lines) == 42
+    assert read_spectrum(path).grid.n_bins == 20
 
 # ---------------------------------------------------------------- manifest
 
