@@ -8,7 +8,8 @@ with its own src/ on PYTHONPATH; each temp dir starts with the same hand-made
 input files: a spectrum that is not UTF-8, one with a cell past csv's field
 limit, and spectra for both readers (a plain one with comment, blank and CRLF
 lines; quoted cells; a 1_0 cell that only float() reads; a \\x1c5 cell that
-only np.loadtxt would read; a whitespace-only line). Compared: every output
+only np.loadtxt would read; a whitespace-only line), and two spectra whose
+inverted correlation overflows float64. Compared: every output
 file byte for byte, except the manifests (*.manifest.json), compared as JSON
 without duration_seconds; and each command's exit code and stderr (the
 checkout's path spelled <checkout>).
@@ -27,10 +28,19 @@ _PIPELINE_MODEL = ["--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
 _ONE_LAYER = ["--sigma-nm", "10", "--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
 _TRINOMIAL = ["--variant", "trinomial", "--sigma-nm", "10", "--trials", "2000"]
 _ROWS = [f"{800.0 + 0.5 * i!r},{37 * i % 101}" for i in range(64)]
+_MAX_FLOAT = 1.7976931348623157e308
 
 
 def _spectrum(lines, end="\n") -> bytes:
     return (end.join(["wavelength_nm,counts", *lines]) + end).encode()
+
+
+def _huge(rows) -> bytes:
+    """16 ideal-density rows, omega -7.5..7.5 rad/s: float64's maximum at the
+    given rows, 0 elsewhere."""
+    values = [_MAX_FLOAT if i in rows else 0.0 for i in range(16)]
+    return "".join(["omega_rad_per_s,intensity\n",
+                    *(f"{-7.5 + i!r},{v!r}\n" for i, v in enumerate(values))]).encode()
 
 
 _INPUTS = {
@@ -43,6 +53,9 @@ _INPUTS = {
     "underscore.csv": _spectrum([*_ROWS[:-1], _ROWS[-1].split(",")[0] + ",1_0"]),
     "fs-cell.csv": _spectrum(["\x1c" + _ROWS[0], *_ROWS[1:]]),  # exit 3
     "space-line.csv": _spectrum([*_ROWS[:30], "  ", *_ROWS[30:]]),  # exit 3
+    # the inverted correlation overflows: exit 3
+    "huge-first.csv": _huge({0}),
+    "huge-centre.csv": _huge({7, 8}),
 }
 
 
@@ -88,6 +101,12 @@ def _commands() -> list[list[str]]:
         # omega_max squared overflows: the cell fails (exit 4), and beside a computed cell
         ["sweep", "--sigma-axis", "1.04e141", "--out", "wide.csv"],
         ["sweep", "--sigma-axis", "1e140:1e142:2", "--out", "wider.csv"],
+        *(["estimate", "--input", f"{name}.csv", "--out", f"{name}.json"]
+          for name in ("huge-first", "huge-centre")),
+        # the center wavelength's square underflows to 0 or overflows: exit 2
+        *([command, *args, "--center-nm", center, "--out", f"center-{command}-{center}.csv"]
+          for command, args in (("simulate", ["--tau-ps", "0.1"]), ("sweep", []))
+          for center in ("1e-170", "1e300")),
     ]
     for variant in ("two-port", "trinomial"):
         commands += [

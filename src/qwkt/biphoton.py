@@ -41,11 +41,18 @@ def bandwidth_nm_to_rads(delta_lambda: float, center_lambda: float) -> float:
     -------
     float
         RMS angular-frequency bandwidth in rad/s,
-        ``2 pi c delta_lambda / center_lambda**2``.
+        ``2 pi c delta_lambda / center_lambda**2``; a square that under- or
+        overflows raises ``ConfigurationError``.
     """
     if not (0.0 < delta_lambda < math.inf and 0.0 < center_lambda < math.inf):
         raise ConfigurationError("bandwidth and center wavelength must be positive and finite")
-    return 2.0 * math.pi * SPEED_OF_LIGHT * delta_lambda / center_lambda**2
+    try:
+        square = center_lambda**2
+    except OverflowError:
+        square = math.inf
+    if not 0.0 < square < math.inf:
+        raise ConfigurationError("center wavelength squared must be nonzero and finite")
+    return 2.0 * math.pi * SPEED_OF_LIGHT * delta_lambda / square
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,11 @@ def _parse_layers(spec: str) -> list[tuple[float, float]]:
 
 
 def _trials(text: str) -> int:
-    value = _finite(text)
-    if not (value.is_integer() and 1 <= value <= _MAX_TRIALS):
+    try:
+        value = int(text)  # exact: float() rounds integers past 2**53
+    except ValueError:  # such as 1e6
+        value = _finite(text)
+    if not (value == int(value) and 1 <= value <= _MAX_TRIALS):
         raise argparse.ArgumentTypeError(f"trials must be a whole number in [1, {_MAX_TRIALS}]")
     return int(value)
 
@@ -249,13 +252,17 @@ def cmd_estimate(args) -> int:
         "out": str(out),
     }
     inputs = ((in_path.name, sha256_digest(in_path)),)
-    correlation = inverse_qwkt(pattern)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            correlation = inverse_qwkt(pattern)
+            # abs(complex)'s bits; np.abs differs
+            modulus = np.hypot(correlation.values.real, correlation.values.imag)
+    except FloatingPointError as exc:
+        raise InputDataError(f"the inverted correlation overflows float64: {exc}") from exc
 
     def write_outputs() -> None:
         # only once the estimate stands or failed as exit 4: a run that
         # exits 2 or 3 leaves no files behind
-        with np.errstate(over="raise"):  # abs(complex)'s bits (np.abs differs) and overflow
-            modulus = np.hypot(correlation.values.real, correlation.values.imag)
         write_table(
             sidecar,
             ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),

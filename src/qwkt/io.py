@@ -142,11 +142,9 @@ def _data_rows(lines):
         raise InputDataError(f"line {reader.line_num}: {exc}") from exc
 
 
-def _plain_table(handle, lines: list) -> tuple[tuple[str, ...], np.ndarray] | None:
+def _plain_table(lines: list) -> tuple[tuple[str, ...], np.ndarray] | None:
     """The header's cells and the body of a plain file, converted by
-    ``np.loadtxt``; None for any other file. Every line read is appended to
-    ``lines``. Reading stops past ``_MAX_ROWS`` data lines, or past as many
-    blank and comment lines besides, where csv streams on.
+    ``np.loadtxt``, from all of the file's lines; None for any other file.
 
     A file is plain when csv splits each of its lines at the commas and
     nowhere else: no line holds a quote or a NUL or passes csv's field
@@ -158,7 +156,6 @@ def _plain_table(handle, lines: list) -> tuple[tuple[str, ...], np.ndarray] | No
     says why.
     """
     limit = csv.field_size_limit()
-    budget = 2 * (_MAX_ROWS + 1)
 
     def opaque(line):  # csv might not split it at its commas
         return '"' in line or "\x00" in line or len(line) > limit
@@ -166,33 +163,18 @@ def _plain_table(handle, lines: list) -> tuple[tuple[str, ...], np.ndarray] | No
     def skipped(line):  # blank, or a comment
         return line in _BLANK or line.lstrip().startswith("#")
 
-    for line in itertools.islice(handle, budget):
-        lines.append(line)
-        if opaque(line):
-            return None
-        if not skipped(line):
-            header = tuple(c.strip() for c in line.rstrip("\r\n").split(","))
-            break
-    else:
+    at = next((i for i, line in enumerate(lines) if opaque(line) or not skipped(line)), None)
+    if at is None or opaque(lines[at]):
         return None
-    body, n_rows = [], 0
-    while n_rows <= _MAX_ROWS:
-        if len(lines) >= budget:
+    header = tuple(c.strip() for c in lines[at].rstrip("\r\n").split(","))
+    body = lines[at + 1:]
+    if "".join(body).encode().translate(None, _PLAIN):  # a comment, or not plain
+        if not all(skipped(line) and not opaque(line)
+                   or not line.encode().translate(None, _PLAIN) for line in body):
             return None
-        chunk = list(itertools.islice(handle, min(_MAX_ROWS + 1 - n_rows, budget - len(lines))))
-        if not chunk:
-            break
-        lines += chunk
-        if "".join(chunk).encode().translate(None, _PLAIN):  # a comment, or not plain
-            if not all(skipped(line) and not opaque(line)
-                       or not line.encode().translate(None, _PLAIN) for line in chunk):
-                return None
-            chunk = [line for line in chunk if "#" not in line]
-        if max(map(len, chunk), default=0) > limit:
-            return None
-        body += chunk
-        n_rows += len(chunk) - sum(map(chunk.count, _BLANK))
-    if not _MIN_ROWS <= n_rows <= _MAX_ROWS:
+        body = [line for line in body if "#" not in line]
+    n_rows = len(body) - sum(map(body.count, _BLANK))
+    if max(map(len, body), default=0) > limit or not _MIN_ROWS <= n_rows <= _MAX_ROWS:
         return None
     try:
         cells = np.loadtxt(body, delimiter=",", comments=None, quotechar=None, ndmin=2)
@@ -204,17 +186,20 @@ def _plain_table(handle, lines: list) -> tuple[tuple[str, ...], np.ndarray] | No
 def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
     """The header's cells and the body as an (n, 2) float64 array, from
     ``_plain_table`` for a plain file and from ``_data_rows`` for any other.
-    The csv rows are read on from where ``_plain_table`` stopped, and only up
-    to ``_MAX_ROWS`` + 1 of them; if their batch conversion fails, the first
-    bad row is named by its line."""
-    lines = []
+    At most 2 (``_MAX_ROWS`` + 1) lines are read ahead, once: room for
+    ``_MAX_ROWS`` + 1 data rows and as many blank and comment lines besides.
+    A file that fills them, or fails the screen, goes to csv, which reads on
+    from there and only up to ``_MAX_ROWS`` + 1 rows. If their batch
+    conversion fails, the first bad row is named by its line."""
+    budget = 2 * (_MAX_ROWS + 1)
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             try:
-                table = _plain_table(handle, lines)
+                lines = list(itertools.islice(handle, budget))
+                table = _plain_table(lines) if len(lines) < budget else None
             except UnicodeDecodeError:
-                # _plain_table decodes whole chunks of lines, past the line
-                # where csv may stop with an error of its own: csv starts anew
+                # the read-ahead decodes past the line where csv may stop
+                # with an error of its own: csv starts anew
                 handle.seek(0)
                 lines, table = [], None
             if table is not None:

@@ -243,9 +243,9 @@ def test_plain_files_take_the_loadtxt_path(tmp_path):
     edited.write_bytes("\r\n".join([*lines[:9], "", " # mid", *lines[9:], ""]).encode())
     for file in (path, edited):
         with open(file, encoding="utf-8", newline="") as handle:
-            header, body = qwkt_io._plain_table(handle, [])
+            header, body = qwkt_io._plain_table(list(handle))
         assert header == WAVELENGTH_HEADER
-        with mock.patch.object(qwkt_io, "_plain_table", lambda handle, lines: None):
+        with mock.patch.object(qwkt_io, "_plain_table", lambda lines: None):
             assert _parse_rows(file)[1].tobytes() == body.tobytes()
 
 
@@ -321,7 +321,7 @@ def test_plain_reader_matches_the_csv_reader(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(qwkt_io, "_MAX_ROWS", 20):
         plain = _read_outcome(path)
-        with mock.patch.object(qwkt_io, "_plain_table", lambda handle, lines: None):
+        with mock.patch.object(qwkt_io, "_plain_table", lambda lines: None):
             assert plain == _read_outcome(path)
 
 
@@ -538,18 +538,19 @@ def test_read_spectrum_stops_reading_past_the_row_bound(tmp_path, monkeypatch):
     assert str(err.value) == "spectrum has more than 20 data rows"
 
 
-
 def test_plain_reader_leaves_a_long_run_of_blank_lines_to_csv(tmp_path, monkeypatch):
-    # the plain reader keeps the lines it reads, so it stops after as many
-    # blank or comment lines as data rows fit; csv streams on without keeping them
+    # the read-ahead holds as many blank or comment lines as data rows fit;
+    # a file that fills it never reaches the screen, and csv streams on
+    # without keeping its lines
     monkeypatch.setattr(qwkt_io, "_MAX_ROWS", 20)
     path = tmp_path / "blank.csv"
     rows = "".join(f"{800 + i},5\n" for i in range(20))
     path.write_text("# note\n" + "\n" * 100 + "wavelength_nm,counts\n" + rows)
-    lines = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        assert qwkt_io._plain_table(handle, lines) is None
-    assert len(lines) == 42
+
+    def screen(lines):
+        raise AssertionError(f"the screen got {len(lines)} lines")
+
+    monkeypatch.setattr(qwkt_io, "_plain_table", screen)
     assert read_spectrum(path).grid.n_bins == 20
 
 # ---------------------------------------------------------------- manifest
@@ -740,6 +741,20 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_cli_trials_keep_every_integer_digit():
+    # integer literals went through float: 2**53 + 1 ran as 2**53, and
+    # 2**63 - 1, the bound named in the message, was refused
+    def trials(text):
+        return build_parser().parse_args(["simulate", "--trials", text]).trials
+
+    assert trials(str(2**53 + 1)) == 2**53 + 1
+    assert trials(str(2**63 - 1)) == 2**63 - 1
+    assert trials("1e6") == 10**6
+    with pytest.raises(SystemExit) as exc:
+        trials(str(2**63))
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("ideal", [True, False])
 def test_cli_simulate_rejects_delays_beyond_unambiguous_range(tmp_path, capsys, ideal):
     # 10 nm at 256 bins resolves delays below t_max = 1.167 ps; 1.5 ps
@@ -812,6 +827,26 @@ def test_estimate_exits_2_when_no_bin_holds_envelope_mass(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.csv", "narrow.csv.manifest.json"]
 
 
+@pytest.mark.parametrize("rows", [(0,), (7, 8)], ids=["first-row", "centre-rows"])
+def test_estimate_exits_3_when_the_correlation_overflows(tmp_path, capsys, rows):
+    # cells at float64's maximum: the first row's was a FloatingPointError
+    # traceback from the modulus, exit 1; the centre rows' printed two
+    # RuntimeWarnings before exit 3
+    values = [0.0] * 16
+    for row in rows:
+        values[row] = 1.7976931348623157e308
+    spectrum = tmp_path / "huge.csv"
+    spectrum.write_text("omega_rad_per_s,intensity\n" + "".join(
+        f"{-7.5 + i!r},{v!r}\n" for i, v in enumerate(values)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["estimate", "--input", spectrum, "--out", tmp_path / "x.json"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the inverted correlation overflows")
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
 def test_cli_bad_axis_spec(tmp_path):
     assert _run(["fisher", "--tau-axis", "oops", "--out", tmp_path / "x.csv"]) == 2
 
@@ -877,6 +912,20 @@ def test_cli_center_wavelength_sets_the_pump(tmp_path):
     assert "# sigma 20.0 nm equivalent at 800.0 nm center, pump 400.0 nm" in out.read_text()
     assert _run(["estimate", "--center-nm", "800", "--input", out,
                  "--out", tmp_path / "e.json"]) == 0
+
+
+@pytest.mark.parametrize("center", ["1e-170", "1e300"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "fisher", "sweep"])
+def test_cli_center_wavelength_whose_square_fails_exits_2(tmp_path, capsys, command, center):
+    # the square underflows to 0 or overflows: was a ZeroDivisionError or an
+    # OverflowError traceback, exit 1
+    spectrum = tmp_path / "in.csv"
+    write_spectrum(spectrum, _pattern("counts"))
+    argv = {"simulate": ["--tau-ps", "0.1"], "estimate": ["--input", spectrum]}.get(command, [])
+    assert _run([command, *argv, "--center-nm", center, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: center wavelength")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "fisher"])
