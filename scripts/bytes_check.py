@@ -123,6 +123,12 @@ def _commands() -> list[list[str]]:
             # high visibility out to 10 ns: many series terms
             ["sweep", "--variant", variant, "--alpha-axis", "0.999999", "--tau-axis",
              "1e-9:1e-8:2s", "--out", f"sweep-{variant}-c.csv"],
+            # 324 cells: six groups of batched series rounds, three window half-widths
+            # h (13, 23 and 33 nm), gamma = 1 and alpha = -0.5 cells that fail to build,
+            # and 1 fs cells at alpha = 1 - 1e-13 that hit the term cap
+            ["sweep", "--variant", variant, "--sigma-axis", "13:33:3", "--tau-axis",
+             "0.001:10:12ps", "--gamma-axis", "0:1:3", "--alpha-axis=-0.5:0.9999999999999:3",
+             "--out", f"sweep-{variant}-d.csv"],
         ]
     return commands
 

@@ -591,6 +591,16 @@ def fisher_information(
     QuadratureError is raised. alpha = 0 gives exactly 0, and so does
     tau = 0 but at two-port unit visibility.
     """
+    (outcome,) = _run_series([_fisher_series(source, tau, model)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _fisher_series(source: BiphotonSource, tau: float, model: DetectionModel):
+    """``fisher_information`` as a generator: it yields (h, kappa) requests, is sent
+    ``_window_moments(kappa, h)`` for each, and returns the report. The first
+    request, kappa empty, asks for m(0); each later one is one block."""
     if not math.isfinite(tau):
         raise ConfigurationError("tau must be finite")
     s, h = 2.0 * source.sigma_spectral, model.grid.omega_max / (2.0 * source.sigma_spectral)
@@ -616,7 +626,7 @@ def fisher_information(
     # the weights sum to alpha beta, so value = sum_n w_n (m(0) - m(n step)), which
     # keeps its digits at small kappa: the defects summed, plus m(0) times the weights
     # from n on (signed_tail ratio^n), less the terms rest(n) bounds, so clipped at 0
-    m0, error = float(_window_moments(np.zeros(0), h)[0]), 0.0
+    m0, error = float((yield h, np.zeros(0))[0]), 0.0
     value, signed_tail = alpha * beta * m0, tail if two_port else 2.0 * r / (1.0 + beta)
     if step == 0.0 and not (two_port and alpha == 1.0):
         value = 0.0  # sin(omega tau) vanishes; the two-port factor is 1 at unit visibility
@@ -630,7 +640,7 @@ def fisher_information(
                     value=half * s * s * value, error_estimate=half * s * s * error)
             terms = np.arange(n, min(n + size, _MAX_TERMS + 1))
             defects += float((2.0 * r * ratio**terms + extra * (terms == 1))
-                             @ _window_moments(terms * step, h)[1])
+                             @ (yield h, terms * step)[1])
             n, size = n + terms.size, min(2 * size, _BLOCK_TERMS)
             value, error = max(defects + m0 * signed_tail * ratio**n, 0.0), rest(n)
     survive = (1.0 - gamma) ** 2
@@ -646,6 +656,38 @@ def fisher_information(
         g_omega=g_omega, crb=crb, variant=model.variant, sigma=source.sigma_spectral, tau=tau,
         gamma=gamma, alpha=alpha, n_trials=model.n_trials, error_estimate=error,
     )
+
+
+def _run_series(cells):
+    """Drive ``_fisher_series`` generators in groups of _BLOCK_TERMS // 64, so that a
+    group's first blocks of 64 terms fill one call. Each round answers the pending
+    requests of one h with ``_window_moments`` calls of at most _BLOCK_TERMS
+    elements; the moments are elementwise, so every cell keeps a lone run's bits.
+    Yields each cell's report, or the exception it raised, in order."""
+    cells = iter(cells)
+    while group := list(itertools.islice(cells, _BLOCK_TERMS // 64)):
+        outcomes, replies = [None] * len(group), dict.fromkeys(range(len(group)))
+        while replies:
+            requests = {}  # h -> [(cell index, kappa)]
+            for i, reply in replies.items():
+                try:
+                    h, kappa = group[i].send(reply)
+                except StopIteration as stop:
+                    outcomes[i] = stop.value
+                except Exception as exc:  # the caller decides which to raise
+                    outcomes[i] = exc
+                else:
+                    requests.setdefault(h, []).append((i, kappa))
+            replies = {}
+            for h, pending in requests.items():
+                while pending:  # the longest prefix within _BLOCK_TERMS goes in one call
+                    ends = list(itertools.accumulate(kappa.size for _, kappa in pending))
+                    n = max(sum(end <= _BLOCK_TERMS for end in ends), 1)
+                    m0, defects = _window_moments(np.concatenate([k for _, k in pending[:n]]), h)
+                    for (i, _), start, end in zip(pending, [0, *ends], ends[:n]):
+                        replies[i] = m0, defects[start:end]
+                    pending = pending[n:]
+        yield from outcomes
 
 
 def quantum_fisher_information(source: BiphotonSource, n_trials: int) -> QfiReport:
@@ -695,9 +737,10 @@ def sweep(
 ) -> SweepResult:
     """Fisher information over a Cartesian parameter grid.
 
-    Evaluates every (sigma, tau, gamma, alpha) combination with one
-    ``fisher_information`` call each; a cell whose model cannot be built or
-    whose series fails records its error instead of aborting the sweep. The
+    Evaluates every (sigma, tau, gamma, alpha) combination; cells share
+    batched series rounds (``_run_series``), and each keeps the bits of a lone
+    ``fisher_information`` call. A cell whose model cannot be built or whose
+    series fails records its error instead of aborting the sweep. The
     ``monotonicity`` map labels the Fisher information trend along each axis
     as increasing / decreasing / constant / mixed, or unavailable when
     errors prevent the comparison.
@@ -713,17 +756,22 @@ def sweep(
             raise ConfigurationError(
                 f"{name} axis has {values.size} points, limit is {_MAX_AXIS_POINTS}"
             )
-    rows = []
-    for sigma, tau, gamma, alpha in itertools.product(*(values.tolist() for values in axes)):
-        try:
-            source = BiphotonSource(sigma_spectral=sigma)
-            grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
-            model = DetectionModel(grid, gamma, alpha, n_trials=n_trials, variant=variant)
-            report = fisher_information(source, tau, model)
-        except (ConfigurationError, InputDataError, EstimationError) as exc:
-            g_omega, crb, error = None, None, str(exc)
+
+    def cell(sigma, tau, gamma, alpha):  # builds its model on the first send
+        source = BiphotonSource(sigma_spectral=sigma)
+        grid = default_frequency_grid(source, n_bins=16, span_sd=span_sd)
+        model = DetectionModel(grid, gamma, alpha, n_trials=n_trials, variant=variant)
+        return (yield from _fisher_series(source, tau, model))
+
+    points, cells = itertools.tee(itertools.product(*(values.tolist() for values in axes)))
+    rows, outcomes = [], _run_series(cell(*point) for point in cells)
+    for (sigma, tau, gamma, alpha), outcome in zip(points, outcomes):
+        if isinstance(outcome, (ConfigurationError, InputDataError, EstimationError)):
+            g_omega, crb, error = None, None, str(outcome)
+        elif isinstance(outcome, Exception):
+            raise outcome
         else:
-            g_omega, crb, error = report.g_omega, report.crb, None
+            g_omega, crb, error = outcome.g_omega, outcome.crb, None
         rows.append(SweepCell(sigma=sigma, tau=tau, gamma=gamma, alpha=alpha, variant=variant,
                               g_omega=g_omega, crb=crb, error=error))
     shape = tuple(values.size for values in axes)
@@ -737,15 +785,12 @@ def _monotonicity(rows: tuple[SweepCell, ...], shape: tuple[int, ...]) -> dict:
     tol = 1e-12 * float(np.max(np.abs(g[~np.isnan(g)]), initial=0.0))
     labels = {}
     for axis, name in enumerate(_SWEEP_AXES):
-        # A failed cell makes its steps nan. A single point has no steps, so
-        # no trend to violate: every test over them holds and it reads constant.
+        # A failed cell makes its steps nan, which fail every test: the axis is
+        # unavailable when each slice has one. A single point has no steps, so no
+        # trend to violate: every test over them holds and it reads constant.
         steps = np.diff(g, axis=axis)
-        slice_labels = np.select(
-            [np.isnan(steps).any(axis=axis), (np.abs(steps) <= tol).all(axis=axis),
-             (steps > tol).all(axis=axis), (steps < -tol).all(axis=axis)],
-            ["unavailable", "constant", "increasing", "decreasing"],
-            "mixed",
-        )
-        found = set(slice_labels.ravel().tolist())
-        labels[name] = found.pop() if len(found) == 1 else "mixed"
+        tests = {"constant": np.abs(steps) <= tol, "increasing": steps > tol,
+                 "decreasing": steps < -tol}
+        labels[name] = ("unavailable" if np.isnan(steps).any(axis=axis).all()
+                        else next((label for label, holds in tests.items() if holds.all()), "mixed"))
     return labels

@@ -30,7 +30,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +312,7 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    write_json(path, asdict(manifest))
+    write_json(path, vars(manifest))
 
 
 def read_manifest(path) -> RunManifest:

@@ -35,7 +35,9 @@ from qwkt import (
     sample_counts,
     sweep,
 )
+from qwkt import estimation
 from qwkt.estimation import (
+    _BLOCK_TERMS,
     _MAX_TERMS,
     _SWEEP_AXES,
     SweepCell,
@@ -987,13 +989,61 @@ _SWEEP_ALPHAS = st.one_of(
 def test_sweep_cells_equal_lone_fisher_calls_bit_for_bit(
     variant, sigmas, taus, gammas, alphas, n_trials
 ):
-    # cells sharing a quadrature pass (and two-port cells sharing one
-    # integral across gamma) keep the bits and errors of lone calls
+    # cells whose series blocks share batched window-moment calls, round by
+    # round, keep the bits and errors of lone calls
     res = sweep(sigmas, taus, gammas, alphas, variant=variant, n_trials=n_trials)
     assert len(res.rows) == len(sigmas) * len(taus) * len(gammas) * len(alphas)
     for row in res.rows:
         lone = _lone_cell(row.sigma, row.tau, row.gamma, row.alpha, variant, n_trials, 6.0)
         assert repr((row.g_omega, row.crb, row.error)) == repr(lone)
+
+
+def _counted_window_moments(monkeypatch) -> list[int]:
+    """Sizes of the ``_window_moments`` calls made from here on."""
+    sizes, window_moments = [], estimation._window_moments
+
+    def counted(kappa, h):
+        sizes.append(kappa.size)
+        return window_moments(kappa, h)
+
+    monkeypatch.setattr(estimation, "_window_moments", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_sweep_over_several_groups_equals_lone_fisher_calls_bit_for_bit(variant, monkeypatch):
+    # 72 cells: a full group of 64 and a second of 8. The three sigmas give
+    # three window half-widths h (6 and 6 -+ 1 ulp), so a round makes calls for
+    # each. gamma = 1 and alpha = 1.5 cells fail to build, and at 1 fs and
+    # alpha = 1 - 1e-13 the series hits its term cap, in both groups (cells
+    # 20, 44 and 68), while the other cells of the group finish early.
+    sizes = _counted_window_moments(monkeypatch)
+    sigmas = [SIGMA, 1.0015 * SIGMA, 1.003 * SIGMA]
+    res = sweep(sigmas, [0.0, 2e-13, 1e-11, 1e-15], [0.0, 1.0], [0.9, 1.5, 1.0 - 1e-13],
+                variant=variant)
+    assert len({default_frequency_grid(BiphotonSource(sigma_spectral=s), n_bins=16).omega_max
+                / (2.0 * s) for s in sigmas}) == 3
+    assert max(sizes) <= _BLOCK_TERMS
+    assert len(res.rows) == 72
+    capped = [i for i, row in enumerate(res.rows) if "did not bound" in (row.error or "")]
+    assert capped == [20, 44, 68]
+    assert sum(row.error is not None for row in res.rows) == 3 + 3 * 4 * 4  # 48 builds fail
+    monkeypatch.undo()
+    for row in res.rows:
+        lone = _lone_cell(row.sigma, row.tau, row.gamma, row.alpha, variant, 1, 6.0)
+        assert repr((row.g_omega, row.crb, row.error)) == repr(lone)
+
+
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_sweep_batches_window_moments_into_few_bounded_calls(variant, monkeypatch):
+    # the 240-cell sweep: per-cell calls would make 420 (two-port) or 480
+    sizes = _counted_window_moments(monkeypatch)
+    sigma = BiphotonSource.from_bandwidth(10e-9, 810e-9).sigma_spectral
+    res = sweep([sigma], np.linspace(0.05, 10.0, 30) * 1e-12, [0.0, 0.2],
+                np.linspace(0.9, 1.0, 4), variant=variant)
+    assert len(res.rows) == 240 and all(row.error is None for row in res.rows)
+    assert max(sizes) <= _BLOCK_TERMS
+    assert len(sizes) <= 8
 
 
 # ----------------------------------------------------------------- qfi/qcrb
