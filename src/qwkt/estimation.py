@@ -791,6 +791,6 @@ def _monotonicity(rows: tuple[SweepCell, ...], shape: tuple[int, ...]) -> dict:
         steps = np.diff(g, axis=axis)
         tests = {"constant": np.abs(steps) <= tol, "increasing": steps > tol,
                  "decreasing": steps < -tol}
-        labels[name] = ("unavailable" if np.isnan(steps).any(axis=axis).all()
-                        else next((label for label, holds in tests.items() if holds.all()), "mixed"))
+        found = next((label for label, holds in tests.items() if holds.all()), "mixed")
+        labels[name] = "unavailable" if np.isnan(steps).any(axis=axis).all() else found
     return labels
