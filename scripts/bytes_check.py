@@ -70,6 +70,10 @@ def _commands() -> list[list[str]]:
              "--out", f"pipeline-{seed}.json", *_PIPELINE_MODEL],
         ]
     commands += [
+        # four layers fitted to three: one padded layer scanned at 4096 bins, where a
+        # 19-row weight block spans chunks of 4 rows
+        ["estimate", "--input", "pipeline-1.csv", "--mle", "--layers", "4",
+         "--out", "pipeline-1-k4.json", *_PIPELINE_MODEL],
         # three layers fitted to one: the padded-layer scan
         ["simulate", "--tau-ps", "0.5", "--bins", "256", "--seed", "4", "--out", "one.csv",
          *_ONE_LAYER],
@@ -79,6 +83,13 @@ def _commands() -> list[list[str]]:
          *_TRINOMIAL],
         ["estimate", "--input", "tri.csv", "--mle", "--layers", "1", "--out", "tri.json",
          *_TRINOMIAL],
+        ["estimate", "--input", "tri.csv", "--mle", "--layers", "2", "--out", "tri-k2.json",
+         *_TRINOMIAL],
+        # a fringe phase: simulated and scanned at phi = 0.7
+        ["simulate", "--tau-ps", "0.5", "--bins", "256", "--seed", "8", "--phi", "0.7",
+         "--out", "phi.csv", *_ONE_LAYER],
+        ["estimate", "--input", "phi.csv", "--mle", "--layers", "2", "--phi", "0.7",
+         "--out", "phi.json", *_ONE_LAYER],
         ["simulate", "--ideal", "--tau-ps", "0.3", "--bins", "1024", "--out", "ideal.csv"],
         ["estimate", "--input", "ideal.csv", "--out", "ideal.json"],
         # a wide window: 3-digit exponents and half-integer cells in the spectrum

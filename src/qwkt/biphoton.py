@@ -165,45 +165,30 @@ def envelope_density(omega: np.ndarray, sigma: float) -> np.ndarray:
     return envelope_peak_normalized(omega, sigma) / math.sqrt(2.0 * math.pi * (2.0 * sigma) ** 2)
 
 
-def _fringe_rows(
-    taus: np.ndarray, weights: np.ndarray, phi: float, omega: np.ndarray
-) -> np.ndarray:
-    """Weighted fringes ``sum_i a_i cos(omega tau_i + phi)``, one row per candidate.
-
-    ``taus`` and ``weights`` have shape (B, k), ``omega`` shape (n,); the
-    result has shape (B, n). Layers are summed in column order from zeros,
-    so each row has the bits of that candidate's ``_layer_rows`` fringe.
-
-    Each distinct delay in a column has its cosine row computed once per
-    batch and gathered into every row that holds it. A padded-layer scan
-    holds every other layer's delay fixed, so their columns hold one
-    distinct delay, and repeats each of its own delays once per weight
-    fraction. Gathered rows have the bits of rows computed one by one.
-    """
-    out = np.zeros((taus.shape[0], omega.size))
-    for tau, weight in zip(taus.T, weights.T):
-        distinct, index = np.unique(tau, return_inverse=True)
-        out += weight[:, None] * np.cos(omega * distinct[:, None] + phi)[index]
-    return out
-
-
-def _layer_rows(taus, weights, phi: float, omega: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One candidate's fringe ``sum_i a_i cos(omega tau_i + phi)``, shape (n,),
-    summed in layer order from zeros (the bits of its ``_fringe_rows`` row),
-    and the ``cos`` and ``sin`` rows of its k delays, each (k, n); the sine
-    rows give the fringe's delay derivatives."""
+def _layer_rows(taus, phi: float, omega: np.ndarray):
+    """The ``cos``, then the ``sin`` rows of ``omega tau_i + phi`` for k delays,
+    each (k, n), yielded lazily: ``next`` takes the cosines alone."""
     phase = omega * taus[:, None] + phi
-    cos = np.cos(phase)
-    fringe = sum((a * row for a, row in zip(weights, cos)), np.zeros(omega.size))
-    return fringe, cos, np.sin(phase)
+    yield np.cos(phase)
+    yield np.sin(phase)
+
+
+def _fringe(weights: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """Weighted fringe ``sum_i a_i cos_i`` of ``_layer_rows``' (k, n) cosines,
+    summed in layer order from zeros: shape (n,) for weights (k,), one row
+    per candidate (B, n) for weights (B, k), each row with its own bits."""
+    out = np.zeros(weights.shape[:-1] + cos.shape[1:])
+    for a, row in zip(weights.T, cos):
+        out += a[..., None] * row
+    return out
 
 
 def fringe_factor(profile: DelayProfile, omega: np.ndarray, phi: float = 0.0) -> np.ndarray:
     """Weighted interference term ``sum_i a_i cos(omega tau_i + phi)``; the
     constant phase offset ``phi = pi`` flips every fringe."""
     omega = np.asarray(omega, dtype=float)
-    fringe, _, _ = _layer_rows(profile.delays, profile.weights, phi, omega.ravel())
-    return fringe.reshape(omega.shape)
+    cos = next(_layer_rows(profile.delays, phi, omega.ravel()))
+    return _fringe(profile.weights, cos).reshape(omega.shape)
 
 
 def joint_spectral_intensity(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import BiphotonSource, _fringe_rows, _layer_rows
+from .biphoton import BiphotonSource, _fringe, _layer_rows
 from .errors import (
     ConfigurationError,
     EstimationError,
@@ -43,8 +43,8 @@ _COARSE_SPAN_STEPS = 10.0
 # standard errors, is at most this.
 _NEWTON_TOL = 1e-6
 # Likelihood rows are evaluated in chunks of at most this many (row, bin)
-# cells, so a 400-row padded-layer scan never holds more than ~0.1 MB per
-# temporary array.
+# cells, so a padded-layer scan's 19-row weight block never holds more than
+# ~0.1 MB per temporary array.
 _CHUNK_CELLS = 2**14
 # The Fisher series' stop test (relative part) and term cap; its blocks of at
 # most 4096 terms keep complex temporaries (64 KiB) under the mmap threshold.
@@ -86,7 +86,7 @@ class MleResult:
     log_likelihood: float
     converged: bool
     iterations: int
-    evaluations: int  # padded-layer scan rows plus the points Newton scored
+    evaluations: int  # scan rows (start plus 21 x 19 per scanned layer) and Newton's points
     hessian_condition: float  # of the balanced observed information
 
 
@@ -225,6 +225,8 @@ def _initial_layers(
         layers = [(tau, weight) for tau, weight, _ in init.delays]
     else:
         layers = [(float(t), float(a)) for t, a in init]
+        if not all(math.isfinite(t) and 0.0 < a < math.inf for t, a in layers):
+            raise ConfigurationError("init delays must be finite, weights positive and finite")
     layers.sort()
     if len(layers) > k_layers:
         layers = sorted(sorted(layers, key=lambda la: -la[1])[:k_layers])
@@ -251,14 +253,14 @@ def _row_dot(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _Likelihood:
     """Multinomial log-likelihood of an outcome table under candidate layers.
 
-    ``log_likelihood`` takes candidates in rows (the padded-layer scan),
-    ``score`` one candidate (Newton); both read the forward model shared with
-    ``outcome_probabilities``. The table is read once into ``terms``, one
-    (category, counts) pair per observed block, the category indexing
-    ``_category_probabilities``. Categories absent from a two-port table (a
-    spectrum file carries anti-bunch counts only) are handled by
-    conditioning on the observed categories: their probabilities are
-    renormalized by the observed total mass. A trinomial table with pair
+    ``log_likelihood`` takes one delay vector and a block of weight rows
+    (the padded-layer scan), ``score`` one candidate (Newton); both read the
+    forward model shared with ``outcome_probabilities``. The table is read
+    once into ``terms``, one (category, counts) pair per observed block, the
+    category indexing ``_category_probabilities``. Categories absent from a
+    two-port table (a spectrum file carries anti-bunch counts only) are
+    handled by conditioning on the observed categories: their probabilities
+    are renormalized by the observed total mass. A trinomial table with pair
     counts only is fitted by the per-bin binomial marginal with known
     trials, which no bin's pair count may exceed; its second term, category
     None, is the 1 - pair rest.
@@ -299,14 +301,15 @@ class _Likelihood:
                 # the binomial's n_trials - n would go negative
                 raise InputDataError(f"a bin holds more pairs than its {n_trials} trials")
             self.terms = [(0, pairs), (None, n_trials - pairs)]
-        self.rows_per_chunk = max(1, _CHUNK_CELLS // self.omega.size)
 
     def log_likelihood(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Log-likelihood of each row of (B, k) delays and weights, shape (B,)."""
-        out = np.empty(taus.shape[0])
-        step = self.rows_per_chunk
-        for i in range(0, taus.shape[0], step):
-            x = _fringe_rows(taus[i : i + step], weights[i : i + step], self.phi, self.omega)
+        """Log-likelihood at k delays (k,) of each row of a (B, k) weight
+        block, shape (B,); each row has the bits it has alone."""
+        cos = next(_layer_rows(taus, self.phi, self.omega))
+        out = np.empty(weights.shape[0])
+        step = max(1, _CHUNK_CELLS // self.omega.size)
+        for i in range(0, weights.shape[0], step):
+            x = _fringe(weights[i : i + step], cos)
             out[i : i + step] = self._value(self._probabilities(x))
         return out
 
@@ -321,7 +324,8 @@ class _Likelihood:
         of x-slope m. Bins at the 1e-300 log floor contribute nothing.
         """
         k = taus.size
-        x, cos, sin = _layer_rows(taus, weights, self.phi, self.omega)
+        cos, sin = _layer_rows(taus, self.phi, self.omega)
+        x = _fringe(weights, cos)
         probs = self._probabilities(x[None])
         value = float(self._value(probs)[0])
         probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
@@ -387,13 +391,13 @@ def mle_fit(
     strongest peaks, each of them pinned. When fewer than k_layers peaks
     are found, ``_initial_layers`` pads the list with layers the peaks do
     not pin; every layer of a plain (tau, weight) list from the caller is
-    unpinned. Each unpinned layer in turn is scanned in one batch with the
-    other layers held: its delay at 21 offsets spanning +/-10 temporal grid
-    steps times 19 weight fractions 0.05..0.95, the other weights rescaled
-    to the remaining mass (no weight axis at k_layers = 1). The batch's
-    best row replaces the current start only if it beats it. Within a
-    batch each distinct delay's fringe is computed once, with the same bits
-    as a row alone.
+    unpinned; its delays must be finite and its weights positive and
+    finite. Each unpinned layer in turn is scanned with the other delays
+    held: one ``log_likelihood`` call per offset of its delay (21 spanning
+    +/-10 temporal grid steps) scores 19 weight fractions 0.05..0.95 for
+    it, the other weights rescaled to the remaining mass (no weight axis at
+    k_layers = 1). After the start, a row replaces the best only if it
+    beats it, so a tie keeps the earlier row.
 
     From there a damped Newton ascent on the analytic score and Hessian
     (``_newton_ascent``) refines the k delays and first k-1 weights, at
@@ -421,18 +425,19 @@ def mle_fit(
     grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
     offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
     fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
-    shift, share = (a.ravel() for a in np.meshgrid(offsets, fractions, indexing="ij"))
     scanned = 0
     for j in range(pinned, k_layers):
-        # row 0 is the start, so a tie keeps it
         held = np.delete(weights, j)
-        row_taus = np.tile(taus, (shift.size + 1, 1))
-        row_taus[1:, j] += shift
-        grid_weights = np.insert(np.outer(1.0 - share, held / held.sum()), j, share, axis=1)
-        row_weights = np.vstack([weights, grid_weights])
-        values = like.log_likelihood(row_taus, row_weights)
-        best = int(np.argmax(values))
-        taus, weights, scanned = row_taus[best], row_weights[best], scanned + values.size
+        block = np.insert(np.outer(1.0 - fractions, held / held.sum()), j, fractions, axis=1)
+        rows = np.tile(taus, (offsets.size, 1))
+        rows[:, j] += offsets
+        best = like.log_likelihood(taus, weights[None])[0]
+        for moved in rows:
+            values = like.log_likelihood(moved, block)
+            i = int(np.argmax(values))
+            if values[i] > best:
+                best, taus, weights = values[i], moved, block[i]
+        scanned += 1 + offsets.size * fractions.size
 
     scale = np.concatenate([np.full(k_layers, 1.0 / source.delta_temporal), np.ones(k_layers - 1)])
     taus_hat, weights_hat, value, hessian, iterations, converged, evaluations = _newton_ascent(

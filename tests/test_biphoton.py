@@ -1,6 +1,5 @@
 """Source model tests: converter, profiles, correlation/spectrum forms."""
 
-import itertools
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from qwkt import (
     fringe_factor,
     joint_spectral_intensity,
 )
-from qwkt.biphoton import _fringe_rows
+from qwkt.biphoton import _fringe, _layer_rows
 
 # frozen: 2*pi*c*(10 nm)/(810 nm)^2
 SIGMA_10NM = 2.8709824223576484e13
@@ -176,34 +175,27 @@ def test_fringe_factor_bounds():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    columns=st.lists(
-        st.lists(st.integers(0, 999), min_size=1, max_size=5, unique=True),
-        min_size=1,
-        max_size=4,
-    ),
+    steps=st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True),
+    n_rows=st.integers(1, 25),
     n_bins=st.sampled_from([64, 4096]),
     phi=st.sampled_from([0.0, 0.7]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fringe_rows_with_repeated_delays_equal_single_profiles(columns, n_bins, phi, seed):
-    # A Cartesian product of a few delays per column, in shuffled row
-    # order, repeating delays as a padded-layer scan's batch does; column j
-    # holds delays in its own range so every row is a valid increasing
-    # profile.
+def test_fringe_of_weight_block_equals_single_profiles(steps, n_rows, n_bins, phi, seed):
+    # one delay vector with a block of weight rows, as a padded-layer scan
+    # scores them: each row of the block has the bits of its profile's
+    # fringe_factor
     omega = FrequencyGrid(omega_max=12.0 * SIGMA_10NM, n_bins=n_bins).values
-    step = 1e-15
     rng = np.random.default_rng(seed)
-    rows = list(itertools.product(*[
-        [(1000 * j + i) * step for i in column] for j, column in enumerate(columns)
-    ]))
-    rng.shuffle(rows)
+    delays = [i * 1e-15 for i in steps]
     profiles = [
-        DelayProfile.normalized(zip(row, rng.uniform(0.05, 1.0, len(row)))) for row in rows
+        DelayProfile.normalized(zip(delays, rng.uniform(0.05, 1.0, len(delays))))
+        for _ in range(n_rows)
     ]
-    taus = np.array([p.delays for p in profiles])
     weights = np.array([p.weights for p in profiles])
     expected = np.array([fringe_factor(p, omega, phi) for p in profiles])
-    assert np.array_equal(_fringe_rows(taus, weights, phi, omega), expected)
+    cos = next(_layer_rows(profiles[0].delays, phi, omega))
+    assert np.array_equal(_fringe(weights, cos), expected)
 
 
 def test_envelope_density_unit_mass():

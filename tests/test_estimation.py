@@ -1,5 +1,6 @@
 """Estimator tests: peak extraction, likelihood fits, information bounds."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -303,6 +304,16 @@ def test_mle_pair_only_rejects_trials_below_pair_counts():
         mle_fit(partial, model, SRC, k_layers=1)
 
 
+def _grouped_log_likelihood(like, taus, weights):
+    """``log_likelihood`` of each row of (B, k) delays and weights: one call
+    per distinct delay vector, with the weight rows that share it."""
+    out = np.empty(taus.shape[0])
+    for delays in np.unique(taus, axis=0):
+        rows = np.all(taus == delays, axis=1)
+        out[rows] = like.log_likelihood(delays, weights[rows])
+    return out
+
+
 def _full_scan_fit(counts, model, k):
     """Log-likelihood of the fit as it was before peak seeding, kept as an
     oracle: from the peak layers, a 21-point scan of every parameter in
@@ -326,10 +337,10 @@ def _full_scan_fit(counts, model, k):
     span = 10.0 * TemporalGrid.conjugate_of(counts.grid).delta_t * delta
     axes = [np.linspace(theta0[i] - span, theta0[i] + span, 21) for i in range(k)]
     axes += [np.linspace(theta0[i] - 2.0, theta0[i] + 2.0, 21) for i in range(k, 2 * k - 1)]
-    best = [theta0, like.log_likelihood(*unpack(theta0[None]))[0]]
+    best = [theta0, _grouped_log_likelihood(like, *unpack(theta0[None]))[0]]
 
     def scan(rows):
-        values = like.log_likelihood(*unpack(rows))
+        values = _grouped_log_likelihood(like, *unpack(rows))
         i = int(np.argmax(values))
         if values[i] > best[1]:
             best[:] = rows[i].copy(), values[i]
@@ -406,7 +417,7 @@ def test_newton_scores_each_point_once(monkeypatch):
 
     def counted_batch(self, taus, weights):
         assert calls["scores"] == 0, "log_likelihood called after Newton's first score"
-        calls["rows"] += taus.shape[0]
+        calls["rows"] += weights.shape[0]
         return batch(self, taus, weights)
 
     def counted_score(self, taus, weights):
@@ -425,6 +436,77 @@ def test_newton_scores_each_point_once(monkeypatch):
         assert calls["rows"] == rows
         assert fit.iterations >= 1
         assert fit.evaluations == rows + calls["scores"]
+
+
+def _scan_reference(like, counts, k, init):
+    """The padded-layer scan row by row: from ``_initial_layers``' start,
+    each unpinned layer's start row and then its 21 offsets x 19 weight
+    fractions, every row scored alone by ``score``, the first best kept.
+    Returns the layers sorted by delay, their value and the rows scored."""
+    layers, pinned = _initial_layers(counts, SRC, k, init)
+    taus = np.array([t for t, _ in layers])
+    weights = np.array([a for _, a in layers])
+    offsets = 10.0 * TemporalGrid.conjugate_of(counts.grid).delta_t * np.linspace(-1.0, 1.0, 21)
+    fractions = np.linspace(0.05, 0.95, 19) if k > 1 else np.ones(1)
+    value, scored = like.score(taus, weights)[0], 0
+    for j in range(pinned, k):
+        held = np.delete(weights, j)
+        rows = [(taus, weights)]
+        for offset in offsets:
+            moved = taus.copy()
+            moved[j] += offset
+            rows += [(moved, np.insert((1.0 - f) * (held / held.sum()), j, f)) for f in fractions]
+        values = [like.score(t, a)[0] for t, a in rows]
+        best = int(np.argmax(values))
+        (taus, weights), value, scored = rows[best], values[best], scored + len(rows)
+    order = np.argsort(taus)
+    return tuple((float(taus[i]), float(weights[i])) for i in order), value, scored
+
+
+@pytest.mark.parametrize(
+    "variant, complete, phi, n_bins, k, init, trials",
+    [
+        (variant, complete, phi, 256, k, init, 100_000 if variant == "two-port" else 1_000)
+        for variant in ("two-port", "trinomial")
+        for complete in (True, False)
+        for phi in (0.0, 0.7 - math.pi)
+        for k, init in ((1, [(2.3e-13, 1.0)]), (2, None), (3, None))
+    ]
+    # a 19-row block splits into chunks of 4; with 300 trials rows score
+    # within a few units of each other
+    + [("two-port", True, 0.0, 4096, 2, None, 100_000),
+       ("two-port", True, 0.0, 64, 3, [(2.3e-13, 1.0)], 300)],
+)
+def test_scan_picks_the_first_best_row(variant, complete, phi, n_bins, k, init, trials):
+    # max_iterations = 0 returns the scan's choice; one peak pads k = 2 and
+    # k = 3 with one and two scanned layers, and every layer of a caller's
+    # list is scanned
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=n_bins)
+    model = DetectionModel(grid, gamma=0.1, alpha=0.95, n_trials=trials, variant=variant)
+    table = outcome_probabilities(model, SRC, DelayProfile.single(2e-13), phi)
+    counts = sample_counts(table, trials, seed=7)
+    if not complete:
+        counts = OutcomeTable(variant, grid, counts_coincidence=counts.counts_coincidence)
+    _, pinned = _initial_layers(counts, SRC, k, init)
+    assert pinned == (0 if init else 1)
+    expected, value, scored = _scan_reference(_Likelihood(counts, model, SRC, phi), counts, k, init)
+    fit = mle_fit(counts, model, SRC, k, init=init, phi=phi, max_iterations=0)
+    assert fit.layers == expected
+    assert fit.log_likelihood == value
+    assert fit.evaluations == scored + 1
+
+
+@pytest.mark.parametrize(
+    "init",
+    [[(1e-13, 0.0)], [(math.nan, 1.0)], [(math.inf, 1.0)], [(1e-13, math.inf)],
+     [(1e-13, -1.0), (2e-13, 2.0)]],
+    ids=["zero-weight", "nan-delay", "inf-delay", "inf-weight", "negative-weight"],
+)
+def test_mle_rejects_invalid_init(init):
+    # a zero total weight divided by zero; nan or inf layers fitted to nan
+    counts, model = _counts_table(DelayProfile.single(2e-13), 10_000, seed=0)
+    with pytest.raises(ConfigurationError, match="init"):
+        mle_fit(counts, model, SRC, k_layers=len(init), init=init)
 
 
 def test_mle_validates_inputs():
@@ -513,7 +595,7 @@ def test_likelihood_row_is_outcome_table_log_probability(case, shape):
     counts = _observed_table(table, shape)
     assume(counts.total_counts() > 0)
     like = _Likelihood(counts, model, SRC, phi)
-    got = like.log_likelihood(profile.delays[None], profile.weights[None])
+    got = like.log_likelihood(profile.delays, profile.weights[None])
     blocks = [
         (n, p)
         for n, p in (
@@ -549,10 +631,10 @@ def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
     like = _Likelihood(counts, model, SRC, phi)
     rng = np.random.default_rng(seed)
     k = len(profile.layers)
-    taus = rng.uniform(0.0, TemporalGrid.conjugate_of(counts.grid).t_max, (n_rows, k))
+    taus = rng.uniform(0.0, TemporalGrid.conjugate_of(counts.grid).t_max, k)
     weights = rng.dirichlet(np.ones(k), n_rows)
     batch = like.log_likelihood(taus, weights)
-    singles = [like.log_likelihood(taus[i : i + 1], weights[i : i + 1])[0] for i in range(n_rows)]
+    singles = [like.log_likelihood(taus, weights[i : i + 1])[0] for i in range(n_rows)]
     assert batch == pytest.approx(singles, rel=1e-12)
 
 
@@ -563,8 +645,8 @@ def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
     phi=st.sampled_from([0.0, 0.7 - math.pi]),
 )
 def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi):
-    # a 7^3 Cartesian batch over two delays and a weight: every delay
-    # repeats 49 times in its column, more than a padded-layer scan does
+    # 7 x 7 delay pairs, each with a 7-row weight block: at 4096 bins a
+    # block splits across chunks of 4 rows
     model, profile, _, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)
@@ -573,19 +655,19 @@ def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi
     tau0 = profile.delays[0] + dt * np.linspace(-3.0, 3.0, 7)
     tau1 = profile.delays[-1] + 10.0 * dt + dt * np.linspace(-3.0, 3.0, 7)
     w0 = np.linspace(0.1, 0.9, 7)
-    product = np.stack(np.meshgrid(tau0, tau1, w0, indexing="ij"), axis=-1).reshape(-1, 3)
-    taus = product[:, :2]
-    weights = np.stack([product[:, 2], 1.0 - product[:, 2]], axis=1)
-    batch = like.log_likelihood(taus, weights)
-    singles = [like.log_likelihood(taus[i : i + 1], weights[i : i + 1])[0] for i in range(343)]
-    assert np.array_equal(batch, singles)
+    weights = np.stack([w0, 1.0 - w0], axis=1)
+    for taus in itertools.product(tau0, tau1):
+        taus = np.array(taus)
+        batch = like.log_likelihood(taus, weights)
+        singles = [like.log_likelihood(taus, weights[i : i + 1])[0] for i in range(7)]
+        assert np.array_equal(batch, singles)
 
 
 def _central_differences(like, x0, k, h):
     """Gradient and Hessian of ``log_likelihood`` at the natural point
     ``x0`` (k delays, first k-1 weights) by fourth-order central
-    differences with steps ``h``, all stencil points in one batch; the
-    gradient is Richardson-extrapolated from steps h and 2h."""
+    differences with steps ``h``, the stencil points grouped by delay
+    vector; the gradient is Richardson-extrapolated from steps h and 2h."""
     d = x0.size
     unit = np.diag(h)
     offsets = [m * unit[i] for i in range(d) for m in (1, -1, 2, -2, 4, -4)]
@@ -596,7 +678,7 @@ def _central_differences(like, x0, k, h):
     ]
     points = x0 + np.array([np.zeros(d), *offsets])
     weights = np.column_stack([points[:, k:], 1.0 - np.sum(points[:, k:], axis=1)])
-    f = like.log_likelihood(points[:, :k], weights)
+    f = _grouped_log_likelihood(like, points[:, :k], weights)
     f0, axis, mixed = f[0], f[1 : 1 + 6 * d].reshape(d, 6), f[1 + 6 * d :].reshape(-1, 2, 4)
     # the five-point differences at steps h and 2h, and their extrapolation
     g_near = (8.0 * (axis[:, 0] - axis[:, 1]) - (axis[:, 2] - axis[:, 3])) / (12.0 * h)
@@ -645,7 +727,7 @@ def test_score_matches_central_differences(case, shape, phi, seed):
     head = (0.8 * profile.weights + 0.2 * rng.dirichlet(np.ones(k)))[:-1]
     weights = np.append(head, 1.0 - np.sum(head))
     value, gradient, hessian = like.score(taus, weights)
-    assert value == like.log_likelihood(taus[None], weights[None])[0]
+    assert value == like.log_likelihood(taus, weights[None])[0]
 
     scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
     balance = np.outer(scale, scale)
