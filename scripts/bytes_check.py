@@ -6,12 +6,15 @@ qwkt commands in each, and compare what they leave behind.
 Each checkout runs the commands in its own temp dir, one process per command,
 with its own src/ on PYTHONPATH; each temp dir starts with the same hand-made
 input files: a spectrum that is not UTF-8, one with a cell past csv's field
-limit, and spectra for both readers (a plain one with comment, blank and CRLF
-lines; quoted cells; a 1_0 cell that only float() reads; a \\x1c5 cell that
-only np.loadtxt would read; a whitespace-only line), and two spectra whose
-inverted correlation overflows float64. Compared: every output
-file byte for byte, except the manifests (*.manifest.json), compared as JSON
-without duration_seconds; and each command's exit code and stderr (the
+limit, and spectra for both readers (one with comment, blank and CRLF lines,
+whose comment between rows sends it to csv; quoted cells; a 1_0 cell that only
+float() reads; a \\x1c5 cell that only np.loadtxt would read; a whitespace-only
+line), two spectra whose inverted correlation overflows float64, and one whose
+counts total past int64. One step, "quote", is not a qwkt command: it writes a
+copy of an earlier output with every cell quoted, so csv reads it. Outputs in
+a missing directory and malformed specs check the error paths. Compared: every
+output file byte for byte, except the manifests (*.manifest.json), compared as
+JSON without duration_seconds; and each command's exit code and stderr (the
 checkout's path spelled <checkout>).
 Every difference is printed; the exit code is 1 if there is any, else 0.
 """
@@ -56,7 +59,18 @@ _INPUTS = {
     # the inverted correlation overflows: exit 3
     "huge-first.csv": _huge({0}),
     "huge-centre.csv": _huge({7, 8}),
+    # 16 bins of 1e18: the column total, taken as the trial count, passes int64 (exit 3)
+    "big-counts.csv": _spectrum(f"{800 + i},{10**18}" for i in range(16)),
 }
+
+
+def _quote(source: Path, target: Path) -> None:
+    """Copy a spectrum with every cell of its header and rows in double quotes."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    target.write_bytes(b"".join(
+        line if line.startswith(b"#")
+        else b",".join(b'"%s"' % cell for cell in line.rstrip(b"\n").split(b",")) + b"\n"
+        for line in lines))
 
 
 def _commands() -> list[list[str]]:
@@ -70,6 +84,10 @@ def _commands() -> list[list[str]]:
              "--out", f"pipeline-{seed}.json", *_PIPELINE_MODEL],
         ]
     commands += [
+        # the cli-pipeline shape through the csv reader
+        ["quote", "pipeline-1.csv", "pipeline-1-quoted.csv"],
+        ["estimate", "--input", "pipeline-1-quoted.csv", "--mle", "--layers", "3",
+         "--out", "pipeline-1-quoted.json", *_PIPELINE_MODEL],
         # four layers fitted to three: one padded layer scanned at 4096 bins, where a
         # 19-row weight block spans chunks of 4 rows
         ["estimate", "--input", "pipeline-1.csv", "--mle", "--layers", "4",
@@ -114,6 +132,21 @@ def _commands() -> list[list[str]]:
         ["sweep", "--sigma-axis", "1e140:1e142:2", "--out", "wider.csv"],
         *(["estimate", "--input", f"{name}.csv", "--out", f"{name}.json"]
           for name in ("huge-first", "huge-centre")),
+        # malformed specs: exit 2
+        ["fisher", "--tau-axis", "1:2", "--out", "spec-axis.csv"],
+        ["fisher", "--tau-axis", "0:1:-1", "--out", "spec-count.csv"],
+        ["simulate", "--layers", "0.1", "--out", "spec-layer.csv"],
+        ["simulate", "--layers", "0.1:0", "--out", "spec-weight.csv"],
+        ["estimate", "--input", "big-counts.csv", "--out", "big-counts.json"],  # exit 3
+        # an output in a missing directory: exit 2, and no file written
+        *([command, *args, flag, target]
+          for command, args in (
+              ("simulate", ["--tau-ps", "0.5", "--bins", "256", "--sigma-nm", "10",
+                            "--out", "unwritable.csv"]),
+              ("estimate", ["--input", "one.csv", "--out", "unwritable.json"]),
+              ("fisher", ["--out", "unwritable-fisher.csv"]),
+              ("sweep", ["--out", "unwritable-sweep.csv"]))
+          for flag, target in (("--out", "missing/x.csv"), ("--manifest", "missing/m.json"))),
         # the center wavelength's square underflows to 0 or overflows: exit 2
         *([command, *args, "--center-nm", center, "--out", f"center-{command}-{center}.csv"]
           for command, args in (("simulate", ["--tau-ps", "0.1"]), ("sweep", []))
@@ -151,6 +184,10 @@ def run(root: Path, workdir: Path) -> list[tuple[int, str]]:
         (workdir / name).write_bytes(content)
     results = []
     for argv in _commands():
+        if argv[0] == "quote":
+            _quote(workdir / argv[1], workdir / argv[2])
+            results.append((0, ""))
+            continue
         proc = subprocess.run([sys.executable, "-m", "qwkt.cli", *argv], cwd=workdir, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                               check=False)

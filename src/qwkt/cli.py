@@ -4,8 +4,9 @@ Fisher information.
 Human-friendly units at the boundary (ps, nm) are converted to SI
 immediately; every run writes its outputs atomically plus a JSON manifest
 recording the resolved configuration, seed, digests, and wall time.
-Exit codes: 0 ok, 2 bad configuration, 3 bad input data, 4 estimation
-failure (partial diagnostics are still written).
+Exit codes: 0 ok, 2 bad configuration (an output directory that is missing
+or not writable included), 3 bad input data, 4 estimation failure (partial
+diagnostics are still written).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -476,6 +478,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # before any work: a manifest that failed last would leave its run's files behind
+        for target in filter(None, (args.out, args.manifest)):
+            folder = Path(target).parent
+            if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+                raise ConfigurationError(f"cannot write {target}: no writable directory {folder}")
         return args.func(args)
     except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)

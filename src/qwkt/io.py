@@ -3,25 +3,26 @@
 Spectra travel as two-column CSV with a header naming the schema:
 ``omega_rad_per_s,intensity`` for ideal densities (difference frequency in
 rad/s) or ``wavelength_nm,counts`` for sampled spectra on a spectrometer
-axis; comment lines start with '#'. A plain spectrum file, which holds
-no quote and no character in its data lines that ``write_table`` does not
-spell numbers with, is converted by ``np.loadtxt``; every other file, and a
-plain one ``loadtxt`` refuses, by ``csv`` and ``float()``. Both give the
-same values and the same errors. Every CSV goes through ``write_table``,
-which takes columns and spells each with one field (floats at 17
-significant digits, so write-then-read is lossless). Float columns are
-spelled by a numpy kernel whose bytes equal ``"%.17g" % x``: a
-double-double product x * 10**(16 - k) gives the 17 digits, and a
-per-exponent layout table with a keep-mask gives the ``%g`` text. A cell
-the kernel cannot decide, or that lies outside its range, is spelled by
-``"%.17g" % x`` itself. Every file goes to a temp file in the target
-directory, a CSV in blocks of rows that hold at most ``_BLOCK_FLOATS``
-float cells, and is renamed into place.
+axis; comment lines start with '#'. Two readers give the same values and
+the same errors. ``csv`` with ``float()`` is the reference and reads any
+file. A file whose lines after the header are blank or hold only the
+characters that ``write_table`` spells numbers with takes a ``np.loadtxt``
+shortcut (``_plain_table``); any other, such as one with a comment among
+its rows, and one that ``loadtxt`` refuses, goes to csv.
+
+Every CSV goes through ``write_table``, which takes columns and spells
+each with one field (floats at 17 significant digits, so write-then-read
+is lossless). Float columns are spelled by a numpy kernel whose bytes
+equal ``"%.17g" % x``: a double-double product x * 10**(16 - k) gives the
+17 digits, and a per-exponent layout table with a keep-mask gives the
+``%g`` text. A cell the kernel cannot decide, or that lies outside its
+range, is spelled by ``"%.17g" % x`` itself. Every file goes to a temp
+file in the target directory, a CSV in blocks of rows that hold at most
+``_BLOCK_FLOATS`` float cells, and is renamed into place.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -146,33 +147,27 @@ def _plain_table(lines: list) -> tuple[tuple[str, ...], np.ndarray] | None:
     """The header's cells and the body of a plain file, converted by
     ``np.loadtxt``, from all of the file's lines; None for any other file.
 
-    A file is plain when csv splits each of its lines at the commas and
-    nowhere else: no line holds a quote or a NUL or passes csv's field
-    limit, and each line after the header is blank, a comment, or holds
-    only characters that ``write_table`` spells numbers with (``_PLAIN``).
-    Blank and comment lines go by csv's rules, as in ``_data_rows``. A body
-    outside ``_MIN_ROWS``..``_MAX_ROWS`` rows is not converted, nor is one
-    that ``loadtxt`` refuses or reads with other than 2 columns: csv then
-    says why.
+    Before the header, lines may be blank or comments, by csv's rules as in
+    ``_data_rows``, and none may hold a quote or a NUL or pass csv's field
+    limit. After it, every line is blank or holds only ``_PLAIN``
+    characters, so a comment there goes to csv. A body outside
+    ``_MIN_ROWS``..``_MAX_ROWS`` rows is not converted, nor is one that
+    ``loadtxt`` refuses or reads with other than 2 columns: csv then says
+    why.
     """
     limit = csv.field_size_limit()
 
     def opaque(line):  # csv might not split it at its commas
         return '"' in line or "\x00" in line or len(line) > limit
 
-    def skipped(line):  # blank, or a comment
-        return line in _BLANK or line.lstrip().startswith("#")
-
-    at = next((i for i, line in enumerate(lines) if opaque(line) or not skipped(line)), None)
+    at = next((i for i, line in enumerate(lines) if opaque(line)
+               or not (line in _BLANK or line.lstrip().startswith("#"))), None)
     if at is None or opaque(lines[at]):
         return None
     header = tuple(c.strip() for c in lines[at].rstrip("\r\n").split(","))
     body = lines[at + 1:]
     if "".join(body).encode().translate(None, _PLAIN):  # a comment, or not plain
-        if not all(skipped(line) and not opaque(line)
-                   or not line.encode().translate(None, _PLAIN) for line in body):
-            return None
-        body = [line for line in body if "#" not in line]
+        return None
     n_rows = len(body) - sum(map(body.count, _BLANK))
     if max(map(len, body), default=0) > limit or not _MIN_ROWS <= n_rows <= _MAX_ROWS:
         return None
@@ -189,8 +184,8 @@ def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
     At most 2 (``_MAX_ROWS`` + 1) lines are read ahead, once: room for
     ``_MAX_ROWS`` + 1 data rows and as many blank and comment lines besides.
     A file that fills them, or fails the screen, goes to csv, which reads on
-    from there and only up to ``_MAX_ROWS`` + 1 rows. If their batch
-    conversion fails, the first bad row is named by its line."""
+    from there and only up to ``_MAX_ROWS`` + 1 rows, then converts them one
+    by one and names the first bad row by its line."""
     budget = 2 * (_MAX_ROWS + 1)
     try:
         with open(path, encoding="utf-8", newline="") as handle:
@@ -215,27 +210,22 @@ def _parse_rows(path) -> tuple[tuple[str, ...], np.ndarray]:
         raise InputDataError("spectrum file is empty (no header line)")
     if len(body) > _MAX_ROWS:
         raise InputDataError(f"spectrum has more than {_MAX_ROWS} data rows")
-    rows = [row for _, row in body]
-    with contextlib.suppress(ValueError):  # a non-numeric cell
-        if set(map(len, rows)) <= {2}:
-            cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
-            return tuple(c.strip() for c in header), cells.reshape(-1, 2)
-    for line_no, row in body:  # name the first bad line
+    cells = []
+    for line_no, row in body:
         if len(row) != 2:
             raise InputDataError(f"line {line_no}: expected 2 columns, got {len(row)}")
         try:
-            float(row[0]), float(row[1])
+            cells.append((float(row[0]), float(row[1])))
         except ValueError as exc:
             raise InputDataError(f"line {line_no}: non-numeric cell") from exc
-    raise AssertionError("the batch conversion failed on no line")
+    return tuple(c.strip() for c in header), np.array(cells, float).reshape(-1, 2)
 
 
 def read_spectrum(path, center_wavelength: float = 810e-9) -> SpectralPattern:
     """Read a spectrum CSV onto a symmetric uniform frequency grid.
 
-    A plain file (``_plain_table``) is converted by ``np.loadtxt``, any
-    other by ``csv`` and ``float()``: the values and messages are the same
-    either way. The header names the schema. Abscissas must be finite and
+    Either reader of the module docstring gives the same values and
+    messages. The header names the schema. Abscissas must be finite and
     strictly increasing, wavelengths positive, and values finite and nonnegative
     (counts additionally integral). Wavelength axes are converted to
     difference frequency first. An axis that already is a symmetric uniform

@@ -522,6 +522,13 @@ def test_mle_validates_inputs():
     elsewhere = DetectionModel(FrequencyGrid(omega_max=10.0 * SIGMA, n_bins=64))
     with pytest.raises(ConfigurationError, match="grids"):
         mle_fit(counts, elsewhere, SRC, k_layers=1)
+    # a table of probabilities only, and one whose counts are all zero
+    table = outcome_probabilities(model, SRC, DelayProfile.single(2e-13))
+    with pytest.raises(InputDataError, match="holds no counts"):
+        mle_fit(table, model, SRC, k_layers=1)
+    zero = OutcomeTable("two-port", counts.grid, counts_coincidence=np.zeros(64))
+    with pytest.raises(InputDataError, match="zero total counts"):
+        mle_fit(zero, model, SRC, k_layers=1)
 
 
 # -------------------------------------------------- shared forward model

@@ -207,6 +207,7 @@ def test_hypot_is_abs_complex_bit_for_bit(parts):
     ("abc,5", "line 7: non-numeric cell"),
     ("801.5,", "line 7: non-numeric cell"),
     ("801.5", "line 7: expected 2 columns, got 1"),
+    ('"801.5","abc"', "line 7: non-numeric cell"),  # quoted: csv reads the whole file
 ])
 def test_read_spectrum_names_the_first_bad_line(tmp_path, bad, message):
     # line numbers count the comment and blank lines; a later bad line of
@@ -234,19 +235,28 @@ def test_read_spectrum_quoted_cells_load_as_plain(tmp_path):
 
 
 def test_plain_files_take_the_loadtxt_path(tmp_path):
-    # a write_spectrum file, and one with CRLF endings, blank lines and
-    # comments between its rows, are read by np.loadtxt as csv reads them
+    # a write_spectrum file, and one with CRLF endings and a blank line
+    # between its rows, are read by np.loadtxt as csv reads them; a comment
+    # between the rows sends the file to csv, with the same bits
     path = tmp_path / "plain.csv"
     write_spectrum(path, _pattern("counts"), comments=("note, with a comma",))
     lines = path.read_text().splitlines()
-    edited = tmp_path / "edited.csv"
-    edited.write_bytes("\r\n".join([*lines[:9], "", " # mid", *lines[9:], ""]).encode())
-    for file in (path, edited):
+    edited, commented = tmp_path / "edited.csv", tmp_path / "commented.csv"
+    edited.write_bytes("\r\n".join([*lines[:9], "", *lines[9:], ""]).encode())
+    commented.write_bytes("\r\n".join([*lines[:9], "", " # mid", *lines[9:], ""]).encode())
+
+    def screen(file):
         with open(file, encoding="utf-8", newline="") as handle:
-            header, body = qwkt_io._plain_table(list(handle))
+            return qwkt_io._plain_table(list(handle))
+
+    for file in (path, edited):
+        header, body = screen(file)
         assert header == WAVELENGTH_HEADER
         with mock.patch.object(qwkt_io, "_plain_table", lambda lines: None):
             assert _parse_rows(file)[1].tobytes() == body.tobytes()
+    assert screen(commented) is None
+    a, b = read_spectrum(path), read_spectrum(commented)
+    assert a.grid == b.grid and a.values.tobytes() == b.values.tobytes()
 
 
 def test_read_spectrum_names_a_long_cell_before_a_later_non_utf8_byte(tmp_path):
@@ -500,15 +510,16 @@ def test_atomic_write_cleans_up_after_a_failed_rename(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-def test_read_spectrum_counts_must_be_integers(tmp_path):
+def test_read_spectrum_counts_must_be_integers(tmp_path, capsys):
     path = tmp_path / "frac.csv"
-    lam_nm = np.linspace(770, 850, 20)
-    rows = [f"{x!r},1.5" for x in lam_nm]
+    rows = [f"{x!r},1.5" for x in np.linspace(770, 850, 20).tolist()]
     path.write_text("wavelength_nm,counts\n" + "\n".join(rows) + "\n")
-    with pytest.raises(InputDataError):
+    with pytest.raises(InputDataError) as err:
         read_spectrum(path)
+    assert str(err.value) == "counts schema requires integer values"
     # through the CLI: exit 3, and no output file
     assert _run(["estimate", "--input", path, "--out", tmp_path / "x.json"]) == 3
+    assert capsys.readouterr().err == "error: counts schema requires integer values\n"
     assert [p.name for p in tmp_path.iterdir()] == ["frac.csv"]
 
 
@@ -857,11 +868,12 @@ def test_cli_bad_axis_spec(tmp_path):
         # exited 2 only after linspace built the list: 125.6 MB peak RSS
         (["fisher", "--tau-axis", "0:1:2000000ps"], "tau axis has 2000000 points, limit is 256"),
         (["sweep", "--gamma-axis", "0:0.5:2000000"], "gamma axis has 2000000 points, limit is 256"),
+        (["fisher", "--tau-axis", "0:1:-1"], "axis count must be nonnegative in '0:1:-1'"),
         # exited 1 with a numpy _ArrayMemoryError from FrequencyGrid.bin_edges
         (["simulate", "--tau-ps", "0.5", "--bins", "1099511627776"],
          "frequency grid has 1099511627776 bins, limit is 1048576"),
     ],
-    ids=["fisher-tau", "sweep-gamma", "simulate-bins"],
+    ids=["fisher-tau", "sweep-gamma", "fisher-tau-negative", "simulate-bins"],
 )
 def test_cli_axis_count_is_bounded_before_allocating(tmp_path, capsys, argv, error):
     tracemalloc.start()
@@ -893,6 +905,24 @@ def test_cli_axis_unit_must_fit_its_axis(tmp_path, capsys, argv):
     assert _run([*argv, "--out", tmp_path / "x.csv"]) == 2
     assert "unit suffixes" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["fisher", "--tau-axis", "1:2"], 2,
+     "bad axis spec '1:2': expected start:stop:count; tau unit suffixes: ps or s"),
+    (["simulate", "--layers", "0.1"], 2, "bad layer spec '0.1': expected tau_ps:weight"),
+    (["simulate", "--layers", "0.1:0"], 2, "weights must have positive total"),
+    # 16 bins of 1e18: the column total, taken as the trial count, passes int64
+    (["estimate", "--input", "big.csv"], 3, "n_trials exceeds the 64-bit count range"),
+], ids=["axis-two-parts", "layer-one-part", "layer-zero-weight", "counts-past-int64"])
+def test_cli_bad_spec_or_data_exits_with_one_line(tmp_path, monkeypatch, capsys, argv, code,
+                                                   error):
+    monkeypatch.chdir(tmp_path)
+    Path("big.csv").write_text("wavelength_nm,counts\n"
+                               + "".join(f"{800 + i},{10**18}\n" for i in range(16)))
+    assert _run([*argv, "--out", "x"]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["big.csv"]
 
 
 def test_cli_tau_axis_units_agree(tmp_path):
@@ -998,6 +1028,23 @@ def test_cli_manifest_records_run(tmp_path, monkeypatch, command, override):
     assert os.path.exists(default) != override
     expected_inputs = {"in.csv": input_digest} if command == "estimate" else {}
     assert manifest.input_digests == expected_inputs
+
+
+@pytest.mark.parametrize("flag", ["--out", "--manifest"])
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_cli_output_in_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys, command, flag):
+    # was a FileNotFoundError traceback from the temp file, exit 1; a missing
+    # --manifest directory failed only after the data files were written
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    target = tmp_path / "missing" / "x.out"
+    argv, _ = _RUNS[command]
+    assert _run([command, *argv, flag, target]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {target}: no writable directory {target.parent}"]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_manifest_digests_input_before_out_overwrites_it(tmp_path, monkeypatch):
