@@ -12,10 +12,12 @@ float() reads; a \\x1c5 cell that only np.loadtxt would read; a whitespace-only
 line), two spectra whose inverted correlation overflows float64, and one whose
 counts total past int64. One step, "quote", is not a qwkt command: it writes a
 copy of an earlier output with every cell quoted, so csv reads it. Outputs in
-a missing directory and malformed specs check the error paths. Compared: every
-output file byte for byte, except the manifests (*.manifest.json), compared as
-JSON without duration_seconds; and each command's exit code and stderr (the
-checkout's path spelled <checkout>).
+a missing directory, outputs that name a directory (each temp dir also starts
+with the directories in _DIRS) and malformed specs check the error paths.
+Compared: every output file byte for byte, except the manifests
+(*.manifest.json), compared as JSON without duration_seconds, and directories
+by their entries; and each command's exit code and stderr (the checkout's path
+spelled <checkout>).
 Every difference is printed; the exit code is 1 if there is any, else 0.
 """
 
@@ -62,6 +64,8 @@ _INPUTS = {
     # 16 bins of 1e18: the column total, taken as the trial count, passes int64 (exit 3)
     "big-counts.csv": _spectrum(f"{800 + i},{10**18}" for i in range(16)),
 }
+# the sidecars of estimate --out taken.json and sweep --out taken.csv
+_DIRS = ("taken.correlation.csv", "taken.monotonicity.json")
 
 
 def _quote(source: Path, target: Path) -> None:
@@ -89,7 +93,7 @@ def _commands() -> list[list[str]]:
         ["estimate", "--input", "pipeline-1-quoted.csv", "--mle", "--layers", "3",
          "--out", "pipeline-1-quoted.json", *_PIPELINE_MODEL],
         # four layers fitted to three: one padded layer scanned at 4096 bins, where a
-        # 19-row weight block spans chunks of 4 rows
+        # 19-row weight block spans chunks of 2 rows
         ["estimate", "--input", "pipeline-1.csv", "--mle", "--layers", "4",
          "--out", "pipeline-1-k4.json", *_PIPELINE_MODEL],
         # three layers fitted to one: the padded-layer scan
@@ -147,6 +151,17 @@ def _commands() -> list[list[str]]:
               ("fisher", ["--out", "unwritable-fisher.csv"]),
               ("sweep", ["--out", "unwritable-sweep.csv"]))
           for flag, target in (("--out", "missing/x.csv"), ("--manifest", "missing/m.json"))),
+        # an output that names a directory: exit 2, and no file written
+        *([command, *args, flag, "."]
+          for command, args in (
+              ("simulate", ["--tau-ps", "0.5", "--bins", "256", "--sigma-nm", "10",
+                            "--out", "dir-target.csv"]),
+              ("estimate", ["--input", "one.csv", "--out", "dir-target.json"]),
+              ("fisher", ["--out", "dir-target-fisher.csv"]),
+              ("sweep", ["--out", "dir-target-sweep.csv"]))
+          for flag in ("--out", "--manifest")),
+        ["estimate", "--input", "one.csv", "--out", "taken.json"],
+        ["sweep", "--out", "taken.csv"],
         # the center wavelength's square underflows to 0 or overflows: exit 2
         *([command, *args, "--center-nm", center, "--out", f"center-{command}-{center}.csv"]
           for command, args in (("simulate", ["--tau-ps", "0.1"]), ("sweep", []))
@@ -182,6 +197,8 @@ def run(root: Path, workdir: Path) -> list[tuple[int, str]]:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for name, content in _INPUTS.items():
         (workdir / name).write_bytes(content)
+    for name in _DIRS:
+        (workdir / name).mkdir()
     results = []
     for argv in _commands():
         if argv[0] == "quote":
@@ -196,6 +213,8 @@ def run(root: Path, workdir: Path) -> list[tuple[int, str]]:
 
 
 def _content(path: Path):
+    if path.is_dir():
+        return sorted(entry.name for entry in path.iterdir())
     if path.name.endswith(".manifest.json"):
         manifest = json.loads(path.read_text(encoding="utf-8"))
         manifest.pop("duration_seconds", None)

@@ -5,8 +5,8 @@ Human-friendly units at the boundary (ps, nm) are converted to SI
 immediately; every run writes its outputs atomically plus a JSON manifest
 recording the resolved configuration, seed, digests, and wall time.
 Exit codes: 0 ok, 2 bad configuration (an output directory that is missing
-or not writable included), 3 bad input data, 4 estimation failure (partial
-diagnostics are still written).
+or not writable, or an output path that names a directory, included), 3 bad
+input data, 4 estimation failure (partial diagnostics are still written).
 """
 
 from __future__ import annotations
@@ -479,10 +479,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # before any work: a manifest that failed last would leave its run's files behind
+        # (os.path: pathlib costs ~10 us a call, a twentieth of a small sweep)
         for target in filter(None, (args.out, args.manifest)):
-            folder = Path(target).parent
-            if not (folder.is_dir() and os.access(folder, os.W_OK | os.X_OK)):
+            folder = os.path.dirname(target) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
                 raise ConfigurationError(f"cannot write {target}: no writable directory {folder}")
+        out = Path(args.out)
+        suffix = {"estimate": ".correlation.csv", "sweep": ".monotonicity.json"}.get(args.command)
+        sidecar = suffix and out.parent / (out.stem + suffix)
+        for target in filter(None, (args.out, sidecar, args.manifest or f"{out}.manifest.json")):
+            if os.path.isdir(target):
+                raise ConfigurationError(f"cannot write {target}: it is a directory")
         return args.func(args)
     except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)

@@ -43,9 +43,9 @@ _COARSE_SPAN_STEPS = 10.0
 # standard errors, is at most this.
 _NEWTON_TOL = 1e-6
 # Likelihood rows are evaluated in chunks of at most this many (row, bin)
-# cells, so a padded-layer scan's 19-row weight block never holds more than
-# ~0.1 MB per temporary array.
-_CHUNK_CELLS = 2**14
+# cells, so a padded-layer scan's temporaries (64 KiB) stay under glibc's
+# 128 KiB mmap threshold and are not mapped and unmapped on every chunk.
+_CHUNK_CELLS = 2**13
 # The Fisher series' stop test (relative part) and term cap; its blocks of at
 # most 4096 terms keep complex temporaries (64 KiB) under the mmap threshold.
 _SERIES_RTOL = 1e-12
@@ -285,12 +285,12 @@ class _Likelihood:
             counts.counts_single,
             counts.counts_none,
         )
-        # a category with one probability for every bin needs only its total
+        # a category with one probability for every bin (slope 0) needs only its total
         self.terms = []
-        for c, (block, p) in enumerate(zip(blocks, self._probabilities(np.zeros_like(self.env)))):
+        for c, (block, s) in enumerate(zip(blocks, self.slope_rows)):
             if block is not None:
                 n = np.asarray(block, dtype=float)
-                self.terms.append((c, n if isinstance(p, np.ndarray) else float(np.sum(n))))
+                self.terms.append((c, n if isinstance(s, np.ndarray) else float(np.sum(n))))
         self.observed = sum(float(np.sum(n)) for _, n in self.terms)
         complete = len(self.terms) == (4 if two_port else 3)
         self.conditioned = two_port and not complete
@@ -313,32 +313,35 @@ class _Likelihood:
             out[i : i + step] = self._value(self._probabilities(x))
         return out
 
-    def score(self, taus: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Log-likelihood (``log_likelihood``'s bits), gradient and Hessian at
-        one candidate, in natural coordinates: k delays, first k-1 weights.
+    def score(self, taus: np.ndarray, weights: np.ndarray, floor: float | None = None) -> tuple:
+        """Log-likelihood (``log_likelihood``'s bits) at one candidate and, unless
+        it is at or below ``floor``, its gradient and Hessian (else None, None)
+        in natural coordinates: k delays, first k-1 weights.
 
         Each bin depends on them only through its fringe x. With J = dx/dtheta
-        and g, D the first and second derivatives by each bin's x, the
-        gradient is J^T g and the Hessian J^T D J + sum_b g_b d2x_b/dtheta2,
-        plus (N/M^2) (J^T m)(J^T m)^T when conditioned on the observed mass M
-        of x-slope m. Bins at the 1e-300 log floor contribute nothing.
+        and g, D the first and second derivatives by each bin's x (per-bin
+        categories only: the others have slope 0), the gradient is J^T g and
+        the Hessian J^T D J + sum_b g_b d2x_b/dtheta2, plus (N/M^2) (J^T m)
+        (J^T m)^T when conditioned on the observed mass M of x-slope m. Bins
+        at the 1e-300 log floor contribute nothing.
         """
-        k = taus.size
-        cos, sin = _layer_rows(taus, self.phi, self.omega)
-        x = _fringe(weights, cos)
-        probs = self._probabilities(x[None])
+        k, rows = taus.size, _layer_rows(taus, self.phi, self.omega)
+        cos = next(rows)
+        probs = self._probabilities(_fringe(weights, cos)[None])
         value = float(self._value(probs)[0])
+        if floor is not None and not value > floor:
+            return value, None, None
+        sin = next(rows)
         probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
         slopes = _category_slopes(self.slope_rows, probs)
-        terms = [
-            (1.0 - probs[0], n, -slopes[0]) if c is None else (probs[c], n, slopes[c])
-            for c, n in self.terms
-        ]
-        g, curvature = np.zeros(x.size), np.zeros(x.size)
+        terms = [(1.0 - probs[0], n, -slopes[0]) if c is None else (probs[c], n, slopes[c])
+                 for c, n in self.terms]
+        g, curvature = np.zeros(self.omega.size), np.zeros(self.omega.size)
         for p, n, s in terms:
-            ratio = s * np.divide(1.0, p, out=np.zeros_like(x), where=p > 1e-300)
-            g += n * ratio
-            curvature -= n * ratio * ratio
+            if isinstance(s, np.ndarray):
+                ratio = s * np.divide(1.0, p, out=np.zeros_like(g), where=p > 1e-300)
+                g += n * ratio
+                curvature -= n * ratio * ratio
         jac = np.concatenate([-weights[:, None] * self.omega * sin, cos[:-1] - cos[-1]]).T
         hessian = jac.T @ (curvature[:, None] * jac)
         if self.conditioned:
@@ -348,13 +351,15 @@ class _Likelihood:
             jm = jac.T @ mass_slope
             hessian += (self.observed / mass**2) * np.outer(jm, jm)
         # d2x/dtau_i2 = -a_i omega^2 cos_i; d2x/dtau_i da_j = -omega sin_i
-        # (i = j), and +omega sin_k for the last delay, whose weight is 1 - sum
+        # (i = j), and +omega sin_k for the last delay, whose weight is 1 - sum;
+        # a square block's .flat with a step of its size + 1 walks its diagonal
         g_omega = g * self.omega
-        hessian[range(k), range(k)] -= weights * (cos @ (g_omega * self.omega))
+        hessian[:k, :k].flat[:: k + 1] -= weights * (cos @ (g_omega * self.omega))
         g_sin = sin @ g_omega
-        cross = np.vstack([-np.diag(g_sin[:-1]), np.full((1, k - 1), g_sin[-1])])
-        hessian[:k, k:] += cross
-        hessian[k:, :k] += cross.T
+        hessian[: k - 1, k:].flat[::k] -= g_sin[:-1]
+        hessian[k:, : k - 1].flat[::k] -= g_sin[:-1]
+        hessian[k - 1, k:] += g_sin[-1]
+        hessian[k:, k - 1] += g_sin[-1]
         return value, jac.T @ g, hessian
 
     def _probabilities(self, x: np.ndarray) -> tuple:
@@ -422,10 +427,11 @@ def mle_fit(
     taus = np.array([t for t, _ in layers0])
     weights = np.array([a for _, a in layers0])
 
-    grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
-    offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
-    fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
     scanned = 0
+    if pinned < k_layers:
+        grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
+        offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
+        fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
     for j in range(pinned, k_layers):
         held = np.delete(weights, j)
         block = np.insert(np.outer(1.0 - fractions, held / held.sum()), j, fractions, axis=1)
@@ -440,10 +446,10 @@ def mle_fit(
         scanned += 1 + offsets.size * fractions.size
 
     scale = np.concatenate([np.full(k_layers, 1.0 / source.delta_temporal), np.ones(k_layers - 1)])
-    taus_hat, weights_hat, value, hessian, iterations, converged, evaluations = _newton_ascent(
-        like, taus, weights, scale, max_iterations
+    taus_hat, weights_hat, value, hessian, iterations, converged, evaluations, eig = (
+        _newton_ascent(like, taus, weights, scale, max_iterations)
     )
-    stderr_tau, stderr_weight, condition = _observed_information_errors(hessian, scale)
+    stderr_tau, stderr_weight, condition = _observed_information_errors(hessian, scale, eig)
     order = np.argsort(taus_hat)
     layers = tuple((float(taus_hat[i]), float(weights_hat[i])) for i in order)
     return MleResult(
@@ -470,20 +476,21 @@ def _newton_ascent(
     and still an ascent step elsewhere (a surplus layer's ridge), where
     Newton would head for the saddle. The step is halved until the
     log-likelihood rises with every weight positive, or until the rise it
-    can still bring is below ``_NEWTON_TOL``; an accepted trial keeps its
-    ``score``. Converged means g^T step, twice the predicted rise, is at most
-    ``_NEWTON_TOL``; that step is still taken if it rises. Returns the delays,
-    weights, log-likelihood and Hessian reached, the steps taken,
-    convergence and the points scored.
+    can still bring is below ``_NEWTON_TOL``; ``score`` values each trial and
+    forms derivatives only if it rises. Converged means g^T step, twice the
+    predicted rise, is at most ``_NEWTON_TOL``; that step is still taken if it
+    rises. Returns the delays, weights, log-likelihood and Hessian reached, the
+    steps taken, convergence, the points valued, and the reached point's
+    balanced information ``eigh``, or None if it was not decomposed.
     """
     k = taus.size
     value, gradient, hessian = like.score(taus, weights)
-    iterations, converged, evaluations = 0, False, 1
+    iterations, converged, evaluations, eig = 0, False, 1, None
     while iterations < max_iterations and not converged:
         g, info = gradient * scale, -hessian * np.outer(scale, scale)
         if not np.all(np.isfinite(info)):
             break
-        lam, vec = np.linalg.eigh(info)
+        lam, vec = eig = np.linalg.eigh(info)
         step = vec @ np.divide(vec.T @ g, np.abs(lam), out=np.zeros(g.size), where=lam != 0)
         gain = float(g @ step)
         if not math.isfinite(gain):
@@ -495,35 +502,35 @@ def _newton_ascent(
             trial_weights = np.append(trial[k:], 1.0 - np.sum(trial[k:]))
             if np.all(trial_weights > 0.0):
                 evaluations += 1
-                scored = like.score(trial[:k], trial_weights)
+                scored = like.score(trial[:k], trial_weights, value)
                 if scored[0] > value:
                     break
             t = t / 2.0 if t * gain > 2.0 * _NEWTON_TOL else 0.0
         if t == 0.0:
             break
-        taus, weights, (value, gradient, hessian) = trial[:k], trial_weights, scored
+        taus, weights, (value, gradient, hessian), eig = trial[:k], trial_weights, scored, None
         iterations += 1
-    return taus, weights, value, hessian, iterations, converged, evaluations
+    return taus, weights, value, hessian, iterations, converged, evaluations, eig
 
 
 def _observed_information_errors(
-    hessian: np.ndarray, scale: np.ndarray
+    hessian: np.ndarray, scale: np.ndarray, eig: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Standard errors from the analytic observed information -H, and the
     condition number of the information balanced by ``scale``.
 
     Natural coordinates: the k delays plus the first k-1 weights (the last
     weight's error follows by error propagation). The balanced information
-    is inverted on its eigenvectors. When it is not positive definite, as
-    for a surplus layer whose split from another is not identified, every
-    standard error is nan.
+    is inverted on its eigenvectors (``eig``, its ``np.linalg.eigh``, if given).
+    When it is not positive definite, as for a surplus layer whose split
+    from another is not identified, every standard error is nan.
     """
     k = (scale.size + 1) // 2
     info = -hessian * np.outer(scale, scale)
     nan = np.full(k, math.nan)
     if not np.all(np.isfinite(info)):
         return nan, nan, math.nan
-    lam, vec = np.linalg.eigh(info)
+    lam, vec = np.linalg.eigh(info) if eig is None else eig
     size = np.abs(lam)
     condition = float(size.max() / size.min()) if size.min() > 0.0 else math.inf
     if not lam[0] > 0.0:

@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,9 +68,11 @@ def atomic_write_text(path, text: str) -> None:
 
 def _atomic_write(path, chunks) -> None:
     """Write the byte chunks to a temp file in the same directory, then rename
-    it into place; on any failure the temp file goes and the target stays."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    it into place; on any failure the temp file goes and the target stays. The
+    temp file has a random 64-bit name, is created exclusively, and gets the
+    mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:

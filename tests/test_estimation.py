@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -409,33 +410,76 @@ def test_mle_scans_the_padded_layer(seed):
 
 
 def test_newton_scores_each_point_once(monkeypatch):
-    # the padded-layer scan is the only log_likelihood caller; Newton scores
+    # the padded-layer scan is the only log_likelihood caller; Newton values
     # every trial point once, so evaluations is the scanned rows plus the
-    # score calls
-    calls = {"rows": 0, "scores": 0}
+    # score calls, and forms derivatives only at its start and at each
+    # accepted point
+    calls = {"rows": 0, "values": 0, "derivatives": 0}
     batch, score = _Likelihood.log_likelihood, _Likelihood.score
 
     def counted_batch(self, taus, weights):
-        assert calls["scores"] == 0, "log_likelihood called after Newton's first score"
+        assert calls["values"] == 0, "log_likelihood called after Newton's first score"
         calls["rows"] += weights.shape[0]
         return batch(self, taus, weights)
 
-    def counted_score(self, taus, weights):
-        calls["scores"] += 1
-        return score(self, taus, weights)
+    def counted_score(self, taus, weights, floor=None):
+        calls["values"] += 1
+        scored = score(self, taus, weights, floor)
+        calls["derivatives"] += scored[1] is not None
+        return scored
 
     monkeypatch.setattr(_Likelihood, "log_likelihood", counted_batch)
     monkeypatch.setattr(_Likelihood, "score", counted_score)
     pinned = DelayProfile.normalized([(1.2e-13, 0.5), (2.0e-13, 0.5)])
     merged = DelayProfile.normalized([(1.2e-13, 0.5), (1.5e-13, 0.5)])
+    rejected = 0
     # both peaks pinned: no scan; one peak for two layers: one 400-row scan
     for profile, rows in ((pinned, 0), (merged, 400)):
-        calls.update(rows=0, scores=0)
-        counts, model = _counts_table(profile, 100_000, seed=1)
-        fit = mle_fit(counts, model, SRC, k_layers=2)
-        assert calls["rows"] == rows
-        assert fit.iterations >= 1
-        assert fit.evaluations == rows + calls["scores"]
+        for seed in (1, 2, 3):
+            calls.update(rows=0, values=0, derivatives=0)
+            counts, model = _counts_table(profile, 100_000, seed=seed)
+            fit = mle_fit(counts, model, SRC, k_layers=2)
+            assert calls["rows"] == rows
+            assert fit.iterations >= 1
+            assert fit.evaluations == rows + calls["values"]
+            assert calls["derivatives"] == 1 + fit.iterations
+            rejected += calls["values"] - calls["derivatives"]
+    assert rejected > 0  # some trials were valued and turned down
+
+
+def test_newton_eigh_hand_over_gives_the_fresh_errors(monkeypatch):
+    # when Newton stops at a point it decomposed, mle_fit hands the
+    # decomposition on; the errors keep the bits of a fresh decomposition,
+    # the nan ones of a surplus layer included
+    errors = estimation._observed_information_errors
+    seen = []
+
+    def recorded(hessian, scale, eig=None):
+        out = errors(hessian, scale, eig)
+        if eig is not None:
+            seen.append((out, errors(hessian, scale)))
+        return out
+
+    def bits(out):
+        return out[0].tobytes(), out[1].tobytes(), struct.pack("<d", out[2])
+
+    monkeypatch.setattr(estimation, "_observed_information_errors", recorded)
+    profiles = [DelayProfile.single(2e-13), DelayProfile.normalized([(1.2e-13, 0.5), (2e-13, 0.5)])]
+    for variant, n_bins, profile, gamma, seed, phi in itertools.product(
+        ("two-port", "trinomial"), (64, 256), profiles, (0.0, 0.1), (0, 1), (0.0, 0.7)
+    ):
+        n_trials = 2_000 if variant == "trinomial" else 100_000
+        grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=n_bins)
+        model = DetectionModel(grid, gamma=gamma, alpha=0.95, n_trials=n_trials, variant=variant)
+        table = outcome_probabilities(model, SRC, profile, phi)
+        complete = sample_counts(table, n_trials, seed=seed)
+        reduced = OutcomeTable(variant=variant, grid=grid, n_trials=complete.n_trials,
+                               counts_coincidence=complete.counts_coincidence)
+        for counts, k in itertools.product((complete, reduced), (1, 2)):
+            mle_fit(counts, model, SRC, k, phi=phi)
+    assert len(seen) > 50
+    assert any(math.isnan(out[0][0]) for out, _ in seen)  # the surplus layer's nan errors
+    assert all(bits(handed) == bits(fresh) for handed, fresh in seen)
 
 
 def _scan_reference(like, counts, k, init):
@@ -472,7 +516,7 @@ def _scan_reference(like, counts, k, init):
         for phi in (0.0, 0.7 - math.pi)
         for k, init in ((1, [(2.3e-13, 1.0)]), (2, None), (3, None))
     ]
-    # a 19-row block splits into chunks of 4; with 300 trials rows score
+    # a 19-row block splits into chunks of 2; with 300 trials rows score
     # within a few units of each other
     + [("two-port", True, 0.0, 4096, 2, None, 100_000),
        ("two-port", True, 0.0, 64, 3, [(2.3e-13, 1.0)], 300)],
@@ -653,7 +697,7 @@ def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
 )
 def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi):
     # 7 x 7 delay pairs, each with a 7-row weight block: at 4096 bins a
-    # block splits across chunks of 4 rows
+    # block splits across chunks of 2 rows
     model, profile, _, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)
@@ -749,6 +793,32 @@ def test_score_matches_central_differences(case, shape, phi, seed):
     hessian, expected_hessian = hessian * balance, expected_hessian * balance
     assert np.max(np.abs(gradient - expected_gradient)) <= 1e-6 * np.max(np.abs(gradient))
     assert np.max(np.abs(hessian - expected_hessian)) <= 1e-6 * np.max(np.abs(hessian))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_model_cases(bins=(64,)), shape=st.sampled_from(_TABLE_SHAPES),
+       seed=st.integers(0, 2**32 - 1))
+def test_score_at_or_below_its_floor_returns_the_value_alone(case, shape, seed):
+    # a trial that does not rise above the floor gets log_likelihood's bits
+    # and no derivatives; one that rises gets the derivatives of a plain score
+    model, profile, phi, counts = case
+    counts = _observed_table(counts, shape)
+    assume(counts.total_counts() > 0)
+    like = _Likelihood(counts, model, SRC, phi)
+    rng = np.random.default_rng(seed)
+    k = len(profile.layers)
+    taus = profile.delays + rng.normal(0.0, 0.3, k) / SRC.delta_temporal
+    weights = rng.dirichlet(np.ones(k))
+    value = like.log_likelihood(taus, weights[None])[0]
+    for floor in (value, np.nextafter(value, math.inf), value + 1.0):
+        scored = like.score(taus, weights, floor)
+        assert scored[1:] == (None, None)
+        assert struct.pack("<d", scored[0]) == struct.pack("<d", value)
+    plain = like.score(taus, weights)
+    for floor in (np.nextafter(value, -math.inf), -math.inf):
+        scored = like.score(taus, weights, floor)
+        assert struct.pack("<d", scored[0]) == struct.pack("<d", value)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(scored[1:], plain[1:]))
 
 
 @settings(max_examples=25, deadline=None)

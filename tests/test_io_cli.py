@@ -1047,6 +1047,50 @@ def test_cli_output_in_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command, target", [
+    (command, target) for command in sorted(_RUNS)
+    for target in ("--out", "--manifest", "sidecar", "default manifest")
+    if target != "sidecar" or len(_RUNS[command][1]) > 1
+])
+def test_cli_output_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, command, target):
+    # was an IsADirectoryError traceback from os.replace, exit 1; a manifest
+    # or sidecar naming a directory failed only after other files were written
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    argv, outputs = _RUNS[command]
+    out = argv[argv.index("--out") + 1]
+    name = {"--out": "adir", "--manifest": "adir", "default manifest": f"{out}.manifest.json",
+            "sidecar": min(outputs - {out}, default=None)}[target]
+    Path(name).mkdir()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    flags = [target, name] if target.startswith("--") else []
+    assert _run([command, *argv, *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {name}: it is a directory"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_cli_outputs_get_the_mode_open_gives(tmp_path, monkeypatch, command):
+    # every output kept mkstemp's owner-only 0o600; a umask other than the
+    # usual one shows that it is applied
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    argv, outputs = _RUNS[command]
+    out = argv[argv.index("--out") + 1]
+    umask = os.umask(0o027)
+    try:
+        assert _run([command, *argv]) == 0
+        with open("reference", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    expected = os.stat("reference").st_mode & 0o777
+    assert expected == 0o640
+    for name in outputs | {f"{out}.manifest.json"}:
+        assert os.stat(name).st_mode & 0o777 == expected, name
+
+
 def test_cli_manifest_digests_input_before_out_overwrites_it(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _simulate_input()

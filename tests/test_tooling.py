@@ -1,6 +1,7 @@
 """Checks on the repository itself: the README's library example runs, no
 module imports a name it does not use, the export list is the package's
-imports, every CLI flag is read, and the runtime needs numpy only."""
+imports, every CLI flag is read, the runtime needs numpy only, and the fit
+panel script runs."""
 
 import argparse
 import ast
@@ -130,3 +131,16 @@ def test_cli_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_fit_panel_of_one_checkout_against_itself():
+    # a few fits spread over the panel: each one a result, and a checkout
+    # fits as it fits
+    script = str(ROOT / "scripts" / "fit_panel.py")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    lines = subprocess.run([sys.executable, script, "--emit", "--every", "577"], env=env,
+                           capture_output=True, text=True, timeout=300, check=True).stdout
+    assert [" MleResult(layers=" in line for line in lines.splitlines()] == [True] * 6
+    proc = subprocess.run([sys.executable, script, str(ROOT), str(ROOT), "--every", "577"],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "6 fits: 0 differences\n")
