@@ -13,10 +13,12 @@ line), two spectra whose inverted correlation overflows float64, and one whose
 counts total past int64. One step, "quote", is not a qwkt command: it writes a
 copy of an earlier output with every cell quoted, so csv reads it. Outputs in
 a missing directory, outputs that name a directory (each temp dir also starts
-with the directories in _DIRS) and malformed specs check the error paths.
+with the directories in _DIRS), two such faults in one run and malformed specs
+check the error paths; odd --out spellings (./x, sub//x, x., .x, x.tar.gz,
+sub/../x) check the names of the files a run writes.
 Compared: every output file byte for byte, except the manifests
 (*.manifest.json), compared as JSON without duration_seconds, and directories
-by their entries; and each command's exit code and stderr (the checkout's path
+entry by entry; and each command's exit code and stderr (the checkout's path
 spelled <checkout>).
 Every difference is printed; the exit code is 1 if there is any, else 0.
 """
@@ -64,8 +66,9 @@ _INPUTS = {
     # 16 bins of 1e18: the column total, taken as the trial count, passes int64 (exit 3)
     "big-counts.csv": _spectrum(f"{800 + i},{10**18}" for i in range(16)),
 }
-# the sidecars of estimate --out taken.json and sweep --out taken.csv
-_DIRS = ("taken.correlation.csv", "taken.monotonicity.json")
+# the sidecars of estimate --out taken.json and sweep --out taken.csv, and a
+# directory for the odd --out spellings to write into
+_DIRS = ("taken.correlation.csv", "taken.monotonicity.json", "sub")
 
 
 def _quote(source: Path, target: Path) -> None:
@@ -162,6 +165,13 @@ def _commands() -> list[list[str]]:
           for flag in ("--out", "--manifest")),
         ["estimate", "--input", "one.csv", "--out", "taken.json"],
         ["sweep", "--out", "taken.csv"],
+        # two faults: --out names a directory, --manifest is in a missing one (exit 2)
+        ["estimate", "--input", "one.csv", "--out", ".", "--manifest", "missing/m.json"],
+        # odd --out spellings: the sidecar and manifest names follow pathlib's
+        # spelling of --out and its stem
+        *([command, *args, "--out", spelling.format(stem)]
+          for command, stem, args in (("estimate", "x", ["--input", "one.csv"]), ("sweep", "y", []))
+          for spelling in ("./{}.json", "sub//{}.json", "{}.", ".{}", "{}.tar.gz", "sub/../{}-up")),
         # the center wavelength's square underflows to 0 or overflows: exit 2
         *([command, *args, "--center-nm", center, "--out", f"center-{command}-{center}.csv"]
           for command, args in (("simulate", ["--tau-ps", "0.1"]), ("sweep", []))
@@ -214,7 +224,7 @@ def run(root: Path, workdir: Path) -> list[tuple[int, str]]:
 
 def _content(path: Path):
     if path.is_dir():
-        return sorted(entry.name for entry in path.iterdir())
+        return {entry.name: _content(entry) for entry in path.iterdir()}
     if path.name.endswith(".manifest.json"):
         manifest = json.loads(path.read_text(encoding="utf-8"))
         manifest.pop("duration_seconds", None)

@@ -23,11 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .biphoton import BiphotonSource, DelayProfile, bandwidth_nm_to_rads, joint_spectral_intensity
-from .errors import (
-    ConfigurationError,
-    EstimationError,
-    InputDataError,
-)
+from .errors import ConfigurationError, EstimationError, InputDataError
 from .estimation import (
     _MAX_AXIS_POINTS,
     extract_delays,
@@ -47,12 +43,7 @@ from .io import (
     write_spectrum,
     write_table,
 )
-from .transform import (
-    SpectralPattern,
-    TemporalGrid,
-    default_frequency_grid,
-    inverse_qwkt,
-)
+from .transform import SpectralPattern, TemporalGrid, default_frequency_grid, inverse_qwkt
 
 # Unit suffixes each axis accepts and their scale to SI; "" is the default.
 _AXIS_UNITS = {
@@ -121,6 +112,12 @@ def _trials(text: str) -> int:
     return int(value)
 
 
+# beside --out: the default manifest, and the sidecar estimate and sweep name by its stem
+_MANIFEST_SUFFIX = ".manifest.json"
+_SIDECAR_SUFFIXES = {"estimate": ".correlation.csv", "sweep": ".monotonicity.json"}
+# the exit code of the first class a failure is an instance of (ConfigurationError: ValueError)
+_EXIT_CODES = {ValueError: 2, InputDataError: 3, EstimationError: 4}
+
 _CRB_TRIALS_HELP = ("total trials for the CRB column (trinomial: spread by the normal-density "
                     "envelope, while simulate --variant trinomial draws --trials per bin)")
 
@@ -150,22 +147,23 @@ def _add_model_options(parser) -> None:
                         default="two-port", help="outcome model variant")
 
 
-def _finish(args, started: float, config: dict, outputs, seed=None, inputs=()) -> None:
-    """Write the run's manifest. ``inputs`` are (file name, digest) pairs
+def _finish(args, config: dict, seed=None, inputs=()) -> None:
+    """Write the run's manifest, with ``--out`` and the sidecar as outputs and
+    the time on ``main``'s clock. ``inputs`` are (file name, digest) pairs
     taken before any output was written: ``--out`` may overwrite ``--input``."""
-    write_manifest(args.manifest or f"{Path(args.out)}.manifest.json", RunManifest(
+    write_manifest(args.manifest, RunManifest(
         command=args.command,
-        config=config,
+        config={**config, "out": args.out},
         seed=seed,
         version=__version__,
         input_digests=dict(inputs),
-        output_digests={p.name: sha256_digest(p) for p in outputs},
-        duration_seconds=time.perf_counter() - started,
+        output_digests={os.path.basename(p): sha256_digest(p)
+                        for p in filter(None, (args.out, args.sidecar))},
+        duration_seconds=args.elapsed(),
     ))
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args) -> None:
     source = _source_from_args(args)
     grid = default_frequency_grid(source, n_bins=args.bins, span_sd=args.span_sd)
     if (args.tau_ps is None) == (args.layers is None):
@@ -182,7 +180,6 @@ def cmd_simulate(args) -> int:
             f"layer delay {profile.delays[-1] * 1e12:.6g} ps is not below the grid's "
             f"unambiguous range {t_max * 1e12:.6g} ps; raise --bins or lower --span-sd"
         )
-    out = Path(args.out)
     comments = (
         f"qwkt {__version__} simulate",
         f"sigma {args.sigma_nm} nm equivalent at {args.center_nm} nm center, "
@@ -202,8 +199,8 @@ def cmd_simulate(args) -> int:
         pattern = SpectralPattern(
             grid=grid, values=sampled.counts_coincidence, kind="counts"
         )
-    write_spectrum(out, pattern, center_wavelength=args.center_nm * 1e-9, comments=comments)
-    _finish(args, started, {
+    write_spectrum(args.out, pattern, center_wavelength=args.center_nm * 1e-9, comments=comments)
+    _finish(args, {
         "sigma_rad_per_s": source.sigma_spectral,
         "center_wavelength_m": args.center_nm * 1e-9,
         "pump_wavelength_m": args.center_nm / 2.0 * 1e-9,
@@ -217,29 +214,23 @@ def cmd_simulate(args) -> int:
         "n_bins": args.bins,
         "span_sd": args.span_sd,
         "ideal": bool(args.ideal),
-        "out": str(out),
-    }, (out,), seed=None if args.ideal else args.seed)
-    return 0
+    }, seed=None if args.ideal else args.seed)
 
 
-def cmd_estimate(args) -> int:
-    started = time.perf_counter()
+def cmd_estimate(args) -> None:
     if args.variant == "trinomial" and args.trials is None:
         # the column total is not the per-bin trial count a trinomial needs
         raise ConfigurationError("--variant trinomial needs --trials, the per-bin trial count")
     source = _source_from_args(args)
-    in_path = Path(args.input)
-    pattern = read_spectrum(in_path, center_wavelength=args.center_nm * 1e-9)
+    pattern = read_spectrum(args.input, center_wavelength=args.center_nm * 1e-9)
     if args.mle and pattern.kind != "counts":
         raise InputDataError("--mle needs a counts spectrum; this file is an ideal density")
     if args.mle and pattern.resampled:
         raise InputDataError("--mle cannot fit this file: its axis is not uniform in "
                              "difference frequency, so it was resampled")
-    out = Path(args.out)
-    sidecar = out.parent / (out.stem + ".correlation.csv")
-    result: dict = {"schema_version": SCHEMA_VERSION, "command": "estimate", "input": str(in_path)}
+    result: dict = {"schema_version": SCHEMA_VERSION, "command": "estimate", "input": args.input}
     config = {
-        "input": str(in_path),
+        "input": args.input,
         "sigma_rad_per_s": source.sigma_spectral,
         "center_wavelength_m": args.center_nm * 1e-9,
         "threshold": args.threshold,
@@ -251,9 +242,8 @@ def cmd_estimate(args) -> int:
         "variant": args.variant,
         "n_trials": args.trials,
         "phi_rad": args.phi,
-        "out": str(out),
     }
-    inputs = ((in_path.name, sha256_digest(in_path)),)
+    inputs = ((os.path.basename(args.input), sha256_digest(args.input)),)
     try:
         with np.errstate(over="raise", invalid="raise"):
             correlation = inverse_qwkt(pattern)
@@ -261,19 +251,7 @@ def cmd_estimate(args) -> int:
             modulus = np.hypot(correlation.values.real, correlation.values.imag)
     except FloatingPointError as exc:
         raise InputDataError(f"the inverted correlation overflows float64: {exc}") from exc
-
-    def write_outputs() -> None:
-        # only once the estimate stands or failed as exit 4: a run that
-        # exits 2 or 3 leaves no files behind
-        write_table(
-            sidecar,
-            ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),
-            (correlation.grid.values, correlation.values.real, correlation.values.imag, modulus),
-            comments=(f"qwkt {__version__} estimate: inverted correlation",),
-        )
-        write_json(out, result)
-        _finish(args, started, config, (out, sidecar), inputs=inputs)
-
+    failure = None
     try:
         report = extract_delays(
             pattern, source, threshold=args.threshold, min_separation=args.min_separation
@@ -330,22 +308,28 @@ def cmd_estimate(args) -> int:
                 "hessian_condition": fit.hessian_condition,
             }
     except EstimationError as exc:
-        result["error"] = str(exc)
-        write_outputs()
-        raise
-    write_outputs()
-    return 0
+        result["error"], failure = str(exc), exc
+    # only once the estimate stands or failed as exit 4: a run that exits 2
+    # or 3 leaves no files behind
+    write_table(
+        args.sidecar,
+        ("delay_s", "correlation_real", "correlation_imag", "correlation_abs"),
+        (correlation.grid.values, correlation.values.real, correlation.values.imag, modulus),
+        comments=(f"qwkt {__version__} estimate: inverted correlation",),
+    )
+    write_json(args.out, result)
+    _finish(args, config, inputs=inputs)
+    if failure is not None:
+        raise failure
 
 
-def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> int:
-    started = time.perf_counter()
+def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> None:
     result = sweep(
         sigma_values, tau_values, gamma_values, alpha_values,
         variant=args.variant, n_trials=args.trials, span_sd=args.span_sd,
     )
-    out = Path(args.out)
     write_table(
-        out,
+        args.out,
         ("sigma_rad_per_s", "tau_s", "gamma", "alpha", "variant", "g_omega", "crb_s", "error"),
         zip(*(
             (c.sigma, c.tau, c.gamma, c.alpha, c.variant, c.g_omega, c.crb, c.error or "")
@@ -353,15 +337,12 @@ def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> in
         )),
         comments=(f"qwkt {__version__} {args.command}: Fisher information sweep",),
     )
-    outputs = [out]
-    if args.command == "sweep":
-        mono_path = out.parent / (out.stem + ".monotonicity.json")
-        write_json(mono_path, {
+    if args.sidecar:
+        write_json(args.sidecar, {
             "schema_version": SCHEMA_VERSION,
             "monotonicity": result.monotonicity,
         })
-        outputs.append(mono_path)
-    _finish(args, started, {
+    _finish(args, {
         "sigma_rad_per_s": list(map(float, sigma_values)),
         "tau_s": list(map(float, tau_values)),
         "gamma": list(map(float, gamma_values)),
@@ -369,27 +350,25 @@ def _run_sweep(args, sigma_values, tau_values, gamma_values, alpha_values) -> in
         "variant": args.variant,
         "n_trials": args.trials,
         "span_sd": args.span_sd,
-        "out": str(out),
-    }, outputs)
+    })
     if result.rows and all(c.error is not None for c in result.rows):
         raise EstimationError("every sweep cell failed; see the error column")
-    return 0
 
 
-def cmd_fisher(args) -> int:
+def cmd_fisher(args) -> None:
     center = args.center_nm * 1e-9
     sigma_values = [bandwidth_nm_to_rads(args.sigma_nm * 1e-9, center)]
     tau_values = _parse_axis(args.tau_axis, "tau")
-    return _run_sweep(args, sigma_values, tau_values, [args.gamma], [args.alpha])
+    _run_sweep(args, sigma_values, tau_values, [args.gamma], [args.alpha])
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     center = args.center_nm * 1e-9
     sigma_values = [
         bandwidth_nm_to_rads(dl, center)
         for dl in _parse_axis(args.sigma_axis, "sigma")
     ]
-    return _run_sweep(
+    _run_sweep(
         args,
         sigma_values,
         _parse_axis(args.tau_axis, "tau"),
@@ -411,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         p.set_defaults(func=func)
-        p.add_argument("--manifest", default=None, help="manifest path (default: OUT.manifest.json)")
+        p.add_argument("--manifest", default=None,
+                       help=f"manifest path (default: OUT{_MANIFEST_SUFFIX})")
         return p
 
     p = add("simulate", cmd_simulate, "emit an ideal or sampled coincidence spectrum")
@@ -476,30 +456,36 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: name its outputs once, on ``args``, and refuse any
+    that cannot be written before any work; start the manifest's clock; map
+    the outcome onto the exit code."""
     args = _parser().parse_args(argv)
     try:
-        # before any work: a manifest that failed last would leave its run's files behind
-        # (os.path: pathlib costs ~10 us a call, a twentieth of a small sweep)
-        for target in filter(None, (args.out, args.manifest)):
+        path = Path(args.out)  # files are named, and recorded, as pathlib spells them: ./x is x
+        out = str(path)
+        if args.command == "estimate":
+            args.input = str(Path(args.input))
+        suffix = _SIDECAR_SUFFIXES.get(args.command)
+        sidecar = suffix and os.path.join(os.path.dirname(out), path.stem + suffix)
+        manifest = args.manifest or out + _MANIFEST_SUFFIX
+        # --out as given, so a trailing slash names a directory; os.path: pathlib
+        # costs ~10 us a call, a twentieth of a small sweep
+        targets = tuple(filter(None, (args.out, sidecar, manifest)))
+        for target in targets:
             folder = os.path.dirname(target) or "."
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
                 raise ConfigurationError(f"cannot write {target}: no writable directory {folder}")
-        out = Path(args.out)
-        suffix = {"estimate": ".correlation.csv", "sweep": ".monotonicity.json"}.get(args.command)
-        sidecar = suffix and out.parent / (out.stem + suffix)
-        for target in filter(None, (args.out, sidecar, args.manifest or f"{out}.manifest.json")):
+        for target in targets:
             if os.path.isdir(target):
                 raise ConfigurationError(f"cannot write {target}: it is a directory")
-        return args.func(args)
-    except ValueError as exc:  # ConfigurationError included
+        args.out, args.sidecar, args.manifest = out, sidecar, manifest
+        started = time.perf_counter()
+        args.elapsed = lambda: time.perf_counter() - started
+        args.func(args)
+        return 0
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -120,7 +120,7 @@ def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> tuple[f
     if denom == 0.0:
         return 0.0, y_center
     delta = 0.5 * (y_minus - y_plus) / denom
-    delta = float(np.clip(delta, -1.0, 1.0))
+    delta = min(max(delta, -1.0), 1.0)  # np.clip's value, nan included, without its ~3 us
     height = y_center - 0.25 * (y_minus - y_plus) * delta
     return delta, height
 
@@ -271,6 +271,12 @@ class _Likelihood:
     ):
         if counts.counts_coincidence is None:
             raise InputDataError("outcome table holds no counts to fit")
+        blocks = [None if b is None else np.asarray(b, dtype=float) for b in (
+            counts.counts_coincidence, counts.counts_bunching, counts.counts_single,
+            counts.counts_none,
+        )]
+        if not all(b is None or 0.0 <= b.min() and b.max() < math.inf for b in blocks):
+            raise InputDataError("outcome table holds a negative or non-finite count")
         if counts.total_counts() <= 0:
             raise InputDataError("outcome table has zero total counts; no likelihood mass")
         self.model = model
@@ -279,17 +285,12 @@ class _Likelihood:
         self.env = _variant_envelope(model, source.sigma_spectral)
         self.slope_rows = _slope_rows(model, self.env)
         two_port = model.variant == "two-port"
-        blocks = (
-            counts.counts_coincidence,
-            counts.counts_bunching if two_port else None,
-            counts.counts_single,
-            counts.counts_none,
-        )
+        if not two_port:
+            blocks[1] = None
         # a category with one probability for every bin (slope 0) needs only its total
         self.terms = []
-        for c, (block, s) in enumerate(zip(blocks, self.slope_rows)):
-            if block is not None:
-                n = np.asarray(block, dtype=float)
+        for c, (n, s) in enumerate(zip(blocks, self.slope_rows)):
+            if n is not None:
                 self.terms.append((c, n if isinstance(s, np.ndarray) else float(np.sum(n))))
         self.observed = sum(float(np.sum(n)) for _, n in self.terms)
         complete = len(self.terms) == (4 if two_port else 3)
@@ -446,10 +447,10 @@ def mle_fit(
         scanned += 1 + offsets.size * fractions.size
 
     scale = np.concatenate([np.full(k_layers, 1.0 / source.delta_temporal), np.ones(k_layers - 1)])
-    taus_hat, weights_hat, value, hessian, iterations, converged, evaluations, eig = (
+    taus_hat, weights_hat, value, iterations, converged, evaluations, eig = (
         _newton_ascent(like, taus, weights, scale, max_iterations)
     )
-    stderr_tau, stderr_weight, condition = _observed_information_errors(hessian, scale, eig)
+    stderr_tau, stderr_weight, condition = _observed_information_errors(eig, scale)
     order = np.argsort(taus_hat)
     layers = tuple((float(taus_hat[i]), float(weights_hat[i])) for i in order)
     return MleResult(
@@ -479,18 +480,23 @@ def _newton_ascent(
     can still bring is below ``_NEWTON_TOL``; ``score`` values each trial and
     forms derivatives only if it rises. Converged means g^T step, twice the
     predicted rise, is at most ``_NEWTON_TOL``; that step is still taken if it
-    rises. Returns the delays, weights, log-likelihood and Hessian reached, the
+    rises. Each pass decomposes the balanced information first, then tests
+    for a stop. Returns the delays, weights and log-likelihood reached, the
     steps taken, convergence, the points valued, and the reached point's
-    balanced information ``eigh``, or None if it was not decomposed.
+    balanced information ``eigh``, or None if it is not finite.
     """
     k = taus.size
     value, gradient, hessian = like.score(taus, weights)
-    iterations, converged, evaluations, eig = 0, False, 1, None
-    while iterations < max_iterations and not converged:
-        g, info = gradient * scale, -hessian * np.outer(scale, scale)
+    iterations, converged, evaluations = 0, False, 1
+    while True:
+        info = -hessian * np.outer(scale, scale)
         if not np.all(np.isfinite(info)):
+            eig = None
             break
         lam, vec = eig = np.linalg.eigh(info)
+        if iterations >= max_iterations or converged:
+            break
+        g = gradient * scale
         step = vec @ np.divide(vec.T @ g, np.abs(lam), out=np.zeros(g.size), where=lam != 0)
         gain = float(g @ step)
         if not math.isfinite(gain):
@@ -508,29 +514,29 @@ def _newton_ascent(
             t = t / 2.0 if t * gain > 2.0 * _NEWTON_TOL else 0.0
         if t == 0.0:
             break
-        taus, weights, (value, gradient, hessian), eig = trial[:k], trial_weights, scored, None
+        taus, weights, (value, gradient, hessian) = trial[:k], trial_weights, scored
         iterations += 1
-    return taus, weights, value, hessian, iterations, converged, evaluations, eig
+    return taus, weights, value, iterations, converged, evaluations, eig
 
 
 def _observed_information_errors(
-    hessian: np.ndarray, scale: np.ndarray, eig: tuple | None = None
+    eig: tuple | None, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Standard errors from the analytic observed information -H, and the
     condition number of the information balanced by ``scale``.
 
     Natural coordinates: the k delays plus the first k-1 weights (the last
     weight's error follows by error propagation). The balanced information
-    is inverted on its eigenvectors (``eig``, its ``np.linalg.eigh``, if given).
+    is inverted on its eigenvectors: ``eig``, its ``np.linalg.eigh`` from
+    ``_newton_ascent``, or None when it is not finite (every result nan).
     When it is not positive definite, as for a surplus layer whose split
     from another is not identified, every standard error is nan.
     """
     k = (scale.size + 1) // 2
-    info = -hessian * np.outer(scale, scale)
     nan = np.full(k, math.nan)
-    if not np.all(np.isfinite(info)):
+    if eig is None:
         return nan, nan, math.nan
-    lam, vec = np.linalg.eigh(info) if eig is None else eig
+    lam, vec = eig
     size = np.abs(lam)
     condition = float(size.max() / size.min()) if size.min() > 0.0 else math.inf
     if not lam[0] > 0.0:

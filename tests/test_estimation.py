@@ -448,22 +448,19 @@ def test_newton_scores_each_point_once(monkeypatch):
 
 
 def test_newton_eigh_hand_over_gives_the_fresh_errors(monkeypatch):
-    # when Newton stops at a point it decomposed, mle_fit hands the
-    # decomposition on; the errors keep the bits of a fresh decomposition,
-    # the nan ones of a surplus layer included
-    errors = estimation._observed_information_errors
+    # mle_fit's errors use the eigh that Newton returns; it is, bit for bit,
+    # a fresh eigh of the balanced information that score gives at the point
+    # returned, or None where that is not finite; the surplus layer's
+    # indefinite information (nan errors) included
+    newton = estimation._newton_ascent
     seen = []
 
-    def recorded(hessian, scale, eig=None):
-        out = errors(hessian, scale, eig)
-        if eig is not None:
-            seen.append((out, errors(hessian, scale)))
+    def recorded(like, taus, weights, scale, max_iterations):
+        out = newton(like, taus, weights, scale, max_iterations)
+        seen.append((like, scale, out))
         return out
 
-    def bits(out):
-        return out[0].tobytes(), out[1].tobytes(), struct.pack("<d", out[2])
-
-    monkeypatch.setattr(estimation, "_observed_information_errors", recorded)
+    monkeypatch.setattr(estimation, "_newton_ascent", recorded)
     profiles = [DelayProfile.single(2e-13), DelayProfile.normalized([(1.2e-13, 0.5), (2e-13, 0.5)])]
     for variant, n_bins, profile, gamma, seed, phi in itertools.product(
         ("two-port", "trinomial"), (64, 256), profiles, (0.0, 0.1), (0, 1), (0.0, 0.7)
@@ -477,9 +474,17 @@ def test_newton_eigh_hand_over_gives_the_fresh_errors(monkeypatch):
                                counts_coincidence=complete.counts_coincidence)
         for counts, k in itertools.product((complete, reduced), (1, 2)):
             mle_fit(counts, model, SRC, k, phi=phi)
-    assert len(seen) > 50
-    assert any(math.isnan(out[0][0]) for out, _ in seen)  # the surplus layer's nan errors
-    assert all(bits(handed) == bits(fresh) for handed, fresh in seen)
+    assert len(seen) == 256
+    indefinite = 0
+    for like, scale, (taus, weights, _, _, _, _, eig) in seen:
+        info = -like.score(taus, weights)[2] * np.outer(scale, scale)
+        if not np.all(np.isfinite(info)):
+            assert eig is None
+            continue
+        fresh = np.linalg.eigh(info)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(eig, fresh))
+        indefinite += not eig[0][0] > 0.0
+    assert indefinite > 0  # the surplus layer's nan errors
 
 
 def _scan_reference(like, counts, k, init):
@@ -573,6 +578,21 @@ def test_mle_validates_inputs():
     zero = OutcomeTable("two-port", counts.grid, counts_coincidence=np.zeros(64))
     with pytest.raises(InputDataError, match="zero total counts"):
         mle_fit(zero, model, SRC, k_layers=1)
+
+
+@pytest.mark.parametrize("bad", [-5000.0, math.nan, math.inf])
+@pytest.mark.parametrize("init", [None, [(0.5e-12, 1.0)]])
+@pytest.mark.parametrize("block", ["counts_coincidence", "counts_bunching", "counts_single",
+                                   "counts_none"])
+def test_mle_refuses_a_negative_or_non_finite_count(block, init, bad):
+    # with a caller's init, a coincidence bin of -5000 was fitted here to
+    # 500.37 +/- 0.018 fs (20 stderr off), converged; a nan raised a bare
+    # ValueError from total_counts and an inf an OverflowError, whatever the init
+    counts, model = _counts_table(DelayProfile.single(0.5e-12), 1_000_000, seed=0)
+    values = np.array(getattr(counts, block), dtype=float)
+    values.flat[min(100, values.size - 1)] = bad
+    with pytest.raises(InputDataError, match="negative or non-finite"):
+        mle_fit(replace(counts, **{block: values}), model, SRC, k_layers=1, init=init)
 
 
 # -------------------------------------------------- shared forward model

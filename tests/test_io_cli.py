@@ -987,6 +987,7 @@ def test_cli_manifest_contents(tmp_path):
     assert manifest.duration_seconds >= 0.0
 
 
+_SIDECAR_SUFFIX = {"estimate": ".correlation.csv", "sweep": ".monotonicity.json"}
 _RUNS = {
     "simulate": (["--tau-ps", "0.2", "--bins", "256", "--trials", "1000", "--out", "s.csv"],
                  {"s.csv"}),
@@ -1068,6 +1069,32 @@ def test_cli_output_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, co
     assert _run([command, *argv, *flags]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: cannot write {name}: it is a directory"]
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("spelling, out", [
+    ("./x.json", "x.json"), ("sub//x.json", "sub/x.json"), ("x.", "x."), (".hidden", ".hidden"),
+    ("x.tar.gz", "x.tar.gz"), ("sub/../x.json", "sub/../x.json")])
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_cli_output_spellings_name_files_as_pathlib_does(tmp_path, monkeypatch, command,
+                                                          spelling, out):
+    # the files written, the manifest's out and its digest keys follow
+    # str(Path(out)) and Path(out).stem: os.path would cut x. and keep ./
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    Path("sub").mkdir()
+
+    def files():
+        return {p.resolve() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    argv, _ = _RUNS[command]
+    assert _run([command, *argv[:-2], "--out", spelling]) == 0
+    path = Path(out)
+    sidecar = path.parent / (path.stem + _SIDECAR_SUFFIX[command])
+    manifest = read_manifest(f"{out}.manifest.json")
+    assert files() - before == {Path(p).resolve() for p in (out, sidecar, f"{out}.manifest.json")}
+    assert manifest.config["out"] == out
+    assert manifest.output_digests == {p.name: sha256_digest(p) for p in (path, sidecar)}
 
 
 @pytest.mark.parametrize("command", sorted(_RUNS))

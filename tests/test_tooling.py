@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from qwkt import cli
 from qwkt.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,13 +90,21 @@ def test_flag_runs_cover_every_subcommand():
 
 @pytest.mark.parametrize("command", list(_FLAG_RUNS))
 def test_every_cli_flag_is_read(tmp_path, monkeypatch, command):
+    # through main, which names the run's outputs before the subcommand runs
     monkeypatch.chdir(tmp_path)
     if command == "estimate":
         assert main(["simulate", *_FLAG_RUNS["simulate"]]) == 0
-    parser = build_parser()
-    args = parser.parse_args([command, *_FLAG_RUNS[command]], namespace=_ReadRecorder())
-    args._read.clear()  # reads made while parsing do not count
-    assert args.func(args) == 0
+    parser, args = build_parser(), _ReadRecorder()
+    parse = parser.parse_args
+
+    def recording_parse(argv):
+        parse(argv, namespace=args)
+        args._read.clear()  # reads made while parsing do not count
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", recording_parse)
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    assert main([command, *_FLAG_RUNS[command]]) == 0
     dests = {a.dest for a in _subcommands(parser)[command]._actions if a.dest != "help"}
     assert not dests - args._read, f"{command} never reads {sorted(dests - args._read)}"
 
