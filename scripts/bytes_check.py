@@ -13,9 +13,9 @@ line), two spectra whose inverted correlation overflows float64, and one whose
 counts total past int64. One step, "quote", is not a qwkt command: it writes a
 copy of an earlier output with every cell quoted, so csv reads it. Outputs in
 a missing directory, outputs that name a directory (each temp dir also starts
-with the directories in _DIRS), two such faults in one run and malformed specs
-check the error paths; odd --out spellings (./x, sub//x, x., .x, x.tar.gz,
-sub/../x) check the names of the files a run writes.
+with the directories in _DIRS), two such faults in one run, an empty --out and
+malformed specs check the error paths; odd --out spellings (./x, sub//x, x., .x,
+x.tar.gz, sub/../x) check the names of the files a run writes.
 Compared: every output file byte for byte, except the manifests
 (*.manifest.json), compared as JSON without duration_seconds, and directories
 entry by entry; and each command's exit code and stderr (the checkout's path
@@ -165,6 +165,11 @@ def _commands() -> list[list[str]]:
           for flag in ("--out", "--manifest")),
         ["estimate", "--input", "one.csv", "--out", "taken.json"],
         ["sweep", "--out", "taken.csv"],
+        # an empty --out: exit 2, and no file written
+        ["simulate", "--tau-ps", "0.5", "--bins", "256", "--sigma-nm", "10", "--out", ""],
+        ["estimate", "--input", "one.csv", "--out", ""],
+        ["fisher", "--out", ""],
+        ["sweep", "--out", ""],
         # two faults: --out names a directory, --manifest is in a missing one (exit 2)
         ["estimate", "--input", "one.csv", "--out", ".", "--manifest", "missing/m.json"],
         # odd --out spellings: the sidecar and manifest names follow pathlib's

@@ -385,16 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qwkt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):  # main runs the module's cmd_<name>
         p = sub.add_parser(
             name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
-        p.set_defaults(func=func)
         p.add_argument("--manifest", default=None,
                        help=f"manifest path (default: OUT{_MANIFEST_SUFFIX})")
         return p
 
-    p = add("simulate", cmd_simulate, "emit an ideal or sampled coincidence spectrum")
+    p = add("simulate", "emit an ideal or sampled coincidence spectrum")
     _add_source_options(p)
     _add_grid_options(p)
     _add_model_options(p)
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--out", default="spectrum.csv", help="output CSV path")
 
-    p = add("estimate", cmd_estimate, "invert a spectrum and estimate layer delays")
+    p = add("estimate", "invert a spectrum and estimate layer delays")
     _add_source_options(p)
     _add_model_options(p)
     p.add_argument("--input", required=True, help="spectrum CSV to analyze")
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_finite, default=0.0, help="fringe phase, rad")
     p.add_argument("--out", default="estimate.json", help="output JSON path")
 
-    p = add("fisher", cmd_fisher, "Fisher information along a delay axis")
+    p = add("fisher", "Fisher information along a delay axis")
     _add_source_options(p)
     _add_model_options(p)
     p.add_argument("--tau-axis", default="0.5",
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integration half window in units of 2*sigma")
     p.add_argument("--out", default="fisher.csv", help="output CSV path")
 
-    p = add("sweep", cmd_sweep, "Fisher information over a parameter grid")
+    p = add("sweep", "Fisher information over a parameter grid")
     p.add_argument("--center-nm", type=_finite, default=810.0,
                    help="center wavelength of both photons, nm")
     p.add_argument("--variant", choices=("two-port", "trinomial"),
@@ -457,10 +456,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand: name its outputs once, on ``args``, and refuse any
-    that cannot be written before any work; start the manifest's clock; map
-    the outcome onto the exit code."""
+    that cannot be written before any work; start the manifest's clock; run
+    the module's ``cmd_<command>``; map the outcome onto the exit code."""
     args = _parser().parse_args(argv)
     try:
+        if not args.out:  # pathlib would spell it ".", the working directory
+            raise ConfigurationError("cannot write '': the path is empty")
         path = Path(args.out)  # files are named, and recorded, as pathlib spells them: ./x is x
         out = str(path)
         if args.command == "estimate":
@@ -481,7 +482,7 @@ def main(argv=None) -> int:
         args.out, args.sidecar, args.manifest = out, sidecar, manifest
         started = time.perf_counter()
         args.elapsed = lambda: time.perf_counter() - started
-        args.func(args)
+        globals()[f"cmd_{args.command}"](args)  # looked up now, so a rebound name runs
         return 0
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,8 +40,9 @@ _SWEEP_AXES = ("sigma", "tau", "gamma", "alpha")
 _COARSE_POINTS = 21
 _COARSE_SPAN_STEPS = 10.0
 # Newton ascent stops once g^T step, the squared distance to the optimum in
-# standard errors, is at most this.
+# standard errors, is at most _NEWTON_TOL, or after _MAX_ITERATIONS steps.
 _NEWTON_TOL = 1e-6
+_MAX_ITERATIONS = 500
 # Likelihood rows are evaluated in chunks of at most this many (row, bin)
 # cells, so a padded-layer scan's temporaries (64 KiB) stay under glibc's
 # 128 KiB mmap threshold and are not mapped and unmapped on every chunk.
@@ -109,7 +110,7 @@ class FisherReport:
 class QfiReport:
     """Quantum information limit of the source itself."""
 
-    q: float
+    q: float  # the idler-frequency variance sigma^2; the information per pair is 4q
     qcrb: float
     n_trials: int
 
@@ -206,37 +207,6 @@ def extract_delays(
         b - a < 2.0 * dt for a, b in zip(taus, taus[1:])
     )
     return PeakReport(delays=delays, ambiguity_flag=ambiguous, grid_resolution=dt)
-
-
-def _initial_layers(
-    counts: OutcomeTable, source: BiphotonSource, k_layers: int, init
-) -> tuple[list[tuple[float, float]], int]:
-    """Starting (tau, weight) list, truncated to the k_layers strongest or
-    padded to k_layers, and the number of leading layers a peak report
-    pins (none for a caller's list)."""
-    if init is None:
-        pattern = SpectralPattern(
-            grid=counts.grid,
-            values=np.asarray(counts.counts_coincidence, dtype=float),
-            kind="counts",
-        )
-        init = extract_delays(pattern, source)
-    if isinstance(init, PeakReport):
-        layers = [(tau, weight) for tau, weight, _ in init.delays]
-    else:
-        layers = [(float(t), float(a)) for t, a in init]
-        if not all(math.isfinite(t) and 0.0 < a < math.inf for t, a in layers):
-            raise ConfigurationError("init delays must be finite, weights positive and finite")
-    layers.sort()
-    if len(layers) > k_layers:
-        layers = sorted(sorted(layers, key=lambda la: -la[1])[:k_layers])
-    pinned = len(layers) if isinstance(init, PeakReport) else 0
-    grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
-    while len(layers) < k_layers:
-        base = layers[-1][0] if layers else 10.0 / source.delta_temporal
-        layers.append((base + 10.0 * grid_dt, 0.1))
-    total = sum(a for _, a in layers)
-    return [(t, a / total) for t, a in layers], pinned
 
 
 def _log(p):
@@ -381,6 +351,62 @@ class _Likelihood:
         return out
 
 
+def _start(
+    like: _Likelihood, counts: OutcomeTable, source: BiphotonSource, k_layers: int, init
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where a fit starts: its delays, its weights and the number of rows scanned.
+
+    The layers are the peak report's (``init``, or ``extract_delays`` on the
+    coincidence counts when ``init`` is None), each of them pinned, or a
+    caller's (tau, weight) list, none of them pinned; its delays must be
+    finite and its weights positive and finite. The k_layers strongest are
+    kept; a shorter list is padded with unpinned layers 10 temporal grid steps
+    past the last at weight 0.1, and the weights are normalized. Each unpinned
+    layer in turn is scanned with the other delays held: one
+    ``log_likelihood`` call per offset of its delay (21 spanning +/-10 grid
+    steps) scores 19 weight fractions 0.05..0.95 for it, the other weights
+    rescaled to the remaining mass (no weight axis at k_layers = 1). After the
+    layer's start row, a row replaces the best only if it beats it, so a tie
+    keeps the earlier row.
+    """
+    if init is None:
+        observed = np.asarray(counts.counts_coincidence, dtype=float)
+        init = extract_delays(SpectralPattern(counts.grid, observed, kind="counts"), source)
+    if isinstance(init, PeakReport):
+        layers = [(tau, weight) for tau, weight, _ in init.delays]
+    else:
+        layers = [(float(t), float(a)) for t, a in init]
+        if not all(math.isfinite(t) and 0.0 < a < math.inf for t, a in layers):
+            raise ConfigurationError("init delays must be finite, weights positive and finite")
+    layers.sort()
+    if len(layers) > k_layers:
+        layers = sorted(sorted(layers, key=lambda la: -la[1])[:k_layers])
+    pinned = len(layers) if isinstance(init, PeakReport) else 0
+    grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
+    while len(layers) < k_layers:
+        base = layers[-1][0] if layers else 10.0 / source.delta_temporal
+        layers.append((base + 10.0 * grid_dt, 0.1))
+    total = sum(a for _, a in layers)
+    taus = np.array([t for t, _ in layers])
+    weights = np.array([a / total for _, a in layers])
+    if pinned == k_layers:
+        return taus, weights, 0
+    offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
+    fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
+    for j in range(pinned, k_layers):
+        held = np.delete(weights, j)
+        block = np.insert(np.outer(1.0 - fractions, held / held.sum()), j, fractions, axis=1)
+        rows = np.tile(taus, (offsets.size, 1))
+        rows[:, j] += offsets
+        best = like.log_likelihood(taus, weights[None])[0]
+        for moved in rows:
+            values = like.log_likelihood(moved, block)
+            i = int(np.argmax(values))
+            if values[i] > best:
+                best, taus, weights = values[i], moved, block[i]
+    return taus, weights, (k_layers - pinned) * (1 + offsets.size * fractions.size)
+
+
 def mle_fit(
     counts: OutcomeTable,
     model: DetectionModel,
@@ -388,28 +414,14 @@ def mle_fit(
     k_layers: int,
     init=None,
     phi: float = 0.0,
-    max_iterations: int = 500,
 ) -> MleResult:
     """Maximum-likelihood fit of layer delays and weights to sampled counts.
 
-    The start is the peak report's layers (``init``, or ``extract_delays``
-    on the coincidence counts when ``init`` is None): the k_layers
-    strongest peaks, each of them pinned. When fewer than k_layers peaks
-    are found, ``_initial_layers`` pads the list with layers the peaks do
-    not pin; every layer of a plain (tau, weight) list from the caller is
-    unpinned; its delays must be finite and its weights positive and
-    finite. Each unpinned layer in turn is scanned with the other delays
-    held: one ``log_likelihood`` call per offset of its delay (21 spanning
-    +/-10 temporal grid steps) scores 19 weight fractions 0.05..0.95 for
-    it, the other weights rescaled to the remaining mass (no weight axis at
-    k_layers = 1). After the start, a row replaces the best only if it
-    beats it, so a tie keeps the earlier row.
-
-    From there a damped Newton ascent on the analytic score and Hessian
-    (``_newton_ascent``) refines the k delays and first k-1 weights, at
-    most ``max_iterations`` steps; weights always sum to one. Standard
-    errors come from the analytic observed information at the optimum
-    (``_observed_information_errors``).
+    The fit starts where ``_start`` says (``init``: a peak report, a (tau,
+    weight) list or None). A damped Newton ascent (``_newton_ascent``, at most
+    ``_MAX_ITERATIONS`` steps) refines the k delays and first k-1 weights,
+    which always sum to one; standard errors come from the observed
+    information at the optimum (``_observed_information_errors``).
 
     The fit uses exactly ``k_layers`` layers; choosing k is the caller's
     job. Surplus layers are not pruned: on one-layer data a two-layer fit
@@ -424,31 +436,10 @@ def mle_fit(
     if counts.grid != model.grid:
         raise ConfigurationError("counts table and model use different frequency grids")
     like = _Likelihood(counts, model, source, phi)
-    layers0, pinned = _initial_layers(counts, source, k_layers, init)
-    taus = np.array([t for t, _ in layers0])
-    weights = np.array([a for _, a in layers0])
-
-    scanned = 0
-    if pinned < k_layers:
-        grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
-        offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
-        fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
-    for j in range(pinned, k_layers):
-        held = np.delete(weights, j)
-        block = np.insert(np.outer(1.0 - fractions, held / held.sum()), j, fractions, axis=1)
-        rows = np.tile(taus, (offsets.size, 1))
-        rows[:, j] += offsets
-        best = like.log_likelihood(taus, weights[None])[0]
-        for moved in rows:
-            values = like.log_likelihood(moved, block)
-            i = int(np.argmax(values))
-            if values[i] > best:
-                best, taus, weights = values[i], moved, block[i]
-        scanned += 1 + offsets.size * fractions.size
-
+    taus, weights, scanned = _start(like, counts, source, k_layers, init)
     scale = np.concatenate([np.full(k_layers, 1.0 / source.delta_temporal), np.ones(k_layers - 1)])
     taus_hat, weights_hat, value, iterations, converged, evaluations, eig = (
-        _newton_ascent(like, taus, weights, scale, max_iterations)
+        _newton_ascent(like, taus, weights, scale, _MAX_ITERATIONS)
     )
     stderr_tau, stderr_weight, condition = _observed_information_errors(eig, scale)
     order = np.argsort(taus_hat)
@@ -712,10 +703,11 @@ def quantum_fisher_information(source: BiphotonSource, n_trials: int) -> QfiRepo
     """Quantum information limit for delay sensing with this source.
 
     The delay enters as a phase generated by the idler frequency, so the
-    information per pair is four times the idler-frequency variance of the
-    joint spectral density. With a monochromatic pump the idler detuning is
-    half the difference frequency (RMS 2 sigma), giving Q = sigma^2 and the
-    bound ``qcrb = 1 / (2 sqrt(n Q))`` after n trials.
+    quantum Fisher information per pair is four times the idler-frequency
+    variance of the joint spectral density. With a monochromatic pump the
+    idler detuning is half the difference frequency (RMS 2 sigma), so ``q``
+    is that variance, sigma^2, not an information: the information per pair
+    is 4q, and ``qcrb = 1 / sqrt(n 4q)`` after n trials.
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be at least 1")

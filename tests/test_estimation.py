@@ -45,10 +45,10 @@ from qwkt.estimation import (
     SweepCell,
     _faddeeva,
     _find_peaks,
-    _initial_layers,
     _Likelihood,
     _monotonicity,
     _newton_ascent,
+    _start,
 )
 
 SRC = BiphotonSource.from_bandwidth(10e-9)
@@ -169,6 +169,19 @@ def _counts_table(prof, n_trials, seed, gamma=0.0, alpha=1.0, variant="two-port"
     return sample_counts(table, n_trials, seed=seed), model
 
 
+def _scale(k):
+    """``mle_fit``'s balance of Newton's coordinates: delays in temporal widths."""
+    return np.concatenate([np.full(k, 1.0 / SRC.delta_temporal), np.ones(k - 1)])
+
+
+class _FlatLikelihood:
+    """A likelihood no scanned row beats: ``_start`` given it returns the layers
+    it would scan from, and counts the rows it scanned as with any other."""
+
+    def log_likelihood(self, taus, weights):
+        return np.zeros(weights.shape[0])
+
+
 def test_mle_single_layer_recovers_delay():
     tau = 2e-13
     counts, model = _counts_table(DelayProfile.single(tau), 1_000_000, seed=0)
@@ -216,8 +229,10 @@ def test_mle_true_parameters_beat_perturbed_start():
     tau = 1.5e-13
     counts, model = _counts_table(DelayProfile.single(tau), 200_000, seed=7)
     fit = mle_fit(counts, model, SRC, k_layers=1)
-    off = mle_fit(counts, model, SRC, k_layers=1, init=[(tau * 1.3, 1.0)], max_iterations=1)
-    assert fit.log_likelihood >= off.log_likelihood - 1e-6
+    like = _Likelihood(counts, model, SRC, 0.0)
+    taus, weights, _ = _start(like, counts, SRC, 1, [(tau * 1.3, 1.0)])
+    off = _newton_ascent(like, taus, weights, _scale(1), 1)[2]  # one Newton step
+    assert fit.log_likelihood >= off - 1e-6
 
 
 def test_mle_accepts_peak_report_init():
@@ -235,11 +250,11 @@ def test_initial_layers_keep_the_strongest_peaks():
     # a one-layer fit of a two-layer spectrum starts from the stronger
     # peak, here the later one, pinned and with all the weight
     prof = DelayProfile.normalized([(2e-13, 0.3), (4e-13, 0.7)])
-    counts, _ = _counts_table(prof, 1_000_000, seed=0)
-    layers, pinned = _initial_layers(counts, SRC, 1, None)
-    assert pinned == 1 and len(layers) == 1
-    assert abs(layers[0][0] - 4e-13) < 2e-14
-    assert layers[0][1] == 1.0
+    counts, model = _counts_table(prof, 1_000_000, seed=0)
+    taus, weights, scanned = _start(_Likelihood(counts, model, SRC, 0.0), counts, SRC, 1, None)
+    assert scanned == 0 and taus.size == 1  # pinned, so not scanned
+    assert abs(taus[0] - 4e-13) < 2e-14
+    assert weights[0] == 1.0
 
 
 def test_mle_trinomial_variant():
@@ -323,9 +338,7 @@ def _full_scan_fit(counts, model, k):
     sweeps beyond, then the same Newton ascent."""
     like = _Likelihood(counts, model, SRC, 0.0)
     delta = SRC.delta_temporal
-    layers, _ = _initial_layers(counts, SRC, k, None)
-    taus0 = np.array([t for t, _ in layers])
-    weights0 = np.array([a for _, a in layers])
+    taus0, weights0, _ = _start(_FlatLikelihood(), counts, SRC, k, None)
 
     def unpack(thetas):
         z = np.concatenate([thetas[:, k:], np.zeros((thetas.shape[0], 1))], axis=1)
@@ -355,8 +368,7 @@ def _full_scan_fit(counts, model, k):
                 rows[:, i] = axis
                 scan(rows)
     taus, weights = (rows[0] for rows in unpack(best[0][None]))
-    scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
-    return _newton_ascent(like, taus, weights, scale, 500)[2]
+    return _newton_ascent(like, taus, weights, _scale(k), 500)[2]
 
 
 @st.composite
@@ -488,15 +500,14 @@ def test_newton_eigh_hand_over_gives_the_fresh_errors(monkeypatch):
 
 
 def _scan_reference(like, counts, k, init):
-    """The padded-layer scan row by row: from ``_initial_layers``' start,
+    """The padded-layer scan row by row: from the layers ``_start`` scans from,
     each unpinned layer's start row and then its 21 offsets x 19 weight
     fractions, every row scored alone by ``score``, the first best kept.
     Returns the layers sorted by delay, their value and the rows scored."""
-    layers, pinned = _initial_layers(counts, SRC, k, init)
-    taus = np.array([t for t, _ in layers])
-    weights = np.array([a for _, a in layers])
+    taus, weights, flat_rows = _start(_FlatLikelihood(), counts, SRC, k, init)
     offsets = 10.0 * TemporalGrid.conjugate_of(counts.grid).delta_t * np.linspace(-1.0, 1.0, 21)
     fractions = np.linspace(0.05, 0.95, 19) if k > 1 else np.ones(1)
+    pinned = k - flat_rows // (1 + offsets.size * fractions.size)
     value, scored = like.score(taus, weights)[0], 0
     for j in range(pinned, k):
         held = np.delete(weights, j)
@@ -527,22 +538,24 @@ def _scan_reference(like, counts, k, init):
        ("two-port", True, 0.0, 64, 3, [(2.3e-13, 1.0)], 300)],
 )
 def test_scan_picks_the_first_best_row(variant, complete, phi, n_bins, k, init, trials):
-    # max_iterations = 0 returns the scan's choice; one peak pads k = 2 and
-    # k = 3 with one and two scanned layers, and every layer of a caller's
-    # list is scanned
+    # _start returns the scan's choice; one peak pads k = 2 and k = 3 with one
+    # and two scanned layers, and every layer of a caller's list is scanned
     grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=n_bins)
     model = DetectionModel(grid, gamma=0.1, alpha=0.95, n_trials=trials, variant=variant)
     table = outcome_probabilities(model, SRC, DelayProfile.single(2e-13), phi)
     counts = sample_counts(table, trials, seed=7)
     if not complete:
         counts = OutcomeTable(variant, grid, counts_coincidence=counts.counts_coincidence)
-    _, pinned = _initial_layers(counts, SRC, k, init)
-    assert pinned == (0 if init else 1)
-    expected, value, scored = _scan_reference(_Likelihood(counts, model, SRC, phi), counts, k, init)
-    fit = mle_fit(counts, model, SRC, k, init=init, phi=phi, max_iterations=0)
-    assert fit.layers == expected
-    assert fit.log_likelihood == value
-    assert fit.evaluations == scored + 1
+    like = _Likelihood(counts, model, SRC, phi)
+    taus, weights, scanned = _start(like, counts, SRC, k, init)
+    pinned = 0 if init else 1
+    assert scanned == (k - pinned) * (1 + 21 * (19 if k > 1 else 1))
+    expected, value, scored = _scan_reference(like, counts, k, init)
+    order = np.argsort(taus)
+    assert tuple((float(taus[i]), float(weights[i])) for i in order) == expected
+    _, _, start_value, _, _, evaluations, _ = _newton_ascent(like, taus, weights, _scale(k), 0)
+    assert start_value == value
+    assert scanned + evaluations == scored + 1
 
 
 @pytest.mark.parametrize(
@@ -844,22 +857,24 @@ def test_score_at_or_below_its_floor_returns_the_value_alone(case, shape, seed):
 @settings(max_examples=25, deadline=None)
 @given(case=_model_cases(bins=(64,)), shape=st.sampled_from(_TABLE_SHAPES))
 def test_newton_steps_only_raise_the_scan_optimum(case, shape):
-    # max_iterations = 0 returns the per-layer scan's best row (every layer
-    # of a caller's list is unpinned); every Newton step raises it
+    # _start returns the per-layer scan's best row (every layer of a caller's
+    # list is unpinned); every Newton step raises it, and 500 steps are mle_fit's
     model, profile, phi, counts = case
     counts = _observed_table(counts, shape)
     assume(counts.total_counts() > 0)
     k = len(profile.layers)
-    fits = [
-        mle_fit(counts, model, SRC, k, init=profile.layers, phi=phi, max_iterations=m)
-        for m in (0, 1, 500)
-    ]
-    assert fits[0].log_likelihood <= fits[1].log_likelihood <= fits[2].log_likelihood
-    assert all(fit.iterations <= m for fit, m in zip(fits, (0, 1, 500)))
-    assert fits[0].evaluations <= fits[1].evaluations <= fits[2].evaluations
+    like = _Likelihood(counts, model, SRC, phi)
+    taus, weights, scanned = _start(like, counts, SRC, k, profile.layers)
+    # (taus, weights, value, iterations, converged, evaluations, eig) after 0, 1, 500 steps
+    fits = [_newton_ascent(like, taus, weights, _scale(k), m) for m in (0, 1, 500)]
+    assert fits[0][2] <= fits[1][2] <= fits[2][2]
+    assert all(fit[3] <= m for fit, m in zip(fits, (0, 1, 500)))
+    assert fits[0][5] <= fits[1][5] <= fits[2][5]
     for fit in fits:
-        assert sum(w for _, w in fit.layers) == pytest.approx(1.0, rel=1e-9)
-        assert all(w > 0.0 for _, w in fit.layers)
+        assert np.sum(fit[1]) == pytest.approx(1.0, rel=1e-9)
+        assert np.all(fit[1] > 0.0)
+    full = mle_fit(counts, model, SRC, k, init=profile.layers, phi=phi)
+    assert (full.log_likelihood, full.evaluations) == (fits[2][2], scanned + fits[2][5])
 
 
 # ------------------------------------------------------------------- fisher

@@ -28,6 +28,7 @@ from qwkt import (
     write_manifest,
     write_spectrum,
 )
+from qwkt import cli
 from qwkt import io as qwkt_io
 from qwkt.cli import build_parser, main
 from qwkt.io import (
@@ -1069,6 +1070,32 @@ def test_cli_output_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, co
     assert _run([command, *argv, *flags]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: cannot write {name}: it is a directory"]
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_cli_empty_out_exits_2(tmp_path, monkeypatch, capsys, command):
+    # was an OSError traceback from os.replace onto ".", exit 1, and estimate
+    # left .correlation.csv behind
+    monkeypatch.chdir(tmp_path)
+    _simulate_input()
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    argv, _ = _RUNS[command]
+    assert _run([command, *argv[:-2], "--out", ""]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: cannot write '': the path is empty"]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_main_runs_the_handler_bound_when_it_runs(tmp_path, monkeypatch):
+    # main looks cmd_<command> up on each call, so a handler rebound after the
+    # parser was built and cached is the one that runs
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _RUNS["sweep"]
+    assert _run(["sweep", *argv]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.out))
+    assert _run(["sweep", *argv]) == 0
+    assert seen == ["w.csv"]
 
 
 @pytest.mark.parametrize("spelling, out", [
