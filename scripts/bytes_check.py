@@ -95,11 +95,11 @@ def _commands() -> list[list[str]]:
         ["quote", "pipeline-1.csv", "pipeline-1-quoted.csv"],
         ["estimate", "--input", "pipeline-1-quoted.csv", "--mle", "--layers", "3",
          "--out", "pipeline-1-quoted.json", *_PIPELINE_MODEL],
-        # four layers fitted to three: one padded layer scanned at 4096 bins, where a
-        # 19-row weight block spans chunks of 2 rows
+        # four layers fitted to three: the missing layer's delay profile at 4096 bins,
+        # valued in chunks of 2 rows
         ["estimate", "--input", "pipeline-1.csv", "--mle", "--layers", "4",
          "--out", "pipeline-1-k4.json", *_PIPELINE_MODEL],
-        # three layers fitted to one: the padded-layer scan
+        # three layers fitted to one: two missing layers profiled in turn
         ["simulate", "--tau-ps", "0.5", "--bins", "256", "--seed", "4", "--out", "one.csv",
          *_ONE_LAYER],
         ["estimate", "--input", "one.csv", "--mle", "--layers", "3", "--out", "one.json",
@@ -110,11 +110,21 @@ def _commands() -> list[list[str]]:
          *_TRINOMIAL],
         ["estimate", "--input", "tri.csv", "--mle", "--layers", "2", "--out", "tri-k2.json",
          *_TRINOMIAL],
-        # a fringe phase: simulated and scanned at phi = 0.7
+        # a fringe phase: simulated and profiled at phi = 0.7
         ["simulate", "--tau-ps", "0.5", "--bins", "256", "--seed", "8", "--phi", "0.7",
          "--out", "phi.csv", *_ONE_LAYER],
         ["estimate", "--input", "phi.csv", "--mle", "--layers", "2", "--phi", "0.7",
          "--out", "phi.json", *_ONE_LAYER],
+        # a delay near zero makes no side peak, so its one layer is profiled: 2 fs at
+        # 256 bins, and 1 fs on the default grid (20 nm, 4096 bins)
+        ["simulate", "--tau-ps", "0.002", "--bins", "256", "--seed", "0", "--out", "near.csv",
+         *_ONE_LAYER],
+        ["estimate", "--input", "near.csv", "--mle", "--layers", "1", "--out", "near.json",
+         *_ONE_LAYER],
+        ["simulate", "--tau-ps", "0.001", "--seed", "0", "--out", "near-default.csv",
+         *_PIPELINE_MODEL],
+        ["estimate", "--input", "near-default.csv", "--mle", "--layers", "1",
+         "--out", "near-default.json", *_PIPELINE_MODEL],
         ["simulate", "--ideal", "--tau-ps", "0.3", "--bins", "1024", "--out", "ideal.csv"],
         ["estimate", "--input", "ideal.csv", "--out", "ideal.json"],
         # a wide window: 3-digit exponents and half-integer cells in the spectrum

@@ -6,7 +6,8 @@ calls in each, and compare ``repr(MleResult)`` fit by fit.
 The panel crosses both variants, 64, 256 and 1,024 bins, fringe phases 0 and
 0.7, one- to three-layer profiles, losses 0 and 0.1, seeds 0-3, complete and
 reduced count tables, k = 1..3, and a start from the peak report or from a
-caller's list: 3,456 fits. Complete tables are what ``sample_counts`` draws
+caller's list: 3,456 fits. Either list is the start as given; a layer it lacks
+is placed by its delay profile. Complete tables are what ``sample_counts`` draws
 (every category, as a Monte-Carlo calibration fits them); no CLI command
 writes them, so ``bytes_check.py`` cannot see these fits. Reduced tables hold
 the coincidence counts alone, as a spectrum file does (a trinomial one with

@@ -174,12 +174,11 @@ def _layer_rows(taus, phi: float, omega: np.ndarray):
 
 
 def _fringe(weights: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """Weighted fringe ``sum_i a_i cos_i`` of ``_layer_rows``' (k, n) cosines,
-    summed in layer order from zeros: shape (n,) for weights (k,), one row
-    per candidate (B, n) for weights (B, k), each row with its own bits."""
-    out = np.zeros(weights.shape[:-1] + cos.shape[1:])
-    for a, row in zip(weights.T, cos):
-        out += a[..., None] * row
+    """Weighted fringe ``sum_i a_i cos_i``, shape (n,), of ``_layer_rows``' (k, n)
+    cosines for weights (k,), summed in layer order from zeros."""
+    out = np.zeros(cos.shape[1])
+    for a, row in zip(weights, cos):
+        out += a * row
     return out
 
 

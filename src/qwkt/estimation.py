@@ -37,15 +37,12 @@ from .transform import SpectralPattern, TemporalGrid, default_frequency_grid, in
 _MAX_LAYERS = 4
 _MAX_AXIS_POINTS = 256
 _SWEEP_AXES = ("sigma", "tau", "gamma", "alpha")
-_COARSE_POINTS = 21
-_COARSE_SPAN_STEPS = 10.0
 # Newton ascent stops once g^T step, the squared distance to the optimum in
 # standard errors, is at most _NEWTON_TOL, or after _MAX_ITERATIONS steps.
 _NEWTON_TOL = 1e-6
 _MAX_ITERATIONS = 500
-# Likelihood rows are evaluated in chunks of at most this many (row, bin)
-# cells, so a padded-layer scan's temporaries (64 KiB) stay under glibc's
-# 128 KiB mmap threshold and are not mapped and unmapped on every chunk.
+# A delay profile values its fringe rows in chunks of at most this many (row,
+# bin) cells, so its temporaries (64 KiB) stay under glibc's mmap threshold.
 _CHUNK_CELLS = 2**13
 # The Fisher series' stop test (relative part) and term cap; its blocks of at
 # most 4096 terms keep complex temporaries (64 KiB) under the mmap threshold.
@@ -87,7 +84,7 @@ class MleResult:
     log_likelihood: float
     converged: bool
     iterations: int
-    evaluations: int  # scan rows (start plus 21 x 19 per scanned layer) and Newton's points
+    evaluations: int  # delays profiled to place missing layers, and Newton's points
     hessian_condition: float  # of the balanced observed information
 
 
@@ -223,17 +220,17 @@ def _row_dot(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _Likelihood:
     """Multinomial log-likelihood of an outcome table under candidate layers.
 
-    ``log_likelihood`` takes one delay vector and a block of weight rows
-    (the padded-layer scan), ``score`` one candidate (Newton); both read the
-    forward model shared with ``outcome_probabilities``. The table is read
-    once into ``terms``, one (category, counts) pair per observed block, the
-    category indexing ``_category_probabilities``. Categories absent from a
-    two-port table (a spectrum file carries anti-bunch counts only) are
-    handled by conditioning on the observed categories: their probabilities
-    are renormalized by the observed total mass. A trinomial table with pair
-    counts only is fitted by the per-bin binomial marginal with known
-    trials, which no bin's pair count may exceed; its second term, category
-    None, is the 1 - pair rest.
+    ``profile`` values one added layer at many delays (a fit start), ``score``
+    one candidate (Newton); both read the forward model shared with
+    ``outcome_probabilities``. The table is read once into ``terms``, one
+    (category, counts) pair per observed block, the category indexing
+    ``_category_probabilities``; its counts must be integers. Categories
+    absent from a two-port table (a spectrum file carries anti-bunch counts
+    only) are handled by conditioning on the observed categories: their
+    probabilities are renormalized by the observed total mass. A trinomial
+    table with pair counts only is fitted by the per-bin binomial marginal
+    with known trials, which no bin's pair count may exceed; its second term,
+    category None, is the 1 - pair rest.
     """
 
     def __init__(
@@ -247,6 +244,8 @@ class _Likelihood:
         )]
         if not all(b is None or 0.0 <= b.min() and b.max() < math.inf for b in blocks):
             raise InputDataError("outcome table holds a negative or non-finite count")
+        if any(b is not None and np.any(b != np.round(b)) for b in blocks):
+            raise InputDataError("counts spectra must hold integer values")
         if counts.total_counts() <= 0:
             raise InputDataError("outcome table has zero total counts; no likelihood mass")
         self.model = model
@@ -273,21 +272,22 @@ class _Likelihood:
                 raise InputDataError(f"a bin holds more pairs than its {n_trials} trials")
             self.terms = [(0, pairs), (None, n_trials - pairs)]
 
-    def log_likelihood(self, taus: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Log-likelihood at k delays (k,) of each row of a (B, k) weight
-        block, shape (B,); each row has the bits it has alone."""
-        cos = next(_layer_rows(taus, self.phi, self.omega))
-        out = np.empty(weights.shape[0])
-        step = max(1, _CHUNK_CELLS // self.omega.size)
-        for i in range(0, weights.shape[0], step):
-            x = _fringe(weights[i : i + step], cos)
-            out[i : i + step] = self._value(self._probabilities(x))
+    def profile(
+        self, taus: np.ndarray, weights: np.ndarray, weight: float, delays: np.ndarray
+    ) -> np.ndarray:
+        """``score``'s value (P,) of the layers ``taus``, ``weights`` scaled by 1 -
+        ``weight`` beside one more of ``weight`` at each of ``delays`` (P,)."""
+        rest = _fringe((1.0 - weight) * weights, next(_layer_rows(taus, self.phi, self.omega)))
+        out, step = np.empty(delays.size), max(1, _CHUNK_CELLS // self.omega.size)
+        for i in range(0, delays.size, step):
+            cos = next(_layer_rows(delays[i : i + step], self.phi, self.omega))
+            out[i : i + step] = self._value(self._probabilities(rest + weight * cos))
         return out
 
     def score(self, taus: np.ndarray, weights: np.ndarray, floor: float | None = None) -> tuple:
-        """Log-likelihood (``log_likelihood``'s bits) at one candidate and, unless
-        it is at or below ``floor``, its gradient and Hessian (else None, None)
-        in natural coordinates: k delays, first k-1 weights.
+        """Log-likelihood at one candidate and, unless it is at or below ``floor``,
+        its gradient and Hessian (else None, None) in natural coordinates: k
+        delays, first k-1 weights.
 
         Each bin depends on them only through its fringe x. With J = dx/dtheta
         and g, D the first and second derivatives by each bin's x (per-bin
@@ -354,20 +354,18 @@ class _Likelihood:
 def _start(
     like: _Likelihood, counts: OutcomeTable, source: BiphotonSource, k_layers: int, init
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Where a fit starts: its delays, its weights and the number of rows scanned.
+    """Where a fit starts: its delays, its weights and the number of delays profiled.
 
-    The layers are the peak report's (``init``, or ``extract_delays`` on the
-    coincidence counts when ``init`` is None), each of them pinned, or a
-    caller's (tau, weight) list, none of them pinned; its delays must be
-    finite and its weights positive and finite. The k_layers strongest are
-    kept; a shorter list is padded with unpinned layers 10 temporal grid steps
-    past the last at weight 0.1, and the weights are normalized. Each unpinned
-    layer in turn is scanned with the other delays held: one
-    ``log_likelihood`` call per offset of its delay (21 spanning +/-10 grid
-    steps) scores 19 weight fractions 0.05..0.95 for it, the other weights
-    rescaled to the remaining mass (no weight axis at k_layers = 1). After the
-    layer's start row, a row replaces the best only if it beats it, so a tie
-    keeps the earlier row.
+    Newton starts from the k_layers strongest layers of the peak report
+    (``init``, or ``extract_delays`` on the coincidence counts when ``init`` is
+    None) or of a caller's (tau, weight) list (finite nonnegative delays,
+    positive finite weights) as given, sorted by delay and normalized. Each
+    layer still missing is placed in turn, the placed ones held: the m-th
+    takes 1/m of the weight, at the first argmax of ``like.profile`` over
+    (0, 2 t_max), which holds every distinct fringe at a fixed phi (the fringe
+    at tau + 2 t_max is the one at tau negated). The delays profiled are the
+    temporal grid's own, continued to 2 t_max, and below 3 / delta_temporal,
+    where no side peak shows, the centres of quarter steps.
     """
     if init is None:
         observed = np.asarray(counts.counts_coincidence, dtype=float)
@@ -376,35 +374,21 @@ def _start(
         layers = [(tau, weight) for tau, weight, _ in init.delays]
     else:
         layers = [(float(t), float(a)) for t, a in init]
-        if not all(math.isfinite(t) and 0.0 < a < math.inf for t, a in layers):
-            raise ConfigurationError("init delays must be finite, weights positive and finite")
-    layers.sort()
-    if len(layers) > k_layers:
-        layers = sorted(sorted(layers, key=lambda la: -la[1])[:k_layers])
-    pinned = len(layers) if isinstance(init, PeakReport) else 0
-    grid_dt = TemporalGrid.conjugate_of(counts.grid).delta_t
-    while len(layers) < k_layers:
-        base = layers[-1][0] if layers else 10.0 / source.delta_temporal
-        layers.append((base + 10.0 * grid_dt, 0.1))
-    total = sum(a for _, a in layers)
+        if not all(0.0 <= t < math.inf and 0.0 < a < math.inf for t, a in layers):
+            raise ConfigurationError(
+                "init delays must be finite and nonnegative, weights positive and finite")
+    layers = sorted(sorted(layers, key=lambda la: -la[1])[:k_layers])
     taus = np.array([t for t, _ in layers])
-    weights = np.array([a / total for _, a in layers])
-    if pinned == k_layers:
+    weights = np.array([a for _, a in layers]) / sum(a for _, a in layers)
+    if taus.size == k_layers:
         return taus, weights, 0
-    offsets = _COARSE_SPAN_STEPS * grid_dt * np.linspace(-1.0, 1.0, _COARSE_POINTS)
-    fractions = np.linspace(0.05, 0.95, 19) if k_layers > 1 else np.ones(1)
-    for j in range(pinned, k_layers):
-        held = np.delete(weights, j)
-        block = np.insert(np.outer(1.0 - fractions, held / held.sum()), j, fractions, axis=1)
-        rows = np.tile(taus, (offsets.size, 1))
-        rows[:, j] += offsets
-        best = like.log_likelihood(taus, weights[None])[0]
-        for moved in rows:
-            values = like.log_likelihood(moved, block)
-            i = int(np.argmax(values))
-            if values[i] > best:
-                best, taus, weights = values[i], moved, block[i]
-    return taus, weights, (k_layers - pinned) * (1 + offsets.size * fractions.size)
+    step = TemporalGrid.conjugate_of(counts.grid).delta_t / 8.0
+    eighths, limit = np.arange(1, 8 * counts.grid.n_bins), 3.0 / (source.delta_temporal * step)
+    delays = step * eighths[(eighths % 8 == 4) | ((eighths % 2 == 1) & (eighths < limit))]
+    for m in range(taus.size + 1, k_layers + 1):
+        taus = np.append(taus, delays[np.argmax(like.profile(taus, weights, 1.0 / m, delays))])
+        weights = np.append((1.0 - 1.0 / m) * weights, 1.0 / m)
+    return taus, weights, (k_layers - len(layers)) * delays.size
 
 
 def mle_fit(
@@ -436,7 +420,7 @@ def mle_fit(
     if counts.grid != model.grid:
         raise ConfigurationError("counts table and model use different frequency grids")
     like = _Likelihood(counts, model, source, phi)
-    taus, weights, scanned = _start(like, counts, source, k_layers, init)
+    taus, weights, profiled = _start(like, counts, source, k_layers, init)
     scale = np.concatenate([np.full(k_layers, 1.0 / source.delta_temporal), np.ones(k_layers - 1)])
     taus_hat, weights_hat, value, iterations, converged, evaluations, eig = (
         _newton_ascent(like, taus, weights, scale, _MAX_ITERATIONS)
@@ -451,7 +435,7 @@ def mle_fit(
         log_likelihood=value,
         converged=converged,
         iterations=iterations,
-        evaluations=scanned + evaluations,
+        evaluations=profiled + evaluations,
         hessian_condition=condition,
     )
 
@@ -467,14 +451,14 @@ def _newton_ascent(
     left out: the Newton step where the information is positive definite,
     and still an ascent step elsewhere (a surplus layer's ridge), where
     Newton would head for the saddle. The step is halved until the
-    log-likelihood rises with every weight positive, or until the rise it
-    can still bring is below ``_NEWTON_TOL``; ``score`` values each trial and
-    forms derivatives only if it rises. Converged means g^T step, twice the
-    predicted rise, is at most ``_NEWTON_TOL``; that step is still taken if it
-    rises. Each pass decomposes the balanced information first, then tests
-    for a stop. Returns the delays, weights and log-likelihood reached, the
-    steps taken, convergence, the points valued, and the reached point's
-    balanced information ``eigh``, or None if it is not finite.
+    log-likelihood rises with every delay and weight positive, or until the
+    rise it can still bring is below ``_NEWTON_TOL``; ``score`` values each
+    trial and forms derivatives only if it rises. Converged means g^T step,
+    twice the predicted rise, is at most ``_NEWTON_TOL``; that step is still
+    taken if it rises. Each pass decomposes the balanced information first,
+    then tests for a stop. Returns the delays, weights and log-likelihood
+    reached, the steps taken, convergence, the points valued, and the reached
+    point's balanced information ``eigh``, or None if it is not finite.
     """
     k = taus.size
     value, gradient, hessian = like.score(taus, weights)
@@ -497,7 +481,7 @@ def _newton_ascent(
         while t > 0.0:
             trial = point + t * scale * step
             trial_weights = np.append(trial[k:], 1.0 - np.sum(trial[k:]))
-            if np.all(trial_weights > 0.0):
+            if trial_weights[-1] > 0.0 and np.all(trial > 0.0):
                 evaluations += 1
                 scored = like.score(trial[:k], trial_weights, value)
                 if scored[0] > value:
@@ -517,7 +501,8 @@ def _observed_information_errors(
     condition number of the information balanced by ``scale``.
 
     Natural coordinates: the k delays plus the first k-1 weights (the last
-    weight's error follows by error propagation). The balanced information
+    weight's error follows by error propagation, nan where its variance rounds
+    below 0 on a near-singular information). The balanced information
     is inverted on its eigenvectors: ``eig``, its ``np.linalg.eigh`` from
     ``_newton_ascent``, or None when it is not finite (every result nan).
     When it is not positive definite, as for a surplus layer whose split
@@ -534,7 +519,8 @@ def _observed_information_errors(
         return nan, nan, condition
     cov = (vec / lam) @ vec.T * np.outer(scale, scale)
     stderr = np.sqrt(np.diag(cov))
-    return stderr[:k], np.append(stderr[k:], math.sqrt(np.sum(cov[k:, k:]))), condition
+    last = np.sum(cov[k:, k:])
+    return stderr[:k], np.append(stderr[k:], math.sqrt(last) if last >= 0 else math.nan), condition
 
 
 @functools.cache

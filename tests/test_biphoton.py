@@ -4,22 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qwkt import (
     SPEED_OF_LIGHT,
     BiphotonSource,
     ConfigurationError,
     DelayProfile,
-    FrequencyGrid,
     bandwidth_nm_to_rads,
     cross_correlation,
     envelope_density,
     fringe_factor,
     joint_spectral_intensity,
 )
-from qwkt.biphoton import _fringe, _layer_rows
 
 # frozen: 2*pi*c*(10 nm)/(810 nm)^2
 SIGMA_10NM = 2.8709824223576484e13
@@ -171,31 +167,6 @@ def test_fringe_factor_bounds():
     x = fringe_factor(prof, omega)
     assert np.all(np.abs(x) <= 1.0 + 1e-12)
     assert x[1000] == pytest.approx(1.0)  # omega = 0, phi = 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    steps=st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True),
-    n_rows=st.integers(1, 25),
-    n_bins=st.sampled_from([64, 4096]),
-    phi=st.sampled_from([0.0, 0.7]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_fringe_of_weight_block_equals_single_profiles(steps, n_rows, n_bins, phi, seed):
-    # one delay vector with a block of weight rows, as a padded-layer scan
-    # scores them: each row of the block has the bits of its profile's
-    # fringe_factor
-    omega = FrequencyGrid(omega_max=12.0 * SIGMA_10NM, n_bins=n_bins).values
-    rng = np.random.default_rng(seed)
-    delays = [i * 1e-15 for i in steps]
-    profiles = [
-        DelayProfile.normalized(zip(delays, rng.uniform(0.05, 1.0, len(delays))))
-        for _ in range(n_rows)
-    ]
-    weights = np.array([p.weights for p in profiles])
-    expected = np.array([fringe_factor(p, omega, phi) for p in profiles])
-    cos = next(_layer_rows(profiles[0].delays, phi, omega))
-    assert np.array_equal(_fringe(weights, cos), expected)
 
 
 def test_envelope_density_unit_mass():

@@ -38,6 +38,7 @@ from qwkt import (
     sweep,
 )
 from qwkt import estimation
+from qwkt.biphoton import _fringe, _layer_rows
 from qwkt.estimation import (
     _BLOCK_TERMS,
     _MAX_TERMS,
@@ -48,6 +49,7 @@ from qwkt.estimation import (
     _Likelihood,
     _monotonicity,
     _newton_ascent,
+    _observed_information_errors,
     _start,
 )
 
@@ -174,12 +176,26 @@ def _scale(k):
     return np.concatenate([np.full(k, 1.0 / SRC.delta_temporal), np.ones(k - 1)])
 
 
-class _FlatLikelihood:
-    """A likelihood no scanned row beats: ``_start`` given it returns the layers
-    it would scan from, and counts the rows it scanned as with any other."""
+def _values(like, taus, weights):
+    """Log-likelihood of each row of (B, k) delays and weights, valued as
+    ``score`` values one candidate, in one pass over the rows' fringes, the
+    cosines computed once per distinct delay vector."""
+    out = np.empty(taus.shape[0])
+    for delays in np.unique(taus, axis=0):
+        rows = np.all(taus == delays, axis=1)
+        cos = next(_layer_rows(delays, like.phi, like.omega))
+        fringes = np.array([_fringe(a, cos) for a in weights[rows]])
+        out[rows] = like._value(like._probabilities(fringes))
+    return out
 
-    def log_likelihood(self, taus, weights):
-        return np.zeros(weights.shape[0])
+
+def _profile_delays(grid):
+    """The delays a fit start profiles: the temporal grid's own, (j + 1/2) dt,
+    below 2 t_max, and the centres of quarter steps below 3 / delta_temporal."""
+    dt, n = TemporalGrid.conjugate_of(grid).delta_t, grid.n_bins
+    limit = 3.0 / (SRC.delta_temporal * (dt / 8.0))  # in eighths of a step
+    near = [(i + 0.5) * dt / 4.0 for i in range(4 * n) if 2 * i + 1 < limit]
+    return np.array(sorted([(j + 0.5) * dt for j in range(n)] + near))
 
 
 def test_mle_single_layer_recovers_delay():
@@ -207,7 +223,7 @@ def test_mle_two_layers_recovers_both():
     assert sum(weights) == pytest.approx(1.0, rel=1e-9)
     assert all(math.isfinite(e) for e in fit.stderr_tau + fit.stderr_weight)
     assert 1.0 <= fit.hessian_condition < math.inf
-    assert fit.evaluations < 21  # both peaks pinned: Newton steps only, no scan
+    assert fit.evaluations < 21  # both peaks pinned: Newton steps only, nothing profiled
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -251,8 +267,8 @@ def test_initial_layers_keep_the_strongest_peaks():
     # peak, here the later one, pinned and with all the weight
     prof = DelayProfile.normalized([(2e-13, 0.3), (4e-13, 0.7)])
     counts, model = _counts_table(prof, 1_000_000, seed=0)
-    taus, weights, scanned = _start(_Likelihood(counts, model, SRC, 0.0), counts, SRC, 1, None)
-    assert scanned == 0 and taus.size == 1  # pinned, so not scanned
+    taus, weights, profiled = _start(_Likelihood(counts, model, SRC, 0.0), counts, SRC, 1, None)
+    assert profiled == 0 and taus.size == 1  # the peak is the start, nothing profiled
     assert abs(taus[0] - 4e-13) < 2e-14
     assert weights[0] == 1.0
 
@@ -320,25 +336,15 @@ def test_mle_pair_only_rejects_trials_below_pair_counts():
         mle_fit(partial, model, SRC, k_layers=1)
 
 
-def _grouped_log_likelihood(like, taus, weights):
-    """``log_likelihood`` of each row of (B, k) delays and weights: one call
-    per distinct delay vector, with the weight rows that share it."""
-    out = np.empty(taus.shape[0])
-    for delays in np.unique(taus, axis=0):
-        rows = np.all(taus == delays, axis=1)
-        out[rows] = like.log_likelihood(delays, weights[rows])
-    return out
-
-
 def _full_scan_fit(counts, model, k):
     """Log-likelihood of the fit as it was before peak seeding, kept as an
-    oracle: from the peak layers, a 21-point scan of every parameter in
+    oracle: from the start layers, a 21-point scan of every parameter in
     (delay x delta, weight logit) coordinates, +/-10 grid steps and +/-2
     logits, Cartesian up to three parameters and two passes of coordinate
     sweeps beyond, then the same Newton ascent."""
     like = _Likelihood(counts, model, SRC, 0.0)
     delta = SRC.delta_temporal
-    taus0, weights0, _ = _start(_FlatLikelihood(), counts, SRC, k, None)
+    taus0, weights0, _ = _start(like, counts, SRC, k, None)
 
     def unpack(thetas):
         z = np.concatenate([thetas[:, k:], np.zeros((thetas.shape[0], 1))], axis=1)
@@ -351,10 +357,10 @@ def _full_scan_fit(counts, model, k):
     span = 10.0 * TemporalGrid.conjugate_of(counts.grid).delta_t * delta
     axes = [np.linspace(theta0[i] - span, theta0[i] + span, 21) for i in range(k)]
     axes += [np.linspace(theta0[i] - 2.0, theta0[i] + 2.0, 21) for i in range(k, 2 * k - 1)]
-    best = [theta0, _grouped_log_likelihood(like, *unpack(theta0[None]))[0]]
+    best = [theta0, _values(like, *unpack(theta0[None]))[0]]
 
     def scan(rows):
-        values = _grouped_log_likelihood(like, *unpack(rows))
+        values = _values(like, *unpack(rows))
         i = int(np.argmax(values))
         if values[i] > best[1]:
             best[:] = rows[i].copy(), values[i]
@@ -397,8 +403,8 @@ def _resolvable_cases(draw):
 @settings(max_examples=20, deadline=None)
 @given(case=_resolvable_cases(), complete=st.booleans())
 def test_mle_matches_full_scan_oracle(case, complete):
-    # starting Newton from the peak layers, with only unpinned layers
-    # scanned, ends no lower than the full scan did
+    # starting Newton from the peak layers, with only missing layers
+    # profiled, ends no lower than the full scan did
     model, profile, counts = case
     if not complete:
         counts = _without_bunch_counts(counts)
@@ -410,7 +416,7 @@ def test_mle_matches_full_scan_oracle(case, complete):
 @pytest.mark.parametrize("seed", range(5))
 def test_mle_scans_the_padded_layer(seed):
     # 30 fs apart, the pair merges into one side peak; the second layer is
-    # padded, and only its scan finds the pair
+    # missing, and only its delay profile finds the pair
     prof = DelayProfile.normalized([(1.2e-13, 0.5), (1.5e-13, 0.5)])
     counts, model = _counts_table(prof, 100_000, seed=seed)
     pattern = SpectralPattern(counts.grid, counts.counts_coincidence.astype(float), kind="counts")
@@ -422,17 +428,17 @@ def test_mle_scans_the_padded_layer(seed):
 
 
 def test_newton_scores_each_point_once(monkeypatch):
-    # the padded-layer scan is the only log_likelihood caller; Newton values
-    # every trial point once, so evaluations is the scanned rows plus the
+    # the start's delay profile is the only profile caller; Newton values
+    # every trial point once, so evaluations is the profiled delays plus the
     # score calls, and forms derivatives only at its start and at each
     # accepted point
     calls = {"rows": 0, "values": 0, "derivatives": 0}
-    batch, score = _Likelihood.log_likelihood, _Likelihood.score
+    batch, score = _Likelihood.profile, _Likelihood.score
 
-    def counted_batch(self, taus, weights):
-        assert calls["values"] == 0, "log_likelihood called after Newton's first score"
-        calls["rows"] += weights.shape[0]
-        return batch(self, taus, weights)
+    def counted_batch(self, taus, weights, weight, delays):
+        assert calls["values"] == 0, "profile called after Newton's first score"
+        calls["rows"] += delays.size
+        return batch(self, taus, weights, weight, delays)
 
     def counted_score(self, taus, weights, floor=None):
         calls["values"] += 1
@@ -440,13 +446,14 @@ def test_newton_scores_each_point_once(monkeypatch):
         calls["derivatives"] += scored[1] is not None
         return scored
 
-    monkeypatch.setattr(_Likelihood, "log_likelihood", counted_batch)
+    monkeypatch.setattr(_Likelihood, "profile", counted_batch)
     monkeypatch.setattr(_Likelihood, "score", counted_score)
     pinned = DelayProfile.normalized([(1.2e-13, 0.5), (2.0e-13, 0.5)])
     merged = DelayProfile.normalized([(1.2e-13, 0.5), (1.5e-13, 0.5)])
     rejected = 0
-    # both peaks pinned: no scan; one peak for two layers: one 400-row scan
-    for profile, rows in ((pinned, 0), (merged, 400)):
+    # both peaks pinned: nothing profiled; one peak for two layers: one profile
+    profiled = _profile_delays(FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=256)).size
+    for profile, rows in ((pinned, 0), (merged, profiled)):
         for seed in (1, 2, 3):
             calls.update(rows=0, values=0, derivatives=0)
             counts, model = _counts_table(profile, 100_000, seed=seed)
@@ -499,28 +506,24 @@ def test_newton_eigh_hand_over_gives_the_fresh_errors(monkeypatch):
     assert indefinite > 0  # the surplus layer's nan errors
 
 
-def _scan_reference(like, counts, k, init):
-    """The padded-layer scan row by row: from the layers ``_start`` scans from,
-    each unpinned layer's start row and then its 21 offsets x 19 weight
-    fractions, every row scored alone by ``score``, the first best kept.
-    Returns the layers sorted by delay, their value and the rows scored."""
-    taus, weights, flat_rows = _start(_FlatLikelihood(), counts, SRC, k, init)
-    offsets = 10.0 * TemporalGrid.conjugate_of(counts.grid).delta_t * np.linspace(-1.0, 1.0, 21)
-    fractions = np.linspace(0.05, 0.95, 19) if k > 1 else np.ones(1)
-    pinned = k - flat_rows // (1 + offsets.size * fractions.size)
-    value, scored = like.score(taus, weights)[0], 0
-    for j in range(pinned, k):
-        held = np.delete(weights, j)
-        rows = [(taus, weights)]
-        for offset in offsets:
-            moved = taus.copy()
-            moved[j] += offset
-            rows += [(moved, np.insert((1.0 - f) * (held / held.sum()), j, f)) for f in fractions]
-        values = [like.score(t, a)[0] for t, a in rows]
-        best = int(np.argmax(values))
-        (taus, weights), value, scored = rows[best], values[best], scored + len(rows)
-    order = np.argsort(taus)
-    return tuple((float(taus[i]), float(weights[i])) for i in order), value, scored
+def _profile_reference(like, counts, k, init):
+    """``_start`` delay by delay: the peak report or the caller's list as given,
+    then each missing layer's candidates, every delay of ``_profile_delays``
+    valued alone by ``score`` with the m-th layer at 1/m of the weight, and
+    the first best kept. Returns the delays and weights and the delays valued."""
+    if init is None:
+        pattern = SpectralPattern(counts.grid, counts.counts_coincidence.astype(float),
+                                  kind="counts")
+        init = [(t, a) for t, a, _ in extract_delays(pattern, SRC).delays]
+    taus, weights = (np.array(column) for column in zip(*sorted(init)))
+    weights = weights / np.sum(weights)
+    delays, valued = _profile_delays(counts.grid), 0
+    for m in range(taus.size + 1, k + 1):
+        held = np.append((1.0 - 1.0 / m) * weights, 1.0 / m)
+        values = [like.score(np.append(taus, d), held, math.inf)[0] for d in delays]
+        taus, weights = np.append(taus, delays[np.argmax(values)]), held
+        valued += len(values)
+    return taus, weights, valued
 
 
 @pytest.mark.parametrize(
@@ -532,14 +535,15 @@ def _scan_reference(like, counts, k, init):
         for phi in (0.0, 0.7 - math.pi)
         for k, init in ((1, [(2.3e-13, 1.0)]), (2, None), (3, None))
     ]
-    # a 19-row block splits into chunks of 2; with 300 trials rows score
-    # within a few units of each other
+    # the profile at 4096 bins spans chunks of 2 rows; with 300 trials the
+    # delays value within a few units of each other
     + [("two-port", True, 0.0, 4096, 2, None, 100_000),
        ("two-port", True, 0.0, 64, 3, [(2.3e-13, 1.0)], 300)],
 )
 def test_scan_picks_the_first_best_row(variant, complete, phi, n_bins, k, init, trials):
-    # _start returns the scan's choice; one peak pads k = 2 and k = 3 with one
-    # and two scanned layers, and every layer of a caller's list is scanned
+    # _start starts from the caller's list or the one peak as given, and
+    # places each missing layer (one for k = 2, two for k = 3) at the first
+    # best delay of its profile, as every delay valued alone picks it
     grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=n_bins)
     model = DetectionModel(grid, gamma=0.1, alpha=0.95, n_trials=trials, variant=variant)
     table = outcome_probabilities(model, SRC, DelayProfile.single(2e-13), phi)
@@ -547,25 +551,23 @@ def test_scan_picks_the_first_best_row(variant, complete, phi, n_bins, k, init, 
     if not complete:
         counts = OutcomeTable(variant, grid, counts_coincidence=counts.counts_coincidence)
     like = _Likelihood(counts, model, SRC, phi)
-    taus, weights, scanned = _start(like, counts, SRC, k, init)
-    pinned = 0 if init else 1
-    assert scanned == (k - pinned) * (1 + 21 * (19 if k > 1 else 1))
-    expected, value, scored = _scan_reference(like, counts, k, init)
-    order = np.argsort(taus)
-    assert tuple((float(taus[i]), float(weights[i])) for i in order) == expected
-    _, _, start_value, _, _, evaluations, _ = _newton_ascent(like, taus, weights, _scale(k), 0)
-    assert start_value == value
-    assert scanned + evaluations == scored + 1
+    taus, weights, profiled = _start(like, counts, SRC, k, init)
+    expected_taus, expected_weights, valued = _profile_reference(like, counts, k, init)
+    assert profiled == valued == (k - 1) * _profile_delays(grid).size
+    assert taus.tolist() == expected_taus.tolist()
+    assert weights.tolist() == expected_weights.tolist()
 
 
 @pytest.mark.parametrize(
     "init",
     [[(1e-13, 0.0)], [(math.nan, 1.0)], [(math.inf, 1.0)], [(1e-13, math.inf)],
-     [(1e-13, -1.0), (2e-13, 2.0)]],
-    ids=["zero-weight", "nan-delay", "inf-delay", "inf-weight", "negative-weight"],
+     [(1e-13, -1.0), (2e-13, 2.0)], [(-0.5e-12, 1.0)]],
+    ids=["zero-weight", "nan-delay", "inf-delay", "inf-weight", "negative-weight",
+         "negative-delay"],
 )
 def test_mle_rejects_invalid_init(init):
-    # a zero total weight divided by zero; nan or inf layers fitted to nan
+    # a zero total weight divided by zero; nan or inf layers fitted to nan; a
+    # -0.5 ps delay was fitted to -500.02 +/- 0.023 fs, converged
     counts, model = _counts_table(DelayProfile.single(2e-13), 10_000, seed=0)
     with pytest.raises(ConfigurationError, match="init"):
         mle_fit(counts, model, SRC, k_layers=len(init), init=init)
@@ -593,19 +595,62 @@ def test_mle_validates_inputs():
         mle_fit(zero, model, SRC, k_layers=1)
 
 
-@pytest.mark.parametrize("bad", [-5000.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-5000.0, math.nan, math.inf, 2.5])
 @pytest.mark.parametrize("init", [None, [(0.5e-12, 1.0)]])
 @pytest.mark.parametrize("block", ["counts_coincidence", "counts_bunching", "counts_single",
                                    "counts_none"])
 def test_mle_refuses_a_negative_or_non_finite_count(block, init, bad):
     # with a caller's init, a coincidence bin of -5000 was fitted here to
     # 500.37 +/- 0.018 fs (20 stderr off), converged; a nan raised a bare
-    # ValueError from total_counts and an inf an OverflowError, whatever the init
+    # ValueError from total_counts and an inf an OverflowError, whatever the init;
+    # a count of 2.5 was refused with init None only (by extract_delays' spectrum)
     counts, model = _counts_table(DelayProfile.single(0.5e-12), 1_000_000, seed=0)
     values = np.array(getattr(counts, block), dtype=float)
     values.flat[min(100, values.size - 1)] = bad
-    with pytest.raises(InputDataError, match="negative or non-finite"):
+    message = "integer values" if bad == 2.5 else "negative or non-finite"
+    with pytest.raises(InputDataError, match=message):
         mle_fit(replace(counts, **{block: values}), model, SRC, k_layers=1, init=init)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(["two-port", "trinomial"]),
+    n_bins=st.sampled_from([64, 256]),
+    phi=st.floats(-math.pi, math.pi),
+    first=st.floats(0.0, 3.0),
+    second=st.none() | st.floats(6.0, 30.0),
+    complete=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(variant="two-port", n_bins=256, phi=0.0, first=0.55, second=None, complete=False, seed=3)
+def test_mle_never_reports_a_negative_delay(variant, n_bins, phi, first, second, complete, seed):
+    # first and second are delays in grid steps, the first within 3 of zero; at
+    # 5-7 fs (10 nm, 256 bins) Newton once crossed zero and wrote a negative delay
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=n_bins)
+    dt = TemporalGrid.conjugate_of(grid).delta_t
+    layers = [(first * dt, 1.0)] + ([] if second is None else [(second * dt, 0.5)])
+    trials = 100_000 if variant == "two-port" else 1_000
+    model = DetectionModel(grid, gamma=0.1, alpha=0.95, n_trials=trials, variant=variant)
+    table = outcome_probabilities(model, SRC, DelayProfile.normalized(layers), phi)
+    counts = sample_counts(table, trials, seed=seed)
+    if not complete:
+        counts = _without_bunch_counts(counts)
+    fit = mle_fit(counts, model, SRC, len(layers), phi=phi)
+    assert all(tau > 0.0 for tau, _ in fit.layers)
+
+
+def test_last_weight_stderr_is_nan_where_its_variance_rounds_below_zero():
+    # a k = 3 information barely positive definite (smallest eigenvalue
+    # 1e-11): the last weight's variance sums entries of size 5e10 to -7.6e-6,
+    # where math.sqrt raised ValueError, and the CLI exited 2
+    a, b = 0.707106781186547, 0.707106781186548
+    vec = np.zeros((5, 5))
+    vec[0, 1] = vec[1, 2] = vec[2, 3] = 1.0
+    vec[3:, 0], vec[3:, 4] = (a, -b), (b, a)
+    lam = np.array([1e-11, 1.0, 1.0, 1.0, 1e280])
+    stderr_tau, stderr_weight, _ = _observed_information_errors((lam, vec), np.ones(5))
+    assert stderr_tau.tolist() == [1.0, 1.0, 1.0]
+    assert np.all(np.isfinite(stderr_weight[:-1])) and math.isnan(stderr_weight[-1])
 
 
 # -------------------------------------------------- shared forward model
@@ -679,7 +724,7 @@ def test_likelihood_row_is_outcome_table_log_probability(case, shape):
     counts = _observed_table(table, shape)
     assume(counts.total_counts() > 0)
     like = _Likelihood(counts, model, SRC, phi)
-    got = like.log_likelihood(profile.delays, profile.weights[None])
+    got = like.score(profile.delays, profile.weights, math.inf)[0]
     blocks = [
         (n, p)
         for n, p in (
@@ -698,57 +743,36 @@ def test_likelihood_row_is_outcome_table_log_probability(case, shape):
     else:
         n, p = blocks[0]
         expected = float(np.sum(xlogy(n, p) + xlogy(_PROPERTY_TRIALS - n, 1.0 - p)))
-    assert got.shape == (1,)
-    assert got[0] == pytest.approx(expected, rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     case=_model_cases(),
     shape=st.sampled_from(_TABLE_SHAPES),
-    n_rows=st.integers(1, 12),
+    n_delays=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
+def test_profile_values_each_delay_as_score_does(case, shape, n_delays, seed):
+    # the profile adds the case's last layer at each delay beside the others
+    # held; up to 300 delays span several chunks at either grid size
     model, profile, phi, counts = case
     counts = _observed_table(counts, shape)
+    assume(counts.total_counts() > 0)
     like = _Likelihood(counts, model, SRC, phi)
-    rng = np.random.default_rng(seed)
-    k = len(profile.layers)
-    taus = rng.uniform(0.0, TemporalGrid.conjugate_of(counts.grid).t_max, k)
-    weights = rng.dirichlet(np.ones(k), n_rows)
-    batch = like.log_likelihood(taus, weights)
-    singles = [like.log_likelihood(taus, weights[i : i + 1])[0] for i in range(n_rows)]
-    assert batch == pytest.approx(singles, rel=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    case=_model_cases(),
-    complete=st.booleans(),
-    phi=st.sampled_from([0.0, 0.7 - math.pi]),
-)
-def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi):
-    # 7 x 7 delay pairs, each with a 7-row weight block: at 4096 bins a
-    # block splits across chunks of 2 rows
-    model, profile, _, counts = case
-    if not complete:
-        counts = _without_bunch_counts(counts)
-    like = _Likelihood(counts, model, SRC, phi)
-    dt = TemporalGrid.conjugate_of(counts.grid).delta_t
-    tau0 = profile.delays[0] + dt * np.linspace(-3.0, 3.0, 7)
-    tau1 = profile.delays[-1] + 10.0 * dt + dt * np.linspace(-3.0, 3.0, 7)
-    w0 = np.linspace(0.1, 0.9, 7)
-    weights = np.stack([w0, 1.0 - w0], axis=1)
-    for taus in itertools.product(tau0, tau1):
-        taus = np.array(taus)
-        batch = like.log_likelihood(taus, weights)
-        singles = [like.log_likelihood(taus, weights[i : i + 1])[0] for i in range(7)]
-        assert np.array_equal(batch, singles)
+    weight = profile.weights[-1]
+    held_taus, held_weights = profile.delays[:-1], profile.weights[:-1] / (1.0 - weight)
+    t_max = TemporalGrid.conjugate_of(counts.grid).t_max
+    delays = np.random.default_rng(seed).uniform(0.0, 2.0 * t_max, n_delays)
+    got = like.profile(held_taus, held_weights, weight, delays)
+    weights = np.append((1.0 - weight) * held_weights, weight)
+    expected = [like.score(np.append(held_taus, d), weights, math.inf)[0] for d in delays]
+    assert got.shape == (n_delays,)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def _central_differences(like, x0, k, h):
-    """Gradient and Hessian of ``log_likelihood`` at the natural point
+    """Gradient and Hessian of the log-likelihood at the natural point
     ``x0`` (k delays, first k-1 weights) by fourth-order central
     differences with steps ``h``, the stencil points grouped by delay
     vector; the gradient is Richardson-extrapolated from steps h and 2h."""
@@ -762,7 +786,7 @@ def _central_differences(like, x0, k, h):
     ]
     points = x0 + np.array([np.zeros(d), *offsets])
     weights = np.column_stack([points[:, k:], 1.0 - np.sum(points[:, k:], axis=1)])
-    f = _grouped_log_likelihood(like, points[:, :k], weights)
+    f = _values(like, points[:, :k], weights)
     f0, axis, mixed = f[0], f[1 : 1 + 6 * d].reshape(d, 6), f[1 + 6 * d :].reshape(-1, 2, 4)
     # the five-point differences at steps h and 2h, and their extrapolation
     g_near = (8.0 * (axis[:, 0] - axis[:, 1]) - (axis[:, 2] - axis[:, 3])) / (12.0 * h)
@@ -811,7 +835,7 @@ def test_score_matches_central_differences(case, shape, phi, seed):
     head = (0.8 * profile.weights + 0.2 * rng.dirichlet(np.ones(k)))[:-1]
     weights = np.append(head, 1.0 - np.sum(head))
     value, gradient, hessian = like.score(taus, weights)
-    assert value == like.log_likelihood(taus, weights[None])[0]
+    assert value == _values(like, taus[None], weights[None])[0]
 
     scale = np.concatenate([np.full(k, 1.0 / delta), np.ones(k - 1)])
     balance = np.outer(scale, scale)
@@ -832,7 +856,7 @@ def test_score_matches_central_differences(case, shape, phi, seed):
 @given(case=_model_cases(bins=(64,)), shape=st.sampled_from(_TABLE_SHAPES),
        seed=st.integers(0, 2**32 - 1))
 def test_score_at_or_below_its_floor_returns_the_value_alone(case, shape, seed):
-    # a trial that does not rise above the floor gets log_likelihood's bits
+    # a trial that does not rise above the floor gets a plain value's bits
     # and no derivatives; one that rises gets the derivatives of a plain score
     model, profile, phi, counts = case
     counts = _observed_table(counts, shape)
@@ -842,7 +866,7 @@ def test_score_at_or_below_its_floor_returns_the_value_alone(case, shape, seed):
     k = len(profile.layers)
     taus = profile.delays + rng.normal(0.0, 0.3, k) / SRC.delta_temporal
     weights = rng.dirichlet(np.ones(k))
-    value = like.log_likelihood(taus, weights[None])[0]
+    value = _values(like, taus[None], weights[None])[0]
     for floor in (value, np.nextafter(value, math.inf), value + 1.0):
         scored = like.score(taus, weights, floor)
         assert scored[1:] == (None, None)
@@ -857,14 +881,14 @@ def test_score_at_or_below_its_floor_returns_the_value_alone(case, shape, seed):
 @settings(max_examples=25, deadline=None)
 @given(case=_model_cases(bins=(64,)), shape=st.sampled_from(_TABLE_SHAPES))
 def test_newton_steps_only_raise_the_scan_optimum(case, shape):
-    # _start returns the per-layer scan's best row (every layer of a caller's
-    # list is unpinned); every Newton step raises it, and 500 steps are mle_fit's
+    # _start places the layers missing from a one-layer list at their delay
+    # profiles' best; every Newton step raises it, and 500 steps are mle_fit's
     model, profile, phi, counts = case
     counts = _observed_table(counts, shape)
     assume(counts.total_counts() > 0)
     k = len(profile.layers)
     like = _Likelihood(counts, model, SRC, phi)
-    taus, weights, scanned = _start(like, counts, SRC, k, profile.layers)
+    taus, weights, profiled = _start(like, counts, SRC, k, profile.layers[:1])
     # (taus, weights, value, iterations, converged, evaluations, eig) after 0, 1, 500 steps
     fits = [_newton_ascent(like, taus, weights, _scale(k), m) for m in (0, 1, 500)]
     assert fits[0][2] <= fits[1][2] <= fits[2][2]
@@ -873,8 +897,8 @@ def test_newton_steps_only_raise_the_scan_optimum(case, shape):
     for fit in fits:
         assert np.sum(fit[1]) == pytest.approx(1.0, rel=1e-9)
         assert np.all(fit[1] > 0.0)
-    full = mle_fit(counts, model, SRC, k, init=profile.layers, phi=phi)
-    assert (full.log_likelihood, full.evaluations) == (fits[2][2], scanned + fits[2][5])
+    full = mle_fit(counts, model, SRC, k, init=profile.layers[:1], phi=phi)
+    assert (full.log_likelihood, full.evaluations) == (fits[2][2], profiled + fits[2][5])
 
 
 # ------------------------------------------------------------------- fisher

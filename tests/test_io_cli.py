@@ -648,8 +648,22 @@ def test_cli_simulate_counts_then_mle(tmp_path):
     taus = [lay["tau_s"] for lay in payload["mle"]["layers"]]
     assert abs(taus[0] - 0.12e-12) < 5e-16
     assert abs(taus[1] - 0.20e-12) < 5e-16
-    assert payload["mle"]["evaluations"] < 21  # both peaks pinned: no scan
+    assert payload["mle"]["evaluations"] < 21  # both peaks pinned: nothing profiled
     assert 1.0 <= payload["mle"]["hessian_condition"] < float("inf")
+
+
+def test_cli_fits_a_delay_near_zero(tmp_path):
+    # 2 fs makes no side peak; the fit once started near 340 fs and wrote
+    # 389.29 +/- 0.09 fs with exit code 0
+    model = ["--sigma-nm", "10", "--alpha", "0.95", "--gamma", "0.1", "--trials", "1000000"]
+    counts, est = tmp_path / "s.csv", tmp_path / "e.json"
+    argv = ["simulate", "--tau-ps", "0.002", "--seed", "0", "--bins", "256", "--out", counts]
+    assert _run([*argv, *model]) == 0
+    assert _run(["estimate", "--input", counts, "--mle", "--layers", "1", "--out", est, *model]) == 0
+    payload = json.loads(est.read_text())
+    assert payload["peaks"]["delays"] == []
+    (layer,) = payload["mle"]["layers"]
+    assert abs(layer["tau_s"] - 2e-15) <= 3.0 * layer["stderr_tau_s"]
 
 
 def test_cli_trinomial_estimate_requires_trials(tmp_path, capsys):
