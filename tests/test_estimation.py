@@ -771,6 +771,54 @@ def test_profile_values_each_delay_as_score_does(case, shape, n_delays, seed):
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_model_cases(),
+    shape=st.sampled_from(_TABLE_SHAPES),
+    n_rows=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_likelihood_batch_equals_single_rows(case, shape, n_rows, seed):
+    # one profile call over n_rows delays against one call per delay
+    model, profile, phi, counts = case
+    counts = _observed_table(counts, shape)
+    assume(counts.total_counts() > 0)
+    like = _Likelihood(counts, model, SRC, phi)
+    rng = np.random.default_rng(seed)
+    k = len(profile.layers)
+    t_max = TemporalGrid.conjugate_of(counts.grid).t_max
+    taus = rng.uniform(0.0, t_max, k)
+    weights = rng.dirichlet(np.ones(k))
+    weight = rng.uniform(0.05, 0.95)
+    delays = rng.uniform(0.0, 2.0 * t_max, n_rows)
+    batch = like.profile(taus, weights, weight, delays)
+    singles = [like.profile(taus, weights, weight, delays[i : i + 1])[0] for i in range(n_rows)]
+    assert batch == pytest.approx(singles, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=_model_cases(),
+    complete=st.booleans(),
+    phi=st.sampled_from([0.0, 0.7 - math.pi]),
+)
+def test_likelihood_product_batch_equals_single_rows_exactly(case, complete, phi):
+    # 7 held delays x 7 added weights, each profiled at 7 added delays: at
+    # 4096 bins the delays split across chunks of 2 rows
+    model, profile, _, counts = case
+    if not complete:
+        counts = _without_bunch_counts(counts)
+    like = _Likelihood(counts, model, SRC, phi)
+    dt = TemporalGrid.conjugate_of(counts.grid).delta_t
+    tau0 = profile.delays[0] + dt * np.linspace(-3.0, 3.0, 7)
+    tau1 = profile.delays[-1] + 10.0 * dt + dt * np.linspace(-3.0, 3.0, 7)
+    for held, weight in itertools.product(tau0, np.linspace(0.1, 0.9, 7)):
+        held = np.array([held])
+        batch = like.profile(held, np.ones(1), weight, tau1)
+        singles = [like.profile(held, np.ones(1), weight, tau1[i : i + 1])[0] for i in range(7)]
+        assert np.array_equal(batch, singles)
+
+
 def _central_differences(like, x0, k, h):
     """Gradient and Hessian of the log-likelihood at the natural point
     ``x0`` (k delays, first k-1 weights) by fourth-order central
