@@ -125,6 +125,12 @@ def _commands() -> list[list[str]]:
          *_PIPELINE_MODEL],
         ["estimate", "--input", "near-default.csv", "--mle", "--layers", "1",
          "--out", "near-default.json", *_PIPELINE_MODEL],
+        # the CLI's default model (alpha 1, gamma 0), fitted with no model flags: the
+        # likelihood conditioned on the anti-bunch counts, at the true k and one above
+        ["simulate", "--tau-ps", "0.5", "--bins", "256", "--sigma-nm", "10", "--seed", "9",
+         "--out", "default.csv"],
+        *(["estimate", "--input", "default.csv", "--mle", "--sigma-nm", "10", "--layers", k,
+           "--out", f"default-k{k}.json"] for k in ("1", "2")),
         ["simulate", "--ideal", "--tau-ps", "0.3", "--bins", "1024", "--out", "ideal.csv"],
         ["estimate", "--input", "ideal.csv", "--out", "ideal.json"],
         # a wide window: 3-digit exponents and half-integer cells in the spectrum

@@ -24,14 +24,7 @@ from .errors import (
     MalformedSpectrumError,
     QuadratureError,
 )
-from .hom import (
-    DetectionModel,
-    OutcomeTable,
-    _category_probabilities,
-    _category_slopes,
-    _slope_rows,
-    _variant_envelope,
-)
+from .hom import DetectionModel, OutcomeTable, _category_probabilities, _variant_envelope
 from .transform import SpectralPattern, TemporalGrid, default_frequency_grid, inverse_qwkt
 
 _MAX_LAYERS = 4
@@ -223,14 +216,15 @@ class _Likelihood:
     ``profile`` values one added layer at many delays (a fit start), ``score``
     one candidate (Newton); both read the forward model shared with
     ``outcome_probabilities``. The table is read once into ``terms``, one
-    (category, counts) pair per observed block, the category indexing
-    ``_category_probabilities``; its counts must be integers. Categories
-    absent from a two-port table (a spectrum file carries anti-bunch counts
-    only) are handled by conditioning on the observed categories: their
-    probabilities are renormalized by the observed total mass. A trinomial
+    (category, counts, x-slope row) triple per observed block, the category
+    indexing ``_category_probabilities``; its counts must be integers, a block
+    that is the same in every bin keeps their total and no row (None). A
+    two-port table that lacks categories (a spectrum file carries anti-bunch
+    counts only) is conditioned on the observed ones: their probabilities are
+    renormalized by their total mass, of x-slope ``mass_slope``. A trinomial
     table with pair counts only is fitted by the per-bin binomial marginal
     with known trials, which no bin's pair count may exceed; its second term,
-    category None, is the 1 - pair rest.
+    category None, is the 1 - pair rest, of the negated pair slope.
     """
 
     def __init__(
@@ -252,25 +246,27 @@ class _Likelihood:
         self.phi = phi
         self.omega = model.grid.values
         self.env = _variant_envelope(model, source.sigma_spectral)
-        self.slope_rows = _slope_rows(model, self.env)
+        # a per-bin block is affine in x: its x-slope is its value at x = 1 less
+        # its value at x = 0; a block the variant does not model (None) is not read
+        at_one, at_zero = (self._probabilities(np.full(self.env.shape, x)) for x in (1.0, 0.0))
+        self.terms = [
+            (c, n, at_one[c] - at_zero[c]) if isinstance(at_one[c], np.ndarray)
+            else (c, float(np.sum(n)), None)
+            for c, n in enumerate(blocks) if n is not None and at_one[c] is not None
+        ]
         two_port = model.variant == "two-port"
-        if not two_port:
-            blocks[1] = None
-        # a category with one probability for every bin (slope 0) needs only its total
-        self.terms = []
-        for c, (n, s) in enumerate(zip(blocks, self.slope_rows)):
-            if n is not None:
-                self.terms.append((c, n if isinstance(s, np.ndarray) else float(np.sum(n))))
-        self.observed = sum(float(np.sum(n)) for _, n in self.terms)
+        self.observed = sum(float(np.sum(n)) for _, n, _ in self.terms)
         complete = len(self.terms) == (4 if two_port else 3)
         self.conditioned = two_port and not complete
         if not (two_port or complete):
             n_trials = model.n_trials if counts.n_trials is None else counts.n_trials
-            pairs = self.terms[0][1]
+            pairs, slope = self.terms[0][1:]
             if np.max(pairs) > n_trials:
                 # the binomial's n_trials - n would go negative
                 raise InputDataError(f"a bin holds more pairs than its {n_trials} trials")
-            self.terms = [(0, pairs), (None, n_trials - pairs)]
+            self.terms = [(0, pairs, slope), (None, n_trials - pairs, -slope)]
+        if self.conditioned:
+            self.mass_slope = sum(s for _, _, s in self.terms if s is not None)
 
     def profile(
         self, taus: np.ndarray, weights: np.ndarray, weight: float, delays: np.ndarray
@@ -290,11 +286,11 @@ class _Likelihood:
         delays, first k-1 weights.
 
         Each bin depends on them only through its fringe x. With J = dx/dtheta
-        and g, D the first and second derivatives by each bin's x (per-bin
-        categories only: the others have slope 0), the gradient is J^T g and
+        and g, D the first and second derivatives by each bin's x (terms with
+        a slope row only: the others do not move), the gradient is J^T g and
         the Hessian J^T D J + sum_b g_b d2x_b/dtheta2, plus (N/M^2) (J^T m)
         (J^T m)^T when conditioned on the observed mass M of x-slope m. Bins
-        at the 1e-300 log floor contribute nothing.
+        at the 1e-300 log floor contribute nothing to g and D.
         """
         k, rows = taus.size, _layer_rows(taus, self.phi, self.omega)
         cos = next(rows)
@@ -303,23 +299,19 @@ class _Likelihood:
         if floor is not None and not value > floor:
             return value, None, None
         sin = next(rows)
-        probs = tuple(p[0] if isinstance(p, np.ndarray) else p for p in probs)
-        slopes = _category_slopes(self.slope_rows, probs)
-        terms = [(1.0 - probs[0], n, -slopes[0]) if c is None else (probs[c], n, slopes[c])
-                 for c, n in self.terms]
         g, curvature = np.zeros(self.omega.size), np.zeros(self.omega.size)
-        for p, n, s in terms:
-            if isinstance(s, np.ndarray):
+        for c, n, s in self.terms:
+            if s is not None:
+                p = 1.0 - probs[0][0] if c is None else probs[c][0]
                 ratio = s * np.divide(1.0, p, out=np.zeros_like(g), where=p > 1e-300)
                 g += n * ratio
                 curvature -= n * ratio * ratio
         jac = np.concatenate([-weights[:, None] * self.omega * sin, cos[:-1] - cos[-1]]).T
         hessian = jac.T @ (curvature[:, None] * jac)
         if self.conditioned:
-            mass = sum(np.sum(p) for p, _, _ in terms)
-            mass_slope = sum(s for _, _, s in terms)
-            g -= (self.observed / mass) * mass_slope
-            jm = jac.T @ mass_slope
+            mass = sum(np.sum(probs[c]) for c, _, _ in self.terms)
+            g -= (self.observed / mass) * self.mass_slope
+            jm = jac.T @ self.mass_slope
             hessian += (self.observed / mass**2) * np.outer(jm, jm)
         # d2x/dtau_i2 = -a_i omega^2 cos_i; d2x/dtau_i da_j = -omega sin_i
         # (i = j), and +omega sin_k for the last delay, whose weight is 1 - sum;
@@ -338,14 +330,14 @@ class _Likelihood:
 
     def _value(self, probs: tuple) -> np.ndarray:
         out = 0.0
-        for c, n in self.terms:
+        for c, n, _ in self.terms:
             p = 1.0 - probs[0] if c is None else probs[c]
             if isinstance(p, np.ndarray):
                 out = out + _row_dot(_log(p), n)
             else:
                 out = out + n * math.log(max(p, 1e-300))
         if self.conditioned:
-            observed = [probs[c] for c, _ in self.terms]
+            observed = [probs[c] for c, _, _ in self.terms]
             mass = sum(p.sum(axis=1) if isinstance(p, np.ndarray) else p for p in observed)
             out = out - self.observed * _log(mass)
         return out
@@ -407,11 +399,14 @@ def mle_fit(
     which always sum to one; standard errors come from the observed
     information at the optimum (``_observed_information_errors``).
 
-    The fit uses exactly ``k_layers`` layers; choosing k is the caller's
-    job. Surplus layers are not pruned: on one-layer data a two-layer fit
-    can split the layer into two at the same delay, with a log-likelihood
-    equal to the one-layer fit's. The observed information there is not
-    positive definite, so the standard errors come back nan.
+    The fit uses exactly ``k_layers`` layers and prunes none; choosing k is
+    the caller's job (ROADMAP.md item 4). On one-layer data a two-layer fit
+    may split the layer at one delay, where the observed information is not
+    positive definite and every standard error is nan; or keep a near-empty
+    layer with finite errors and ``converged`` true (seen: weight 2e-4 at 471
+    fs, stderr 37.7 fs, beside a 0.5 ps layer); or, on anti-bunch counts
+    alone, stop with weight below 1e-8 on a layer near zero delay, nan errors,
+    ``converged`` false and up to 3e-5 below the one-layer log-likelihood.
     """
     if not 1 <= k_layers <= _MAX_LAYERS:
         raise ConfigurationError(f"k_layers must lie in [1, {_MAX_LAYERS}]")

@@ -236,7 +236,8 @@ def _category_probabilities(model: DetectionModel, env: np.ndarray, fringe: np.n
     ``OutcomeTable`` layout. The per-bin blocks have the shape of
     ``fringe`` (one row per candidate); ``bunching`` is None only for the
     trinomial variant. The categories that do not depend on the fringe are
-    scalars. The fringe brackets are clipped at zero.
+    scalars. With positive weights summing to 1 and alpha <= 1 every fringe
+    bracket lies in [0, 2]; its clip at zero only guards against rounding.
     """
     gamma = model.gamma
     survive = (1.0 - gamma) ** 2
@@ -248,36 +249,6 @@ def _category_probabilities(model: DetectionModel, env: np.ndarray, fringe: np.n
         return anti, bunch, 2.0 * gamma * (1.0 - gamma), gamma**2
     pair = (survive / 2.0) * env * np.maximum(1.0 + mod, 0.0)
     return pair, None, (1.0 - gamma**2) - pair, gamma**2
-
-
-def _slope_rows(model: DetectionModel, env: np.ndarray) -> tuple:
-    """Derivatives by the fringe x of the ``_category_probabilities`` blocks
-    where no bracket clips.
-
-    The blocks are affine in x and no bracket clips for |x| <= 1, so a
-    per-bin block's slope is its value at x = 1 minus its value at x = 0;
-    scalar blocks have slope 0.
-    """
-    at_one, at_zero = (
-        _category_probabilities(model, env, np.full(env.shape, x)) for x in (1.0, 0.0)
-    )
-    return tuple(
-        one - zero if isinstance(one, np.ndarray) else 0.0 for one, zero in zip(at_one, at_zero)
-    )
-
-
-def _category_slopes(slope_rows: tuple, probs: tuple) -> tuple:
-    """The ``_slope_rows`` at the ``_category_probabilities`` blocks ``probs``
-    of one fringe row. A block whose bracket has clipped holds exactly 0 and
-    stops moving; so does the trinomial single-click block, the pair block's
-    complement.
-    """
-    stopped = [isinstance(p, np.ndarray) and p == 0.0 for p in probs[:2]]
-    stopped += [stopped[0], False]
-    return tuple(
-        np.where(stop, 0.0, slope) if isinstance(p, np.ndarray) else 0.0
-        for p, slope, stop in zip(probs, slope_rows, stopped)
-    )
 
 
 def outcome_probabilities(

@@ -900,6 +900,30 @@ def test_score_matches_central_differences(case, shape, phi, seed):
     assert np.max(np.abs(hessian - expected_hessian)) <= 1e-6 * np.max(np.abs(hessian))
 
 
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "coincidence-only"])
+@pytest.mark.parametrize("variant", ["two-port", "trinomial"])
+def test_score_hessian_where_a_block_touches_zero(variant, complete):
+    # at unit visibility the phase puts the fringe at exactly +1 (two-port) or
+    # -1 (trinomial) in one bin, so the anti-bunch or pair block is exactly 0
+    # there while its slope is not: the Hessian is still the model's own
+    grid = FrequencyGrid(omega_max=12.0 * SIGMA, n_bins=256)
+    tau, n_trials = 0.3e-12, 10**6 if variant == "two-port" else 2_000
+    phi = (0.0 if variant == "two-port" else math.pi) - grid.values[148] * tau
+    model = DetectionModel(grid, gamma=0.1, alpha=1.0, n_trials=n_trials, variant=variant)
+    table = outcome_probabilities(model, SRC, DelayProfile.normalized([(tau, 1.0)]), phi)
+    assert table.coincidence[148] == 0.0
+    counts = sample_counts(table, n_trials, seed=1)
+    if not complete:  # conditioned two-port; pair-only (binomial) trinomial
+        counts = replace(counts, counts_bunching=None, counts_single=None, counts_none=None)
+    like = _Likelihood(counts, model, SRC, phi)
+    _, gradient, hessian = like.score(np.array([tau]), np.ones(1))
+    expected_gradient, expected_hessian = _central_differences(
+        like, np.array([tau]), 1, np.array([1e-3 / SRC.delta_temporal])
+    )
+    assert np.max(np.abs(gradient - expected_gradient)) <= 1e-6 * np.max(np.abs(gradient))
+    assert np.max(np.abs(hessian - expected_hessian)) <= 1e-6 * np.max(np.abs(hessian))
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_model_cases(bins=(64,)), shape=st.sampled_from(_TABLE_SHAPES),
        seed=st.integers(0, 2**32 - 1))
